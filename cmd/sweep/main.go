@@ -64,9 +64,7 @@ var (
 	topoFile = flag.String("topology", "", "compile a declarative topology file (JSON), run its flows, and report per-flow goodput and switch counters")
 	shardsF  = flag.Int("shards", 0, "run -topology under the conservative parallel-DES runner with N sharded engines (0 = sequential; output is byte-identical either way)")
 	pdesOut  = flag.String("pdes-bench", "", "measure the parallel runner's wall-clock scaling (shards 1/2/4) over the benchmark topology and write BENCH_pdes.json-shaped output to this path")
-	pdesBar  = flag.String("pdes-barrier", "spin", "parallel-DES shard synchronization: spin (sense-reversing spin barrier) or chan (coordinator channel round-trips)")
 	pdesRep  = flag.String("pdes-replica", "auto", "parallel-DES replica mode: auto, full (every shard compiles the whole topology), or sparse (owned slice plus one-hop boundary)")
-	pdesSch  = flag.String("pdes-sched", "auto", "parallel-DES per-shard event scheduler: auto (wheel for sparse, heap for full), heap, or wheel")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	sched    = flag.String("sched", sim.DefaultScheduler().String(), "event scheduler: wheel (O(1) timing wheel) or heap (reference binary heap); results are byte-identical either way")

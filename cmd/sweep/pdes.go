@@ -28,21 +28,13 @@ const pdesShortTopology = "examples/topologies/lan-star.json"
 // pdesBenchShards are the shard counts a -pdes-bench run measures.
 var pdesBenchShards = []int{1, 2, 4}
 
-// pdesModeOpts parses the -pdes-barrier/-pdes-replica/-pdes-sched flags.
-func pdesModeOpts() (pdes.Barrier, pdes.Replica, pdes.Sched) {
-	bar, err := pdes.ParseBarrier(*pdesBar)
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
+// pdesModeOpts parses the -pdes-replica flag.
+func pdesModeOpts() pdes.Replica {
 	rep, err := pdes.ParseReplica(*pdesRep)
 	if err != nil {
 		log.Fatalf("sweep: %v", err)
 	}
-	sch, err := pdes.ParseSched(*pdesSch)
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
-	return bar, rep, sch
+	return rep
 }
 
 // runTopologySharded is runTopology's parallel twin: it drives the topology
@@ -54,11 +46,7 @@ func runTopologySharded(path string, shards int) {
 	if err != nil {
 		log.Fatalf("topology: %v", err)
 	}
-	bar, rep, sch := pdesModeOpts()
-	opts := pdes.Options{
-		Shards: shards, Seed: *seed, Metrics: *metricsF,
-		Barrier: bar, Replica: rep, Sched: sch,
-	}
+	opts := pdes.Options{Shards: shards, Seed: *seed, Metrics: *metricsF, Replica: pdesModeOpts()}
 	if *telemDir != "" {
 		opts.Telemetry = &telemetry.Options{Enabled: true}
 	}
@@ -75,8 +63,8 @@ func runTopologySharded(path string, shards int) {
 
 	fmt.Printf("== topology %s: %d hosts, %d switches, %d links, %d flows ==\n",
 		spec.Name, len(spec.Hosts), len(spec.Switches), len(spec.Links), len(spec.Flows))
-	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v barrier, %v replicas, %v scheduler\n",
-		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, bar, r.Replica(), r.Scheduler())
+	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v replicas, %v scheduler\n",
+		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, r.Replica(), r.Scheduler())
 	if fb := r.SparseFallback(); fb != nil {
 		fmt.Printf("parallel: sparse replicas unavailable, using full: %v\n", fb)
 	}
@@ -119,11 +107,11 @@ func runTopologySharded(path string, shards int) {
 }
 
 // measureSeries runs one topology's scaling series and prints each line.
-func measureSeries(topoPath string, reps int, bar pdes.Barrier, rep pdes.Replica) []bench.PDESEntry {
+func measureSeries(topoPath string, reps int, rep pdes.Replica) []bench.PDESEntry {
 	wall1 := 0.0
 	var out []bench.PDESEntry
 	for _, n := range pdesBenchShards {
-		wall, err := bench.MeasurePDES(topoPath, *seed, n, reps, bar, rep)
+		wall, err := bench.MeasurePDES(topoPath, *seed, n, reps, rep)
 		if err != nil {
 			log.Fatalf("pdes bench: %s shards=%d: %v", topoPath, n, err)
 		}
@@ -143,8 +131,8 @@ func measureSeries(topoPath string, reps int, bar pdes.Barrier, rep pdes.Replica
 // writePDESBench measures the sharded runner's wall-clock scaling over the
 // long-lookahead benchmark topology and the short-lookahead LAN scenario,
 // then writes BENCH_pdes.json-shaped output to path. The file self-describes
-// the host (CPU count) and the runner modes (barrier, replica, scheduler)
-// because wall-clock speedup means nothing without them.
+// the host (CPU count) and the runner modes (replica, scheduler) because
+// wall-clock speedup means nothing without them.
 func writePDESBench(path string) {
 	topoPath := *topoFile
 	if topoPath == "" {
@@ -152,7 +140,7 @@ func writePDESBench(path string) {
 	}
 	const reps = 5
 	cpus := runtime.NumCPU()
-	bar, rep, sch := pdesModeOpts()
+	rep := pdesModeOpts()
 	// Resolve what the runner will actually use for the primary topology, so
 	// the meta records modes, not flag spellings.
 	spec, err := topo.Load(topoPath)
@@ -165,14 +153,13 @@ func writePDESBench(path string) {
 			maxShards = n
 		}
 	}
-	probe, err := pdes.New(spec, pdes.Options{Shards: maxShards, Seed: *seed, Barrier: bar, Replica: rep, Sched: sch})
+	probe, err := pdes.New(spec, pdes.Options{Shards: maxShards, Seed: *seed, Replica: rep})
 	if err != nil {
 		log.Fatalf("pdes bench: %v", err)
 	}
 	pf := &bench.PDESFile{
 		Meta: &bench.Meta{
 			Scheduler: probe.Scheduler().String(),
-			Barrier:   bar.String(),
 			Replica:   probe.Replica().String(),
 			Seed:      *seed,
 			Topology:  topoPath,
@@ -185,14 +172,14 @@ func writePDESBench(path string) {
 			"measured on a %d-CPU host: wall ratios record synchronization overhead, not parallel speedup; the speedup floors gate only on hosts with >= %d CPUs",
 			cpus, maxShards)
 	}
-	fmt.Printf("pdes bench: %s, %d reps per shard count, %d CPUs, %s barrier, %s replicas\n",
-		topoPath, reps, cpus, pf.Meta.Barrier, pf.Meta.Replica)
-	pf.PDES = measureSeries(topoPath, reps, bar, rep)
+	fmt.Printf("pdes bench: %s, %d reps per shard count, %d CPUs, %s replicas\n",
+		topoPath, reps, cpus, pf.Meta.Replica)
+	pf.PDES = measureSeries(topoPath, reps, rep)
 	if topoPath != pdesShortTopology {
 		fmt.Printf("pdes bench (short lookahead): %s\n", pdesShortTopology)
 		pf.Short = &bench.PDESScenario{
 			Topology: pdesShortTopology,
-			Entries:  measureSeries(pdesShortTopology, reps, bar, rep),
+			Entries:  measureSeries(pdesShortTopology, reps, rep),
 		}
 	}
 	data, err := json.MarshalIndent(pf, "", "  ")

@@ -84,10 +84,9 @@ type Meta struct {
 	CPUs int `json:"cpus,omitempty"`
 	// Reps is how many runs each wall-clock median covers.
 	Reps int `json:"reps,omitempty"`
-	// Barrier and Replica record the parallel runner's synchronization and
-	// replication modes (BENCH_pdes.json), so the gate re-measures the same
-	// configuration the baseline was taken with.
-	Barrier string `json:"barrier,omitempty"`
+	// Replica records the parallel runner's replication mode
+	// (BENCH_pdes.json), so the gate re-measures the same configuration the
+	// baseline was taken with.
 	Replica string `json:"replica,omitempty"`
 	// Note carries free-form measurement caveats.
 	Note string `json:"note,omitempty"`

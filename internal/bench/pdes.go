@@ -49,38 +49,25 @@ const pdesShortFloor = 1.0
 // pdesReps is how many runs a measurement takes the median of.
 const pdesReps = 3
 
-// pdesModes resolves the baseline's recorded barrier/replica strings into
-// runner options; empty strings mean the runner defaults, so older baselines
-// without the fields keep working.
-func pdesModes(meta *Meta) (pdes.Barrier, pdes.Replica, error) {
-	var bar pdes.Barrier
-	var rep pdes.Replica
-	var err error
-	if meta == nil {
-		return bar, rep, nil
+// pdesReplica resolves the baseline's recorded replica string into the
+// runner option; an empty string means the runner default, so older
+// baselines without the field keep working.
+func pdesReplica(meta *Meta) (pdes.Replica, error) {
+	if meta == nil || meta.Replica == "" {
+		return pdes.ReplicaAuto, nil
 	}
-	if meta.Barrier != "" {
-		if bar, err = pdes.ParseBarrier(meta.Barrier); err != nil {
-			return bar, rep, err
-		}
-	}
-	if meta.Replica != "" {
-		if rep, err = pdes.ParseReplica(meta.Replica); err != nil {
-			return bar, rep, err
-		}
-	}
-	return bar, rep, nil
+	return pdes.ParseReplica(meta.Replica)
 }
 
 // MeasurePDES runs the topology's flows under the sharded runner and
 // returns the median wall-clock milliseconds over reps runs (first warm-up
 // run discarded — it pays compile and allocator warm-up).
-func MeasurePDES(topoPath string, seed int64, shards, reps int, bar pdes.Barrier, rep pdes.Replica) (float64, error) {
+func MeasurePDES(topoPath string, seed int64, shards, reps int, rep pdes.Replica) (float64, error) {
 	spec, err := topo.Load(topoPath)
 	if err != nil {
 		return 0, err
 	}
-	r, err := pdes.New(spec, pdes.Options{Shards: shards, Seed: seed, Barrier: bar, Replica: rep})
+	r, err := pdes.New(spec, pdes.Options{Shards: shards, Seed: seed, Replica: rep})
 	if err != nil {
 		return 0, err
 	}
@@ -101,8 +88,8 @@ func MeasurePDES(topoPath string, seed int64, shards, reps int, bar pdes.Barrier
 
 // ComparePDES re-measures each recorded scaling series — the primary
 // topology against the 2x floor, the short-lookahead scenario (if recorded)
-// against the stay-ahead floor — in the baseline's own barrier/replica
-// modes. Speedup is a property of parallel hardware: on hosts with fewer
+// against the stay-ahead floor — in the baseline's own replica mode.
+// Speedup is a property of parallel hardware: on hosts with fewer
 // CPUs than shards the entries are skipped with the reason visible in the
 // report, never silently passed.
 func ComparePDES(pf *PDESFile) *Report {
@@ -121,21 +108,21 @@ func ComparePDES(pf *PDESFile) *Report {
 		rep.Skipped = append(rep.Skipped, "pdes: baseline meta names no topology")
 		return rep
 	}
-	bar, repl, err := pdesModes(pf.Meta)
+	repl, err := pdesReplica(pf.Meta)
 	if err != nil {
 		rep.Skipped = append(rep.Skipped, fmt.Sprintf("pdes: baseline meta: %v", err))
 		return rep
 	}
-	gateSeries(rep, "pdes", topoPath, seed, bar, repl, pf.PDES, pdesSpeedupFloor)
+	gateSeries(rep, "pdes", topoPath, seed, repl, pf.PDES, pdesSpeedupFloor)
 	if pf.Short != nil && len(pf.Short.Entries) > 0 && pf.Short.Topology != "" {
-		gateSeries(rep, "pdes short", pf.Short.Topology, seed, bar, repl, pf.Short.Entries, pdesShortFloor)
+		gateSeries(rep, "pdes short", pf.Short.Topology, seed, repl, pf.Short.Entries, pdesShortFloor)
 	}
 	return rep
 }
 
 // gateSeries re-measures one topology's scaling series and records a finding
 // when the speedup at the largest shard count falls under floor.
-func gateSeries(rep *Report, label, topoPath string, seed int64, bar pdes.Barrier, repl pdes.Replica, entries []PDESEntry, floor float64) {
+func gateSeries(rep *Report, label, topoPath string, seed int64, repl pdes.Replica, entries []PDESEntry, floor float64) {
 	maxShards := 0
 	for _, e := range entries {
 		if e.Shards > maxShards {
@@ -154,7 +141,7 @@ func gateSeries(rep *Report, label, topoPath string, seed int64, bar pdes.Barrie
 	wall1 := 0.0
 	walls := make(map[int]float64, len(entries))
 	for _, e := range entries {
-		w, err := MeasurePDES(topoPath, seed, e.Shards, pdesReps, bar, repl)
+		w, err := MeasurePDES(topoPath, seed, e.Shards, pdesReps, repl)
 		if err != nil {
 			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: shards=%d: %v", label, e.Shards, err))
 			return

@@ -4,7 +4,36 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"tengig/internal/pdes"
 )
+
+// TestCommittedPDESBaselineGates: the committed BENCH_pdes.json loads and
+// either gates or skips for a reason about this host, never because the
+// baseline itself is unusable; a baseline that still records the retired
+// barrier word loads and resolves to its replica mode.
+func TestCommittedPDESBaselineGates(t *testing.T) {
+	f, err := Load("../../BENCH_pdes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := ComparePDES(f.PDES)
+	if rep.Compared == 0 && len(rep.Skipped) == 0 {
+		t.Fatal("committed pdes baseline neither gated nor skipped")
+	}
+	for _, s := range rep.Skipped {
+		if strings.Contains(s, "baseline") {
+			t.Errorf("committed pdes baseline skipped for its own content: %s", s)
+		}
+	}
+	old, err := Parse([]byte(`{"meta":{"topology":"t.json","barrier":"spin","replica":"sparse"},"pdes":[{"shards":1}]}`))
+	if err != nil {
+		t.Fatalf("baseline recording a barrier word: %v", err)
+	}
+	if got, err := pdesReplica(old.PDES.Meta); err != nil || got != pdes.ReplicaSparse {
+		t.Errorf("old baseline replica = %v, %v; want sparse", got, err)
+	}
+}
 
 // TestComparePDESSkipPaths pins the visible-skip contract: a gate that
 // cannot check the speedup floor must say why instead of silently passing.

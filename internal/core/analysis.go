@@ -118,8 +118,8 @@ type MTUPoint struct {
 // MTUs themselves across the pool (0 or 1 = serial, negative = one per
 // CPU) with input-ordered, scheduling-independent results.
 func MTUSweep(seed int64, p Profile, mtus []int, payload, count, workers int) ([]MTUPoint, error) {
-	return runner.Map(mtus, NormalizeWorkers(workers),
-		func(_ int, mtu int) (MTUPoint, error) {
+	pts, _, errs := runner.Map(mtus, runner.Options[struct{}]{Workers: NormalizeWorkers(workers)},
+		func(_ struct{}, _ int, mtu int) (MTUPoint, error) {
 			res, err := SweepConfig{
 				Seed: seed, Profile: p, Tuning: Optimized(mtu),
 				Payloads: []int{payload}, Count: count,
@@ -135,4 +135,8 @@ func MTUSweep(seed int64, p Profile, mtus []int, payload, count, workers int) ([
 				Mean:      res.Mean(),
 			}, nil
 		})
+	if err := runner.FirstErr(errs); err != nil {
+		return nil, err
+	}
+	return pts, nil
 }

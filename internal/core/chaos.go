@@ -219,11 +219,13 @@ func RunCampaignOn(eng *sim.Engine, spec CampaignSpec) CampaignResult {
 // failures are contained in the report.
 func RunChaos(c ChaosConfig) (*ChaosReport, error) {
 	specs := c.Specs()
-	results, _, errs := runner.MapTimedAll(newWorkerEngine, specs,
-		NormalizeWorkers(c.Workers), c.Retries,
-		func(eng *sim.Engine, _ int, spec CampaignSpec) (CampaignResult, error) {
-			return RunCampaignOn(eng, spec), nil
-		})
+	results, _, errs := runner.Map(specs, runner.Options[*sim.Engine]{
+		Workers:  NormalizeWorkers(c.Workers),
+		NewState: newWorkerEngine,
+		Retry:    runner.Retry{Max: c.Retries},
+	}, func(eng *sim.Engine, _ int, spec CampaignSpec) (CampaignResult, error) {
+		return RunCampaignOn(eng, spec), nil
+	})
 	rep := &ChaosReport{Campaigns: len(specs)}
 	for i, cr := range results {
 		if errs[i] != nil {

@@ -195,35 +195,31 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 		}
 		return pt, nil
 	}
-	var (
-		pts   []Point
-		walls []time.Duration
-	)
+	opt := runner.Options[*sim.Engine]{
+		Workers:  NormalizeWorkers(c.Workers),
+		NewState: newWorkerEngine,
+		Progress: c.Progress,
+	}
 	if c.SkipFailures {
-		var errs []error
-		pts, walls, errs = runner.MapTimedAllProgress(newWorkerEngine, c.Payloads,
-			NormalizeWorkers(c.Workers), c.Retries, c.Progress, runPoint)
-		for i, err := range errs {
-			if err == nil {
-				continue
-			}
-			pts[i] = Point{Payload: c.Payloads[i], Err: err}
-			var pe *runner.PanicError
-			if c.CrashDir != "" && errors.As(err, &pe) {
-				path, werr := c.writeCrashBundle(c.Payloads[i], pe)
-				if werr != nil {
-					pts[i].Err = fmt.Errorf("%w (crash bundle not written: %v)", err, werr)
-				} else {
-					pts[i].CrashBundle = path
-				}
-			}
+		opt.Retry.Max = c.Retries
+	}
+	pts, walls, errs := runner.Map(c.Payloads, opt, runPoint)
+	if err := runner.FirstErr(errs); err != nil && !c.SkipFailures {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
-	} else {
-		var err error
-		pts, walls, err = runner.MapTimedWithProgress(newWorkerEngine, c.Payloads,
-			NormalizeWorkers(c.Workers), c.Progress, runPoint)
-		if err != nil {
-			return nil, err
+		pts[i] = Point{Payload: c.Payloads[i], Err: err}
+		var pe *runner.PanicError
+		if c.CrashDir != "" && errors.As(err, &pe) {
+			path, werr := c.writeCrashBundle(c.Payloads[i], pe)
+			if werr != nil {
+				pts[i].Err = fmt.Errorf("%w (crash bundle not written: %v)", err, werr)
+			} else {
+				pts[i].CrashBundle = path
+			}
 		}
 	}
 	for i := range pts {
@@ -384,20 +380,26 @@ type MultiFlowSpec struct {
 // the worker pool, returning results in input order (0 or 1 workers =
 // serial, negative = one per CPU).
 func RunMultiFlows(specs []MultiFlowSpec, workers int) ([]MultiFlowResult, error) {
-	return runner.MapWith(newWorkerEngine, specs, NormalizeWorkers(workers),
-		func(eng *sim.Engine, _ int, s MultiFlowSpec) (MultiFlowResult, error) {
-			nics := s.SinkNICs
-			if nics == 0 {
-				nics = 1
-			}
-			eng.Reset(s.Seed)
-			m, err := NewMultiFlowNICsOn(eng, s.Profile, s.Tuning,
-				s.Senders, s.Kind, s.Reverse, nics)
-			if err != nil {
-				return MultiFlowResult{}, fmt.Errorf("%s: %w", s.Label, err)
-			}
-			return RunMultiFlow(m, s.Duration), nil
-		})
+	out, _, errs := runner.Map(specs, runner.Options[*sim.Engine]{
+		Workers:  NormalizeWorkers(workers),
+		NewState: newWorkerEngine,
+	}, func(eng *sim.Engine, _ int, s MultiFlowSpec) (MultiFlowResult, error) {
+		nics := s.SinkNICs
+		if nics == 0 {
+			nics = 1
+		}
+		eng.Reset(s.Seed)
+		m, err := NewMultiFlowNICsOn(eng, s.Profile, s.Tuning,
+			s.Senders, s.Kind, s.Reverse, nics)
+		if err != nil {
+			return MultiFlowResult{}, fmt.Errorf("%s: %w", s.Label, err)
+		}
+		return RunMultiFlow(m, s.Duration), nil
+	})
+	if err := runner.FirstErr(errs); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RunMultiFlow drives every pair simultaneously for the duration and

@@ -166,7 +166,7 @@ func TestParallelInstrumentationIsolation(t *testing.T) {
 		samples int
 		paths   int
 	}
-	out, err := runner.Map(seeds, 4, func(i int, seed int64) (probe, error) {
+	out, _, errs := runner.Map(seeds, runner.Options[struct{}]{Workers: 4}, func(_ struct{}, i int, seed int64) (probe, error) {
 		pair, err := BackToBack(seed, PE2650, Optimized(9000))
 		if err != nil {
 			return probe{}, err
@@ -185,7 +185,7 @@ func TestParallelInstrumentationIsolation(t *testing.T) {
 			paths:   len(tr.PathCounts()),
 		}, nil
 	})
-	if err != nil {
+	if err := runner.FirstErr(errs); err != nil {
 		t.Fatalf("runner: %v", err)
 	}
 	for i, p := range out {

@@ -6,12 +6,9 @@ import (
 	"tengig/internal/units"
 )
 
-// The window coordinator, factored out of the barrier drivers: the channel
-// driver (Run's goroutine round-trips) and the spin driver (the barrier's
-// serial section) both feed shard reports through this one decision path, so
-// the two barrier implementations cannot drift apart — byte-identical
-// outputs across {chan, spin} fall out of sharing the code that picks
-// windows and routes messages.
+// The window coordinator: Run's window loop feeds it every shard's report
+// each round, and it decides the next window — routing the deliverable
+// cross-shard messages into per-shard inboxes — or a terminal action.
 
 // horizonWindows bounds how far past the current window a shard's next-event
 // report must look. On the timing wheel an unbounded peek cascades far-future
@@ -30,7 +27,6 @@ const (
 	actDone
 	actStalled
 	actTimeout
-	actError
 )
 
 // action is one coordinator decision.
@@ -38,7 +34,6 @@ type action struct {
 	kind    actKind
 	wEnd    units.Time // actWindow: exclusive window bound
 	horizon units.Time // actWindow: bound for the next round's peeks
-	err     error      // actError
 }
 
 // coord carries the window-loop state.
@@ -53,8 +48,8 @@ type coord struct {
 	horizon   units.Time
 	// pend holds undeliverable cross-shard messages per destination shard;
 	// inboxes holds the current window's sorted delivery batches. Both keep
-	// their backing arrays across windows — the preallocated per-shard-pair
-	// slots the spin barrier's serial section reuses without allocating.
+	// their backing arrays across windows, so steady-state routing does not
+	// allocate.
 	pend    [][]crossMsg
 	inboxes [][]crossMsg
 }

@@ -23,9 +23,9 @@
 //     their reference durations, recorded by one throwaway full compile in
 //     New; any timing deviation is detected at compile, not silently
 //     diverged. Memory drops to O(shard + cut), and because the replica no
-//     longer spans foreign far-future timers, the timing-wheel scheduler is
-//     the default again (bounded per-window peeks stay cheap — see
-//     sim.NextEventAtWithin); the heap remains the fallback.
+//     longer spans foreign far-future timers, sparse shards run the
+//     timing-wheel scheduler (bounded per-window peeks stay cheap — see
+//     sim.NextEventAtWithin); full replicas run the heap.
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
@@ -40,19 +40,16 @@
 // work — the deterministic equivalent of a null message ("nothing before
 // t") — so idle grids cost barriers, not simulated windows.
 //
-// The barrier itself also comes in two shapes (Options.Barrier): the
-// channel driver round-trips a command and a response per shard per window
-// through the coordinator goroutine, while the spin driver (default)
-// synchronizes the shards on a sense-reversing spin barrier whose last
-// arriver runs the coordinator logic in-line and releases everyone with one
-// atomic flip — see barrier.go and spin.go. Both feed the same coord
-// decision code, so they execute identical window sequences.
+// The barrier is a channel round-trip: each window, the coordinator
+// goroutine sends every shard a command carrying its sorted inbox and
+// collects one response per shard (outbox slots, completions, a bounded
+// next-event peek) before the coord decision code picks the next window.
 //
 // # Determinism
 //
 // The crown-jewel constraint: telemetry, metrics, and fabric counters are
-// byte-identical for every shard count, barrier, and replica mode. The
-// mechanisms that carry the proof:
+// byte-identical for every shard count and replica mode. The mechanisms
+// that carry the proof:
 //
 //   - Event order. Engines order events by (time, creation time, seq);
 //     cross-shard deliveries are injected with the sender-side creation time
@@ -97,35 +94,14 @@ import (
 	"tengig/internal/units"
 )
 
-// Barrier selects the per-window synchronization implementation.
+// Barrier names the per-window synchronization. The channel barrier is the
+// only driver; the type and Options.Barrier exist for source compatibility
+// with callers that set them.
 type Barrier uint8
 
-const (
-	// BarrierSpin synchronizes shards on a sense-reversing spin barrier with
-	// a spin/park ladder; the coordinator logic runs in the last arriver.
-	BarrierSpin Barrier = iota
-	// BarrierChan round-trips window commands and responses through the
-	// coordinator goroutine's channels (the original implementation).
-	BarrierChan
-)
-
-func (b Barrier) String() string {
-	if b == BarrierChan {
-		return "chan"
-	}
-	return "spin"
-}
-
-// ParseBarrier parses "spin" or "chan".
-func ParseBarrier(s string) (Barrier, error) {
-	switch s {
-	case "spin":
-		return BarrierSpin, nil
-	case "chan":
-		return BarrierChan, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown barrier %q (want spin or chan)", s)
-}
+// BarrierChan round-trips window commands and responses through the
+// coordinator goroutine's channels. It is the zero value.
+const BarrierChan Barrier = 0
 
 // Replica selects how much of the topology each shard compiles.
 type Replica uint8
@@ -164,42 +140,6 @@ func ParseReplica(s string) (Replica, error) {
 	return 0, fmt.Errorf("pdes: unknown replica mode %q (want auto, full, or sparse)", s)
 }
 
-// Sched selects the shard engines' event scheduler.
-type Sched uint8
-
-const (
-	// SchedAuto uses the timing wheel for sparse replicas and the heap for
-	// full ones (a full replica's wheel spans the whole simulated time while
-	// holding only a shard's slice of the events, so per-window peeks would
-	// pay full-span slot scans; the heap peeks in O(1)).
-	SchedAuto Sched = iota
-	SchedHeap
-	SchedWheel
-)
-
-func (s Sched) String() string {
-	switch s {
-	case SchedHeap:
-		return "heap"
-	case SchedWheel:
-		return "wheel"
-	}
-	return "auto"
-}
-
-// ParseSched parses "auto", "heap", or "wheel".
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "auto":
-		return SchedAuto, nil
-	case "heap":
-		return SchedHeap, nil
-	case "wheel":
-		return SchedWheel, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown scheduler %q (want auto, heap, or wheel)", s)
-}
-
 // Options configures a parallel run.
 type Options struct {
 	// Shards is the engine count (>= 1). 1 is the degenerate single-engine
@@ -218,17 +158,12 @@ type Options struct {
 	Telemetry *telemetry.Options
 	// Metrics folds the run into a fleet-level metrics accumulator.
 	Metrics bool
-	// Barrier picks the window synchronization (default BarrierSpin).
+	// Barrier is accepted for source compatibility; BarrierChan is its only
+	// value.
 	Barrier Barrier
 	// Replica picks the shard replica shape (default ReplicaAuto: sparse
 	// where eligible, full otherwise).
 	Replica Replica
-	// Sched picks the shard engines' scheduler (default SchedAuto).
-	Sched Sched
-	// SpinBudget overrides the spin barrier's tight-spin iteration count:
-	// 0 means adaptive (park almost immediately when the host has fewer
-	// CPUs than shards), < 0 means park immediately.
-	SpinBudget int
 }
 
 // Result is a completed parallel run.
@@ -385,17 +320,12 @@ func (r *Runner) Replica() Replica { return r.opts.Replica }
 // when sparse was used or never attempted).
 func (r *Runner) SparseFallback() error { return r.sparseFallback }
 
-// Scheduler reports the per-shard event scheduler the run will use.
-func (r *Runner) Scheduler() sim.SchedulerKind { return r.schedKind() }
-
-// schedKind resolves the shard engines' scheduler.
-func (r *Runner) schedKind() sim.SchedulerKind {
-	switch r.opts.Sched {
-	case SchedHeap:
-		return sim.SchedHeap
-	case SchedWheel:
-		return sim.SchedWheel
-	}
+// Scheduler reports the per-shard event scheduler the run will use: the
+// timing wheel for sparse replicas, the heap for full ones (a full
+// replica's wheel spans the whole simulated time while holding only a
+// shard's slice of the events, so per-window peeks would pay full-span slot
+// scans; the heap peeks in O(1)).
+func (r *Runner) Scheduler() sim.SchedulerKind {
 	if r.opts.Replica == ReplicaSparse {
 		return sim.SchedWheel
 	}
@@ -405,7 +335,7 @@ func (r *Runner) schedKind() sim.SchedulerKind {
 // Run executes the flows to completion and merges the shards' outputs.
 func (r *Runner) Run() (*Result, error) {
 	if r.engines == nil {
-		kind := r.schedKind()
+		kind := r.Scheduler()
 		r.engines = make([]*sim.Engine, r.plan.Shards)
 		for i := range r.engines {
 			r.engines[i] = sim.NewEngineWith(r.opts.Seed, kind)
@@ -415,17 +345,6 @@ func (r *Runner) Run() (*Result, error) {
 			eng.Reset(r.opts.Seed)
 		}
 	}
-	var sp *spinState
-	if r.opts.Barrier == BarrierSpin {
-		budget := r.opts.SpinBudget
-		switch {
-		case budget < 0:
-			budget = 0
-		case budget == 0:
-			budget = defaultSpinBudget(r.plan.Shards)
-		}
-		sp = newSpinState(r, budget)
-	}
 	shards := make([]*shard, r.plan.Shards)
 	for i := range shards {
 		shards[i] = &shard{
@@ -433,7 +352,6 @@ func (r *Runner) Run() (*Result, error) {
 			eng: r.engines[i],
 			cmd: make(chan shardCmd, 1),
 			res: make(chan shardRes, 1),
-			sp:  sp,
 		}
 		go r.runShard(shards[i])
 	}
@@ -450,12 +368,6 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	alive := func(i int) bool { return setups[i].err == nil }
 	if firstErr != nil {
-		if sp != nil {
-			// Failed shards never reach the spin loop; release the healthy
-			// ones straight to their command loops for shutdown.
-			sp.cur = action{kind: actError, err: firstErr}
-			close(sp.start)
-		}
 		r.shutdown(shards, alive)
 		return nil, firstErr
 	}
@@ -473,19 +385,20 @@ func (r *Runner) Run() (*Result, error) {
 			bad = bad || setups[i].executed != setups[0].executed || setups[i].hwCompile != setups[0].hwCompile
 		}
 		if bad {
-			if sp != nil {
-				sp.cur = action{kind: actError, err: nil}
-				close(sp.start)
-			}
 			r.shutdown(shards, alive)
 			return nil, fmt.Errorf("pdes: topo %s: shard %d replica diverged during compile (t0 %v vs %v, events %d vs %d): construction is not deterministic",
 				r.spec.Name, i, setups[i].t0, t0, setups[i].executed, setups[0].executed)
 		}
 		startLive += setups[i].startLive
 	}
+	return r.runWindows(shards, setups, alive, t0, startLive)
+}
 
-	// First action from the exact setup reports, then hand the loop to the
-	// chosen barrier driver.
+// runWindows drives the window loop from the exact setup reports: each round
+// sends every shard its command and collects every response, then the
+// coordinator picks the next action, until a terminal action turns into the
+// merged result or the typed incompleteness error.
+func (r *Runner) runWindows(shards []*shard, setups []shardRes, alive func(int) bool, t0 units.Time, startLive int) (*Result, error) {
 	c := newCoord(r, t0, len(r.spec.Flows))
 	nextAt := make([]units.Time, len(shards))
 	hasNext := make([]bool, len(shards))
@@ -494,14 +407,6 @@ func (r *Runner) Run() (*Result, error) {
 		nextAt[i], hasNext[i] = setups[i].nextAt, setups[i].hasNext
 	}
 	act := c.step(nextAt, hasNext, beyond)
-	if sp != nil {
-		return r.runSpin(shards, sp, c, act, setups, alive, startLive)
-	}
-	return r.runChan(shards, c, act, setups, alive, startLive, nextAt, hasNext, beyond)
-}
-
-// runChan drives the window loop over per-shard command/response channels.
-func (r *Runner) runChan(shards []*shard, c *coord, act action, setups []shardRes, alive func(int) bool, startLive int, nextAt []units.Time, hasNext, beyond []bool) (*Result, error) {
 	for {
 		switch act.kind {
 		case actWindow:
@@ -534,27 +439,16 @@ func (r *Runner) runChan(shards []*shard, c *coord, act action, setups []shardRe
 			}
 			act = c.probeResolve(nextAt, hasNext)
 		default:
-			return r.epilogue(shards, alive, setups, c, startLive, act)
+			finals, err := r.finish(shards, alive)
+			if err != nil {
+				return nil, err
+			}
+			if act.kind == actDone {
+				return r.merge(finals, setups, c, startLive)
+			}
+			return nil, r.incompleteErr(finals, act.kind == actStalled, c.lastEnd)
 		}
 	}
-}
-
-// epilogue turns a terminal action into the merged result or the typed
-// incompleteness error. Both barrier drivers land here.
-func (r *Runner) epilogue(shards []*shard, alive func(int) bool, setups []shardRes, c *coord, startLive int, act action) (*Result, error) {
-	finals, err := r.finish(shards, alive)
-	if err != nil {
-		return nil, err
-	}
-	switch act.kind {
-	case actDone:
-		return r.merge(finals, setups, c, startLive)
-	case actStalled:
-		return nil, r.incompleteErr(finals, true, c.lastEnd)
-	case actTimeout:
-		return nil, r.incompleteErr(finals, false, c.lastEnd)
-	}
-	return nil, fmt.Errorf("pdes: topo %s: coordinator reached unexpected terminal state %d", r.spec.Name, act.kind)
 }
 
 // unitsMax is a sentinel beyond any simulated time.

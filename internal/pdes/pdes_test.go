@@ -28,18 +28,17 @@ func loadSpec(t *testing.T, name string) *topo.Spec {
 	return s
 }
 
-func runMode(t *testing.T, spec *topo.Spec, shards int, bar Barrier, rep Replica) *Result {
+func runMode(t *testing.T, spec *topo.Spec, shards int, rep Replica) *Result {
 	t.Helper()
 	r, err := New(spec, Options{
 		Shards:    shards,
 		Seed:      42,
-		Barrier:   bar,
 		Replica:   rep,
 		Telemetry: &telemetry.Options{Enabled: true},
 		Metrics:   true,
 	})
 	if err != nil {
-		t.Fatalf("%s: New(shards=%d,%v,%v): %v", spec.Name, shards, bar, rep, err)
+		t.Fatalf("%s: New(shards=%d,%v): %v", spec.Name, shards, rep, err)
 	}
 	if rep == ReplicaSparse {
 		if got := r.Replica(); got != ReplicaSparse {
@@ -49,39 +48,36 @@ func runMode(t *testing.T, spec *topo.Spec, shards int, bar Barrier, rep Replica
 	}
 	res, err := r.Run()
 	if err != nil {
-		t.Fatalf("%s: Run(shards=%d,%v,%v): %v", spec.Name, shards, bar, rep, err)
+		t.Fatalf("%s: Run(shards=%d,%v): %v", spec.Name, shards, rep, err)
 	}
 	return res
 }
 
 func runShards(t *testing.T, spec *topo.Spec, shards int) *Result {
 	t.Helper()
-	return runMode(t, spec, shards, BarrierSpin, ReplicaAuto)
+	return runMode(t, spec, shards, ReplicaAuto)
 }
 
-// eqModes is the synchronization/replication matrix the equivalence suite
-// sweeps: both barrier implementations crossed with both replica modes.
-// Requesting sparse explicitly (rather than auto) makes a silent fallback to
-// full replicas a test failure, pinning every example topology as
-// sparse-eligible.
+// eqModes is the replica matrix the equivalence suite sweeps. Requesting
+// sparse explicitly (rather than auto) makes a silent fallback to full
+// replicas a test failure, pinning every example topology as
+// sparse-eligible. The "chan-" prefix names the window driver, the channel
+// barrier.
 var eqModes = []struct {
 	name    string
-	barrier Barrier
 	replica Replica
 }{
-	{"chan-full", BarrierChan, ReplicaFull},
-	{"chan-sparse", BarrierChan, ReplicaSparse},
-	{"spin-full", BarrierSpin, ReplicaFull},
-	{"spin-sparse", BarrierSpin, ReplicaSparse},
+	{"chan-full", ReplicaFull},
+	{"chan-sparse", ReplicaSparse},
 }
 
 // TestShardedEquivalence is the crown jewel: for every shipped example
-// topology, every {barrier, replica} mode, and every shard count, the
-// sharded run's telemetry bundle (connection instruments, engine counters,
-// fabric counters, fleet metrics — the full JSONL and CSV exports), flow
-// results, and fabric counters must be byte-identical to the 1-shard run;
-// the window count must also agree across every mode at the same shard
-// count, since all drivers share one coordinator decision sequence.
+// topology, both replica modes, and every shard count, the sharded run's
+// telemetry bundle (connection instruments, engine counters, fabric
+// counters, fleet metrics — the full JSONL and CSV exports), flow results,
+// and fabric counters must be byte-identical to the 1-shard run; the window
+// count must also agree across both modes at the same shard count, since
+// they share one coordinator decision sequence.
 func TestShardedEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(examplesDir, "*.json"))
 	if err != nil || len(files) == 0 {
@@ -104,7 +100,7 @@ func TestShardedEquivalence(t *testing.T) {
 				for _, m := range eqModes {
 					m := m
 					t.Run(fmt.Sprintf("shards=%d/%s", shards, m.name), func(t *testing.T) {
-						res := runMode(t, spec, shards, m.barrier, m.replica)
+						res := runMode(t, spec, shards, m.replica)
 						windows[m.name] = res.Windows
 						if len(res.Plan.CutLinks) == 0 {
 							t.Fatalf("partition into %d shards cut no links", shards)
@@ -263,10 +259,10 @@ func chaosOverlay(t *testing.T, spec *topo.Spec, h, reorder units.Time) {
 // TestFaultedShardedEquivalence extends the crown jewel to chaos: a
 // fault-scripted topology (scripts on two links, all fault classes) must
 // produce byte-identical flow results, fabric counters, and telemetry at
-// every shard count, under both barriers and both replica modes. This is
-// what per-link rng streams (netem.StreamSeed) plus lazy script application
-// buy: fault draws are a pure function of (seed, link, direction, packet
-// order), none of which depend on how the simulation is sharded.
+// every shard count, under both replica modes. This is what per-link rng
+// streams (netem.StreamSeed) plus lazy script application buy: fault draws
+// are a pure function of (seed, link, direction, packet order), none of
+// which depend on how the simulation is sharded.
 func TestFaultedShardedEquivalence(t *testing.T) {
 	cases := []struct {
 		file    string
@@ -291,7 +287,7 @@ func TestFaultedShardedEquivalence(t *testing.T) {
 				for _, m := range eqModes {
 					m := m
 					t.Run(fmt.Sprintf("shards=%d/%s", shards, m.name), func(t *testing.T) {
-						res := runMode(t, spec, shards, m.barrier, m.replica)
+						res := runMode(t, spec, shards, m.replica)
 						if !reflect.DeepEqual(res.Flows, base.Flows) {
 							t.Errorf("flow results diverged:\n 1 shard: %+v\n%d shards: %+v",
 								base.Flows, shards, res.Flows)
@@ -414,39 +410,36 @@ func TestFaultInsideCompileHorizon(t *testing.T) {
 		t.Fatalf("auto mode picked %v (fallback: %v); want full with a recorded reason",
 			r.Replica(), r.SparseFallback())
 	}
-	base := runMode(t, faulted(), 1, BarrierSpin, ReplicaFull)
-	res := runMode(t, faulted(), 2, BarrierSpin, ReplicaFull)
+	base := runMode(t, faulted(), 1, ReplicaFull)
+	res := runMode(t, faulted(), 2, ReplicaFull)
 	if !reflect.DeepEqual(res.Flows, base.Flows) {
 		t.Error("full replicas diverged under an in-horizon fault script")
 	}
 }
 
 // TestTimeoutReturnsTypedError: a run that cannot finish in time reports the
-// typed incomplete-flows error naming each unfinished flow — under both
-// barrier drivers, since each has its own terminal-action unwind path.
+// typed incomplete-flows error naming each unfinished flow.
 func TestTimeoutReturnsTypedError(t *testing.T) {
-	for _, bar := range []Barrier{BarrierSpin, BarrierChan} {
-		t.Run(bar.String(), func(t *testing.T) {
-			spec := loadSpec(t, "paper-baseline.json")
-			r, err := New(spec, Options{Shards: 2, Seed: 42, Barrier: bar, Timeout: units.Millisecond})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("chan", func(t *testing.T) {
+		spec := loadSpec(t, "paper-baseline.json")
+		r, err := New(spec, Options{Shards: 2, Seed: 42, Timeout: units.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Run()
+		var inc *topo.IncompleteFlowsError
+		if !errors.As(err, &inc) {
+			t.Fatalf("want IncompleteFlowsError, got %v", err)
+		}
+		if len(inc.Incomplete) == 0 {
+			t.Fatal("typed error names no flows")
+		}
+		for _, f := range inc.Incomplete {
+			if f.Flow == "" || f.Total == 0 {
+				t.Errorf("underspecified incomplete flow: %+v", f)
 			}
-			_, err = r.Run()
-			var inc *topo.IncompleteFlowsError
-			if !errors.As(err, &inc) {
-				t.Fatalf("want IncompleteFlowsError, got %v", err)
-			}
-			if len(inc.Incomplete) == 0 {
-				t.Fatal("typed error names no flows")
-			}
-			for _, f := range inc.Incomplete {
-				if f.Flow == "" || f.Total == 0 {
-					t.Errorf("underspecified incomplete flow: %+v", f)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunnerReuse: a Runner's engines are reset between runs, so repeated

@@ -45,8 +45,7 @@ const (
 	cmdFinish
 )
 
-// shardCmd is one coordinator instruction (channel driver only; the spin
-// driver publishes actions through spinState instead).
+// shardCmd is one coordinator instruction.
 type shardCmd struct {
 	kind      cmdKind
 	windowEnd units.Time // exclusive window bound (run events at < windowEnd)
@@ -93,7 +92,6 @@ type shard struct {
 	eng *sim.Engine
 	cmd chan shardCmd
 	res chan shardRes
-	sp  *spinState // nil under the channel barrier
 }
 
 // shardState is the goroutine-local world: the (full or sparse) replica plus
@@ -120,7 +118,7 @@ type shardState struct {
 }
 
 // runWindow resets the per-window slots, injects the inbox, and runs this
-// shard's slice of the window. Shared verbatim by both barrier drivers.
+// shard's slice of the window.
 func (st *shardState) runWindow(eng *sim.Engine, wEnd units.Time, inbox []crossMsg) {
 	for dst := range st.out {
 		st.out[dst] = st.out[dst][:0]
@@ -163,14 +161,6 @@ func (r *Runner) shardBody(s *shard) {
 	s.res <- res
 	if res.err != nil {
 		return
-	}
-	if s.sp != nil {
-		// Spin barrier: windows are driven shard-to-shard; come back here
-		// for the finish protocol once a terminal action is published.
-		if err := r.spinLoop(s, st, s.sp); err != nil {
-			s.res <- shardRes{shard: s.idx, err: err}
-			return
-		}
 	}
 	eng := s.eng
 	for {
@@ -254,9 +244,6 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 		doneAt:      make([]units.Time, len(net.Pairs)),
 		totals:      make([]int64, len(net.Pairs)),
 		retransmits: make([]int64, len(net.Pairs)),
-	}
-	if s.sp != nil {
-		s.sp.states[s.idx] = st
 	}
 
 	// Boundary ports: for each cut-link direction, the sending shard hands

@@ -5,24 +5,24 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestMapTimedAllContainsFailures: one panicking item and one erroring item
-// leave every other item's result intact, with errors index-aligned.
-func TestMapTimedAllContainsFailures(t *testing.T) {
+// TestMapContainsFailures: one panicking item and one erroring item leave
+// every other item's result intact, with errors index-aligned.
+func TestMapContainsFailures(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5}
-	out, walls, errs := MapTimedAll(func(int) struct{} { return struct{}{} },
-		items, 2, 0, func(_ struct{}, i, item int) (int, error) {
-			switch item {
-			case 2:
-				panic("kaboom")
-			case 4:
-				return 0, errors.New("plain failure")
-			}
-			return item * 10, nil
-		})
+	out, walls, errs := Map(items, pool(2), func(_ struct{}, i, item int) (int, error) {
+		switch item {
+		case 2:
+			panic("kaboom")
+		case 4:
+			return 0, errors.New("plain failure")
+		}
+		return item * 10, nil
+	})
 	if len(out) != 6 || len(walls) != 6 || len(errs) != 6 {
 		t.Fatalf("lengths %d/%d/%d", len(out), len(walls), len(errs))
 	}
@@ -54,25 +54,27 @@ func TestMapTimedAllContainsFailures(t *testing.T) {
 	}
 }
 
-// TestMapTimedAllRebuildsStateAfterPanic: a panic poisons the worker's
-// reusable state, so the next item on that worker must see a fresh one —
-// while plain errors keep the state (nothing suggests it is corrupt).
-func TestMapTimedAllRebuildsStateAfterPanic(t *testing.T) {
+// TestMapRebuildsStateAfterPanic: a panic poisons the worker's reusable
+// state, so the next item on that worker must see a fresh one — with no
+// retries configured too — while plain errors keep the state (nothing
+// suggests it is corrupt).
+func TestMapRebuildsStateAfterPanic(t *testing.T) {
 	type state struct{ id int }
 	built := 0
-	newState := func(int) *state { built++; return &state{id: built} }
 	var seen []int
-	_, _, errs := MapTimedAll(newState, []int{0, 1, 2, 3}, 1, 0,
-		func(s *state, _ int, item int) (int, error) {
-			seen = append(seen, s.id)
-			if item == 1 {
-				panic("poisoned")
-			}
-			if item == 2 {
-				return 0, errors.New("plain")
-			}
-			return 0, nil
-		})
+	_, _, errs := Map([]int{0, 1, 2, 3}, Options[*state]{
+		Workers:  1,
+		NewState: func(int) *state { built++; return &state{id: built} },
+	}, func(s *state, _ int, item int) (int, error) {
+		seen = append(seen, s.id)
+		if item == 1 {
+			panic("poisoned")
+		}
+		if item == 2 {
+			return 0, errors.New("plain")
+		}
+		return 0, nil
+	})
 	if errs[1] == nil || errs[2] == nil {
 		t.Fatalf("errs = %v", errs)
 	}
@@ -84,13 +86,38 @@ func TestMapTimedAllRebuildsStateAfterPanic(t *testing.T) {
 	}
 }
 
-// TestMapTimedAllRetries: a flaky item succeeds within its retry allowance;
-// a deterministic failure exhausts it and the last error stands.
-func TestMapTimedAllRetries(t *testing.T) {
+// TestFirstErrInputOrder: FirstErr reports the failure with the lowest
+// input index, even when a later item failed earlier in wall-clock time on
+// another worker.
+func TestFirstErrInputOrder(t *testing.T) {
+	laterFailed := make(chan struct{})
+	_, _, errs := Map([]int{0, 1, 2, 3, 4, 5}, pool(2), func(_ struct{}, _ int, item int) (int, error) {
+		switch item {
+		case 1:
+			<-laterFailed // the other worker runs items 2-4 meanwhile
+			panic("early index, late failure")
+		case 4:
+			close(laterFailed)
+			return 0, errors.New("later index, early failure")
+		}
+		return item, nil
+	})
+	var pe *PanicError
+	if err := FirstErr(errs); !errors.As(err, &pe) || pe.Index != 1 {
+		t.Fatalf("FirstErr = %v, want item 1's panic", err)
+	}
+	if errs[4] == nil {
+		t.Fatal("item 4's failure was lost")
+	}
+}
+
+// TestMapRetries: a flaky item succeeds within its retry allowance; a
+// deterministic failure exhausts it and the last error stands.
+func TestMapRetries(t *testing.T) {
 	var mu sync.Mutex
 	attempts := map[int]int{}
-	out, _, errs := MapTimedAll(func(int) struct{} { return struct{}{} },
-		[]int{0, 1, 2}, 2, 2, func(_ struct{}, _, item int) (int, error) {
+	out, _, errs := Map([]int{0, 1, 2}, Options[struct{}]{Workers: 2, Retry: Retry{Max: 2}},
+		func(_ struct{}, _, item int) (int, error) {
 			mu.Lock()
 			attempts[item]++
 			n := attempts[item]
@@ -114,11 +141,46 @@ func TestMapTimedAllRetries(t *testing.T) {
 	}
 }
 
-// TestMapTimedAllRetryBackoff: each retry is preceded by a sleep that grows
+// Progress must fire exactly once per item, after the item's final attempt —
+// retried and failed items included.
+func TestMapProgressCountsRetriedItems(t *testing.T) {
+	var attempts [6]int32
+	var fired int32
+	out, _, errs := Map([]int{0, 1, 2, 3, 4, 5}, Options[struct{}]{
+		Workers: 3,
+		Retry:   Retry{Max: 2},
+		Progress: func(done, total int) {
+			atomic.AddInt32(&fired, 1)
+			if done < 1 || done > total || total != 6 {
+				t.Errorf("bad progress (%d/%d)", done, total)
+			}
+		},
+	}, func(_ struct{}, i, item int) (int, error) {
+		n := atomic.AddInt32(&attempts[i], 1)
+		if item == 2 && n < 3 {
+			return 0, fmt.Errorf("transient")
+		}
+		if item == 4 {
+			return 0, fmt.Errorf("permanent")
+		}
+		return item, nil
+	})
+	if fired != 6 {
+		t.Fatalf("progress fired %d times, want 6 (once per item)", fired)
+	}
+	if errs[4] == nil || errs[2] != nil {
+		t.Fatalf("retry/failure handling broke: %v", errs)
+	}
+	if out[2] != 2 {
+		t.Fatalf("retried item lost its value: %d", out[2])
+	}
+}
+
+// TestMapRetryBackoff: each retry is preceded by a sleep that grows
 // exponentially from Base, never exceeds Cap plus its jitter allowance, and
 // is deterministic for a fixed (Seed, index, attempt) — two identical
 // campaigns back off on an identical schedule.
-func TestMapTimedAllRetryBackoff(t *testing.T) {
+func TestMapRetryBackoff(t *testing.T) {
 	run := func() []time.Duration {
 		var slept []time.Duration
 		retry := Retry{
@@ -130,8 +192,8 @@ func TestMapTimedAllRetryBackoff(t *testing.T) {
 				slept = append(slept, d)
 			},
 		}
-		_, _, errs := MapTimedAllRetry(func(int) struct{} { return struct{}{} },
-			[]int{0}, 1, retry, nil, func(_ struct{}, _, _ int) (int, error) {
+		_, _, errs := Map([]int{0}, Options[struct{}]{Workers: 1, Retry: retry},
+			func(_ struct{}, _, _ int) (int, error) {
 				return 0, errors.New("always fails")
 			})
 		if errs[0] == nil {
@@ -161,12 +223,12 @@ func TestMapTimedAllRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestMapTimedAllSurfacesAttempt: the PanicError an exhausted item reports
-// carries the attempt number that produced it, and Error() mentions it.
-func TestMapTimedAllSurfacesAttempt(t *testing.T) {
+// TestMapSurfacesAttempt: the PanicError an exhausted item reports carries
+// the attempt number that produced it, and Error() mentions it.
+func TestMapSurfacesAttempt(t *testing.T) {
 	noSleep := Retry{Max: 2, Sleep: func(time.Duration) {}}
-	_, _, errs := MapTimedAllRetry(func(int) struct{} { return struct{}{} },
-		[]int{0}, 1, noSleep, nil, func(_ struct{}, _, _ int) (int, error) {
+	_, _, errs := Map([]int{0}, Options[struct{}]{Workers: 1, Retry: noSleep},
+		func(_ struct{}, _, _ int) (int, error) {
 			panic("always panics")
 		})
 	var pe *PanicError

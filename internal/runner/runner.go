@@ -1,12 +1,14 @@
 // Package runner executes independent experiment runs across a worker
-// pool. Every run owns a private sim.Engine (constructed inside its
+// pool. Every run owns a private sim.Engine (built or Reset inside its
 // closure and seeded from the run spec), so results are identical
 // regardless of worker count or scheduling: parallelism lives strictly at
 // the experiment level, never inside a simulation.
 //
-// Results come back in input order, each with its wall-clock time. A run
-// that panics is reported as a failed Result rather than crashing the
-// whole sweep.
+// Map is the one entry point. It runs every item to completion and returns
+// outputs, host wall-clock times, and errors index-aligned with the input.
+// A run that panics is reported as a *PanicError rather than crashing the
+// whole sweep; FirstErr gives callers that abort on any failure the first
+// one in input order.
 package runner
 
 import (
@@ -24,11 +26,10 @@ import (
 // original panic value and stack.
 type PanicError struct {
 	Index int    // input index of the failing run
-	Label string // the run's label (Spec.Label or the item's %v form)
+	Label string // the run's label (Map uses the item's %v form)
 	Value any    // the value passed to panic()
 	Stack []byte // goroutine stack at the recover point
-	// Attempt is the 1-based attempt that produced this panic, when the
-	// panic happened under MapTimedAll's retry loop (0 elsewhere). A final
+	// Attempt is the 1-based attempt that produced this panic. A final
 	// error with Attempt > 1 means retries were spent before it stood.
 	Attempt int
 }
@@ -42,229 +43,36 @@ func (e *PanicError) Error() string {
 		e.Index, e.Label, e.Value, e.Stack)
 }
 
-// Spec is one unit of work: a labeled closure that builds, runs, and
-// summarizes a private simulation. The closure must not share mutable
-// state with other specs.
-type Spec struct {
-	Label string
-	Run   func() (any, error)
-}
-
-// Result is the outcome of one Spec, reported at the spec's input index.
-type Result struct {
-	Index int
-	Label string
-	Value any
-	Err   error
-	// Wall is the host wall-clock time the run took (not simulated time).
-	Wall time.Duration
-}
-
-// Options configure a Run.
-type Options struct {
-	// Workers is the pool size: 1 runs every spec serially on the calling
+// Options configures Map. S is the per-worker reusable state type; callers
+// without state use struct{}.
+type Options[S any] struct {
+	// Workers is the pool size: 1 runs every item serially on the calling
 	// goroutine; 0 or negative uses one worker per CPU (GOMAXPROCS).
 	Workers int
-	// Progress, if set, is called after each run completes with the number
-	// finished so far. Calls are serialized but may arrive out of input
-	// order when Workers > 1.
-	Progress func(done, total int, r Result)
+	// NewState, if set, is called once per worker (lazily, on its first
+	// item), and that state is passed to every f call the worker executes.
+	// The canonical state is a warmed simulation engine that f resets per
+	// run, so a sweep stops paying construction and steady-state allocation
+	// costs per point. f owns making the state run-order independent (e.g.
+	// by reseeding); the runner only guarantees each state is confined to
+	// one worker goroutine. Nil means the zero S.
+	NewState func(worker int) S
+	// Retry re-runs a failing item; the zero value runs each item once.
+	Retry Retry
+	// Progress, if set, is called once per item after its final attempt
+	// with the count finished so far and the total. Calls are serialized
+	// but may arrive out of input order when Workers > 1 — the hook drives
+	// live status lines, not result handling, which happens on the
+	// index-aligned return values.
+	Progress func(done, total int)
 }
 
-// Workers resolves the configured pool size.
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// Run executes every spec and returns their results in input order.
-func Run(specs []Spec, opt Options) []Result {
-	results := make([]Result, len(specs))
-	if len(specs) == 0 {
-		return results
-	}
-
-	var mu sync.Mutex
-	done := 0
-	report := func(r Result) {
-		if opt.Progress == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		opt.Progress(done, len(specs), r)
-		mu.Unlock()
-	}
-
-	exec := func(i int) {
-		r := Result{Index: i, Label: specs[i].Label}
-		start := time.Now()
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					r.Err = &PanicError{Index: i, Label: specs[i].Label,
-						Value: p, Stack: debug.Stack()}
-				}
-			}()
-			r.Value, r.Err = specs[i].Run()
-		}()
-		r.Wall = time.Since(start)
-		results[i] = r
-		report(r)
-	}
-
-	fan(len(specs), opt.workers(len(specs)), func(_, i int) { exec(i) })
-	return results
-}
-
-// fan executes exec(worker, i) for every i in [0, n), spread across the
-// worker pool. With one worker everything runs on the calling goroutine;
-// otherwise each worker goroutine pulls indexes from a shared channel. The
-// worker id is stable for the lifetime of the call, which is what lets
-// MapTimedWith give each worker private reusable state.
-func fan(n, workers int, exec func(worker, i int)) {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			exec(0, i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range next {
-				exec(worker, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// Map fans f over items and returns the outputs in input order. workers
-// follows Options.Workers semantics (1 = serial, <=0 = one per CPU). The
-// first failure in input order — including a captured panic — is returned
-// as the error.
-func Map[T, R any](items []T, workers int, f func(i int, item T) (R, error)) ([]R, error) {
-	out, _, err := MapTimed(items, workers, f)
-	return out, err
-}
-
-// MapWith is Map with per-worker reusable state: newState is called once
-// per worker (lazily, on its first item), and that state is passed to every
-// f call the worker executes. The canonical state is a warmed simulation
-// engine that f resets per run, so a sweep stops paying construction and
-// steady-state allocation costs per point. f owns making the state
-// run-order independent (e.g. by reseeding); the runner only guarantees
-// each state is confined to one worker goroutine.
-func MapWith[S, T, R any](newState func(worker int) S, items []T, workers int, f func(state S, i int, item T) (R, error)) ([]R, error) {
-	out, _, err := MapTimedWith(newState, items, workers, f)
-	return out, err
-}
-
-// MapTimedWith is MapWith that additionally returns each run's host
-// wall-clock time, index-aligned with the outputs. Panics in f are captured
-// and reported as the run's error; the first failure in input order is
-// returned.
-func MapTimedWith[S, T, R any](newState func(worker int) S, items []T, workers int, f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, error) {
-	return MapTimedWithProgress(newState, items, workers, nil, f)
-}
-
-// MapTimedWithProgress is MapTimedWith with a completion hook: progress (if
-// non-nil) is called after each item finishes with the count done so far and
-// the total. Calls are serialized under a mutex but may arrive out of input
-// order when workers > 1 — the hook drives live status lines, not result
-// handling, which still happens on the index-aligned return values.
-func MapTimedWithProgress[S, T, R any](newState func(worker int) S, items []T, workers int, progress func(done, total int), f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, error) {
-	out := make([]R, len(items))
-	walls := make([]time.Duration, len(items))
-	errs := make([]error, len(items))
-	w := Options{Workers: workers}.workers(len(items))
-	states := make([]S, w)
-	inited := make([]bool, w)
-	tick := progressFunc(progress, len(items))
-	fan(len(items), w, func(worker, i int) {
-		if !inited[worker] {
-			states[worker] = newState(worker)
-			inited[worker] = true
-		}
-		start := time.Now()
-		errs[i] = runGuarded(states[worker], i, items[i], f, out)
-		walls[i] = time.Since(start)
-		tick()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, walls, nil
-}
-
-// progressFunc wraps a user progress callback into a goroutine-safe tick, or
-// a no-op when the callback is nil so hot paths pay one comparison.
-func progressFunc(progress func(done, total int), total int) func() {
-	if progress == nil {
-		return func() {}
-	}
-	var mu sync.Mutex
-	done := 0
-	return func() {
-		mu.Lock()
-		done++
-		progress(done, total)
-		mu.Unlock()
-	}
-}
-
-// runGuarded executes one f call with panic containment, writing the output
-// in place and returning the run's error (a *PanicError for a crash).
-func runGuarded[S, T, R any](state S, i int, item T, f func(state S, i int, item T) (R, error), out []R) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Index: i, Label: fmt.Sprintf("%v", item),
-				Value: p, Stack: debug.Stack()}
-		}
-	}()
-	out[i], err = f(state, i, item)
-	return err
-}
-
-// MapTimedAll is MapTimedWith with failure containment: instead of aborting
-// on the first error it runs every item to completion and returns the errors
-// index-aligned with the outputs, so one bad point never kills a sweep. A
-// failing item is retried up to retries extra times before its error stands;
-// after a captured panic the worker's reusable state is discarded and
-// rebuilt, since a crash mid-run can leave it arbitrarily corrupt.
-func MapTimedAll[S, T, R any](newState func(worker int) S, items []T, workers, retries int, f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, []error) {
-	return MapTimedAllProgress(newState, items, workers, retries, nil, f)
-}
-
-// MapTimedAllProgress is MapTimedAll with the same completion hook as
-// MapTimedWithProgress: progress fires once per item after its final attempt,
-// whether it succeeded or exhausted its retries.
-func MapTimedAllProgress[S, T, R any](newState func(worker int) S, items []T, workers, retries int, progress func(done, total int), f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, []error) {
-	return MapTimedAllRetry(newState, items, workers, Retry{Max: retries}, progress, f)
-}
-
-// Retry configures MapTimedAll's failure handling: up to Max extra attempts
-// per item, each preceded by a capped exponential backoff with
-// deterministic jitter — a transient failure (resource pressure, a racing
-// external dependency) gets breathing room to clear instead of being
-// hammered in a hot loop, and the worker still never sleeps unless the item
-// actually failed.
+// Retry configures Map's failure handling: up to Max extra attempts per
+// item, each preceded by a capped exponential backoff with deterministic
+// jitter — a transient failure (resource pressure, a racing external
+// dependency) gets breathing room to clear instead of being hammered in a
+// hot loop, and the worker still never sleeps unless the item actually
+// failed.
 type Retry struct {
 	// Max is the number of extra attempts after the first failure.
 	Max int
@@ -316,25 +124,39 @@ func (r Retry) backoff(index, attempt int) time.Duration {
 	return d + time.Duration(x%uint64(d/2+1))
 }
 
-// MapTimedAllRetry is MapTimedAllProgress with an explicit retry policy.
-func MapTimedAllRetry[S, T, R any](newState func(worker int) S, items []T, workers int, retry Retry, progress func(done, total int), f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, []error) {
+// Map fans f over items and runs every item to completion, returning the
+// outputs, each item's host wall-clock time (retries included), and each
+// item's final error, all index-aligned with items. A panic in f is
+// captured as the item's *PanicError, and the worker's reusable state is
+// discarded and rebuilt before its next call, since a crash mid-run can
+// leave it arbitrarily corrupt; plain errors keep the state.
+func Map[S, T, R any](items []T, opt Options[S], f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, []error) {
 	out := make([]R, len(items))
 	walls := make([]time.Duration, len(items))
 	errs := make([]error, len(items))
-	w := Options{Workers: workers}.workers(len(items))
+	w := opt.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > len(items) {
+		w = len(items)
+	}
 	states := make([]S, w)
 	inited := make([]bool, w)
-	tick := progressFunc(progress, len(items))
-	sleep := retry.Sleep
+	tick := progressFunc(opt.Progress, len(items))
+	sleep := opt.Retry.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
 	fan(len(items), w, func(worker, i int) {
 		start := time.Now()
-		for attempt := 0; ; attempt++ {
+		for attempt := 1; ; attempt++ {
 			if !inited[worker] {
-				states[worker] = newState(worker)
-				inited[worker] = true
+				var s S
+				if opt.NewState != nil {
+					s = opt.NewState(worker)
+				}
+				states[worker], inited[worker] = s, true
 			}
 			errs[i] = runGuarded(states[worker], i, items[i], f, out)
 			if errs[i] == nil {
@@ -342,13 +164,13 @@ func MapTimedAllRetry[S, T, R any](newState func(worker int) S, items []T, worke
 			}
 			var pe *PanicError
 			if errors.As(errs[i], &pe) {
-				pe.Attempt = attempt + 1
+				pe.Attempt = attempt
 				inited[worker] = false
 			}
-			if attempt >= retry.Max {
+			if attempt > opt.Retry.Max {
 				break
 			}
-			sleep(retry.backoff(i, attempt+1))
+			sleep(opt.Retry.backoff(i, attempt))
 		}
 		walls[i] = time.Since(start)
 		tick()
@@ -356,29 +178,72 @@ func MapTimedAllRetry[S, T, R any](newState func(worker int) S, items []T, worke
 	return out, walls, errs
 }
 
-// MapTimed is Map that additionally returns each run's host wall-clock
-// time, index-aligned with the outputs — the per-run cost signal telemetry
-// bundles carry alongside the simulated results.
-func MapTimed[T, R any](items []T, workers int, f func(i int, item T) (R, error)) ([]R, []time.Duration, error) {
-	specs := make([]Spec, len(items))
-	for i, item := range items {
-		i, item := i, item
-		specs[i] = Spec{
-			Label: fmt.Sprintf("%v", item),
-			Run:   func() (any, error) { return f(i, item) },
+// FirstErr returns the first non-nil error in input order, or nil — the
+// fail-fast reading of Map's errors.
+func FirstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	rs := Run(specs, Options{Workers: workers})
-	out := make([]R, len(items))
-	walls := make([]time.Duration, len(items))
-	for i, r := range rs {
-		if r.Err != nil {
-			return nil, nil, r.Err
+	return nil
+}
+
+// fan executes exec(worker, i) for every i in [0, n), spread across the
+// worker pool. With one worker everything runs on the calling goroutine;
+// otherwise each worker goroutine pulls indexes from a shared channel. The
+// worker id is stable for the lifetime of the call, which is what lets Map
+// give each worker private reusable state.
+func fan(n, workers int, exec func(worker, i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			exec(0, i)
 		}
-		walls[i] = r.Wall
-		if v, ok := r.Value.(R); ok {
-			out[i] = v
-		}
+		return
 	}
-	return out, walls, nil
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for i := range next {
+				exec(worker, i)
+			}
+		}(w)
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
+// progressFunc wraps a user progress callback into a goroutine-safe tick, or
+// a no-op when the callback is nil so hot paths pay one comparison.
+func progressFunc(progress func(done, total int), total int) func() {
+	if progress == nil {
+		return func() {}
+	}
+	var mu sync.Mutex
+	done := 0
+	return func() {
+		mu.Lock()
+		done++
+		progress(done, total)
+		mu.Unlock()
+	}
+}
+
+// runGuarded executes one f call with panic containment, writing the output
+// in place and returning the run's error (a *PanicError for a crash).
+func runGuarded[S, T, R any](state S, i int, item T, f func(state S, i int, item T) (R, error), out []R) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Index: i, Label: fmt.Sprintf("%v", item),
+				Value: p, Stack: debug.Stack()}
+		}
+	}()
+	out[i], err = f(state, i, item)
+	return err
 }

@@ -4,67 +4,74 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tengig/internal/sim"
 	"tengig/internal/units"
 )
 
+// pool is the stateless Options for a pool size.
+func pool(workers int) Options[struct{}] { return Options[struct{}]{Workers: workers} }
+
 func TestResultsInInputOrder(t *testing.T) {
-	specs := make([]Spec, 50)
-	for i := range specs {
-		i := i
-		specs[i] = Spec{
-			Label: fmt.Sprintf("run%d", i),
-			Run:   func() (any, error) { return i * i, nil },
-		}
+	items := make([]int, 50)
+	for i := range items {
+		items[i] = i
 	}
 	for _, workers := range []int{1, 2, 7, 0} {
-		rs := Run(specs, Options{Workers: workers})
-		if len(rs) != len(specs) {
-			t.Fatalf("workers=%d: %d results", workers, len(rs))
-		}
-		for i, r := range rs {
-			if r.Index != i || r.Value.(int) != i*i || r.Label != specs[i].Label {
-				t.Fatalf("workers=%d: result %d out of order: %+v", workers, i, r)
+		out, walls, errs := Map(items, pool(workers), func(_ struct{}, i, item int) (int, error) {
+			if i != item {
+				return 0, fmt.Errorf("index %d carried item %d", i, item)
 			}
-			if r.Err != nil {
-				t.Fatalf("workers=%d: unexpected error: %v", workers, r.Err)
+			return item * item, nil
+		})
+		if len(out) != len(items) || len(walls) != len(items) || len(errs) != len(items) {
+			t.Fatalf("workers=%d: lengths %d/%d/%d", workers, len(out), len(walls), len(errs))
+		}
+		for i, v := range out {
+			if v != i*i || errs[i] != nil {
+				t.Fatalf("workers=%d: result %d out of order: %d (%v)", workers, i, v, errs[i])
 			}
 		}
 	}
 }
 
 func TestPanicBecomesFailedRow(t *testing.T) {
-	boom := Spec{Label: "boom", Run: func() (any, error) { panic("kaboom") }}
-	ok := Spec{Label: "ok", Run: func() (any, error) { return "fine", nil }}
-	rs := Run([]Spec{ok, boom, ok}, Options{Workers: 2})
-	if rs[0].Err != nil || rs[2].Err != nil {
-		t.Fatalf("healthy runs failed: %v %v", rs[0].Err, rs[2].Err)
+	_, _, errs := Map([]string{"ok", "boom", "ok"}, pool(2), func(_ struct{}, _ int, s string) (string, error) {
+		if s == "boom" {
+			panic("kaboom")
+		}
+		return "fine", nil
+	})
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("healthy runs failed: %v %v", errs[0], errs[2])
 	}
-	if rs[1].Err == nil {
-		t.Fatal("panicking run reported no error")
+	var pe *PanicError
+	if !errors.As(errs[1], &pe) || pe.Label != "boom" {
+		t.Fatalf("panicking run reported %v, want a PanicError labeled boom", errs[1])
 	}
 }
 
 func TestErrorPropagation(t *testing.T) {
 	sentinel := errors.New("sim blew up")
-	_, err := Map([]int{1, 2, 3}, 2, func(_ int, n int) (int, error) {
+	_, _, errs := Map([]int{1, 2, 3}, pool(2), func(_ struct{}, _ int, n int) (int, error) {
 		if n == 2 {
 			return 0, sentinel
 		}
 		return n, nil
 	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Map error = %v, want %v", err, sentinel)
+	if err := FirstErr(errs); !errors.Is(err, sentinel) {
+		t.Fatalf("FirstErr = %v, want %v", err, sentinel)
+	}
+	if err := FirstErr(make([]error, 3)); err != nil {
+		t.Fatalf("FirstErr with no failures = %v", err)
 	}
 }
 
 func TestMapOrderAndValues(t *testing.T) {
 	in := []int{5, 3, 8, 1, 9, 2}
-	out, err := Map(in, 0, func(_ int, n int) (int, error) { return n * 10, nil })
-	if err != nil {
+	out, _, errs := Map(in, pool(0), func(_ struct{}, _ int, n int) (int, error) { return n * 10, nil })
+	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {
@@ -74,7 +81,7 @@ func TestMapOrderAndValues(t *testing.T) {
 	}
 }
 
-// TestWorkersActuallyOverlap proves the pool runs specs concurrently: with
+// TestWorkersActuallyOverlap proves the pool runs items concurrently: with
 // 4 workers, 4 runs all block on a barrier that only opens once all 4 have
 // started. A serial executor would deadlock; a timeout here means the pool
 // is not parallel.
@@ -82,65 +89,59 @@ func TestWorkersActuallyOverlap(t *testing.T) {
 	const n = 4
 	var barrier sync.WaitGroup
 	barrier.Add(n)
-	specs := make([]Spec, n)
-	for i := range specs {
-		specs[i] = Spec{Label: "gate", Run: func() (any, error) {
-			barrier.Done()
-			barrier.Wait() // releases only when all n run at once
-			return nil, nil
-		}}
+	Map(make([]int, n), pool(n), func(struct{}, int, int) (int, error) {
+		barrier.Done()
+		barrier.Wait() // releases only when all n run at once
+		return 0, nil
+	})
+}
+
+// engineTrace drives a seeded random-timer simulation on eng and summarizes
+// its end state.
+func engineTrace(eng *sim.Engine, steps, spread int) string {
+	var log []units.Time
+	var step func()
+	step = func() {
+		log = append(log, eng.Now())
+		if len(log) < steps {
+			eng.After(units.Time(eng.Rand().Intn(spread)+1), step)
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		Run(specs, Options{Workers: n})
-		close(done)
-	}()
-	<-done
+	eng.After(1, step)
+	eng.Run()
+	return fmt.Sprintf("%v@%v hw=%d", eng.Executed, eng.Now(), eng.HighWater)
 }
 
 // TestDeterministicAcrossWorkerCounts runs the same seeded simulations
-// serially and with a full pool: per-spec results must be identical, since
+// serially and with a full pool: per-item results must be identical, since
 // each run owns a private engine.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	mkSpecs := func() []Spec {
-		specs := make([]Spec, 16)
-		for i := range specs {
-			seed := int64(i + 1)
-			specs[i] = Spec{
-				Label: fmt.Sprintf("seed%d", seed),
-				Run: func() (any, error) {
-					eng := sim.NewEngine(seed)
-					var log []units.Time
-					var step func()
-					step = func() {
-						log = append(log, eng.Now())
-						if len(log) < 200 {
-							eng.After(units.Time(eng.Rand().Intn(50)+1), step)
-						}
-					}
-					eng.After(1, step)
-					eng.Run()
-					return fmt.Sprintf("%v@%v", eng.Executed, eng.Now()), nil
-				},
-			}
-		}
-		return specs
+	seeds := make([]int64, 16)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
 	}
-	serial := Run(mkSpecs(), Options{Workers: 1})
-	parallel := Run(mkSpecs(), Options{Workers: 0})
+	run := func(workers int) []string {
+		out, _, errs := Map(seeds, pool(workers), func(_ struct{}, _ int, seed int64) (string, error) {
+			return engineTrace(sim.NewEngine(seed), 200, 50), nil
+		})
+		if err := FirstErr(errs); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial, parallel := run(1), run(0)
 	for i := range serial {
-		if serial[i].Value != parallel[i].Value {
-			t.Fatalf("run %d: serial %v != parallel %v",
-				i, serial[i].Value, parallel[i].Value)
+		if serial[i] != parallel[i] {
+			t.Fatalf("run %d: serial %v != parallel %v", i, serial[i], parallel[i])
 		}
 	}
 }
 
-// TestMapWithStateConfinement proves each worker gets exactly one state,
-// built lazily, and that no state is ever shared across workers: every item
+// TestMapStateConfinement proves each worker gets exactly one state, built
+// lazily, and that no state is ever shared across workers: every item
 // records which state instance served it, and the distinct states must
 // number at most the pool size with no item left unserved.
-func TestMapWithStateConfinement(t *testing.T) {
+func TestMapStateConfinement(t *testing.T) {
 	type state struct{ worker, uses int }
 	for _, workers := range []int{1, 3, 0} {
 		var mu sync.Mutex
@@ -149,17 +150,20 @@ func TestMapWithStateConfinement(t *testing.T) {
 		for i := range items {
 			items[i] = i
 		}
-		out, err := MapWith(func(worker int) *state {
-			s := &state{worker: worker}
-			mu.Lock()
-			built = append(built, s)
-			mu.Unlock()
-			return s
-		}, items, workers, func(s *state, i int, item int) (int, error) {
+		out, _, errs := Map(items, Options[*state]{
+			Workers: workers,
+			NewState: func(worker int) *state {
+				s := &state{worker: worker}
+				mu.Lock()
+				built = append(built, s)
+				mu.Unlock()
+				return s
+			},
+		}, func(s *state, i int, item int) (int, error) {
 			s.uses++ // unsynchronized on purpose: -race fails if states leak across workers
 			return item * 2, nil
 		})
-		if err != nil {
+		if err := FirstErr(errs); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range out {
@@ -185,63 +189,24 @@ func TestMapWithStateConfinement(t *testing.T) {
 	}
 }
 
-// TestMapTimedWithPanicAndError checks MapTimedWith keeps Map's failure
-// semantics: panics become errors, and an error run does not poison the
-// worker's state for later items.
-func TestMapTimedWithPanicAndError(t *testing.T) {
-	_, _, err := MapTimedWith(func(int) int { return 0 }, []int{1, 2, 3}, 2,
-		func(_ int, _ int, n int) (int, error) {
-			if n == 2 {
-				panic("state run kaboom")
-			}
-			return n, nil
-		})
-	if err == nil {
-		t.Fatal("panic inside MapTimedWith reported no error")
-	}
-
-	sentinel := errors.New("point failed")
-	_, _, err = MapTimedWith(func(int) int { return 0 }, []int{1, 2, 3}, 1,
-		func(_ int, _ int, n int) (int, error) {
-			if n == 2 {
-				return 0, sentinel
-			}
-			return n, nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("MapTimedWith error = %v, want %v", err, sentinel)
-	}
-}
-
-// TestMapWithEngineReuseDeterminism is the runner-level contract behind
+// TestMapEngineReuseDeterminism is the runner-level contract behind
 // SweepConfig.Run's engine reuse: a per-worker engine Reset to each item's
 // seed must reproduce fresh-engine results exactly, at any worker count.
-func TestMapWithEngineReuseDeterminism(t *testing.T) {
+func TestMapEngineReuseDeterminism(t *testing.T) {
 	seeds := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	run := func(eng *sim.Engine) string {
-		var log []units.Time
-		var step func()
-		step = func() {
-			log = append(log, eng.Now())
-			if len(log) < 150 {
-				eng.After(units.Time(eng.Rand().Intn(70)+1), step)
-			}
-		}
-		eng.After(1, step)
-		eng.Run()
-		return fmt.Sprintf("%v@%v hw=%d", eng.Executed, eng.Now(), eng.HighWater)
-	}
 	fresh := make([]string, len(seeds))
 	for i, seed := range seeds {
-		fresh[i] = run(sim.NewEngine(seed))
+		fresh[i] = engineTrace(sim.NewEngine(seed), 150, 70)
 	}
 	for _, workers := range []int{1, 3, 0} {
-		reused, err := MapWith(func(int) *sim.Engine { return sim.NewEngine(0) },
-			seeds, workers, func(eng *sim.Engine, _ int, seed int64) (string, error) {
-				eng.Reset(seed)
-				return run(eng), nil
-			})
-		if err != nil {
+		reused, _, errs := Map(seeds, Options[*sim.Engine]{
+			Workers:  workers,
+			NewState: func(int) *sim.Engine { return sim.NewEngine(0) },
+		}, func(eng *sim.Engine, _ int, seed int64) (string, error) {
+			eng.Reset(seed)
+			return engineTrace(eng, 150, 70), nil
+		})
+		if err := FirstErr(errs); err != nil {
 			t.Fatal(err)
 		}
 		for i := range seeds {
@@ -253,21 +218,34 @@ func TestMapWithEngineReuseDeterminism(t *testing.T) {
 	}
 }
 
+// Progress fires once per item with a monotone done count, failed and
+// panicking items included.
 func TestProgressCallback(t *testing.T) {
-	var mu sync.Mutex
 	var seen []int
-	specs := make([]Spec, 10)
-	for i := range specs {
-		specs[i] = Spec{Run: func() (any, error) { return nil, nil }}
+	items := make([]int, 10)
+	for i := range items {
+		items[i] = i
 	}
-	Run(specs, Options{Workers: 3, Progress: func(done, total int, _ Result) {
-		mu.Lock()
-		seen = append(seen, done)
-		mu.Unlock()
-		if total != 10 {
-			t.Errorf("total = %d", total)
+	_, _, errs := Map(items, Options[struct{}]{
+		Workers: 3,
+		Progress: func(done, total int) {
+			seen = append(seen, done) // serialized by the runner's mutex
+			if total != 10 {
+				t.Errorf("total = %d", total)
+			}
+		},
+	}, func(_ struct{}, _ int, item int) (int, error) {
+		switch item {
+		case 3:
+			return 0, errors.New("planted failure")
+		case 7:
+			panic("planted panic")
 		}
-	}})
+		return item, nil
+	})
+	if errs[3] == nil || errs[7] == nil {
+		t.Fatalf("planted failures not reported: %v", errs)
+	}
 	if len(seen) != 10 {
 		t.Fatalf("progress fired %d times, want 10", len(seen))
 	}
@@ -278,34 +256,22 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-func TestEmptyAndWide(t *testing.T) {
-	if rs := Run(nil, Options{}); len(rs) != 0 {
-		t.Fatal("nil specs should yield no results")
-	}
-	// More workers than specs must not deadlock or drop runs.
-	rs := Run([]Spec{{Run: func() (any, error) { return 7, nil }}}, Options{Workers: 64})
-	if len(rs) != 1 || rs[0].Value.(int) != 7 {
-		t.Fatalf("wide pool mangled results: %+v", rs)
-	}
-}
-
 func TestMapTimedWithProgress(t *testing.T) {
 	items := make([]int, 25)
 	for i := range items {
 		items[i] = i
 	}
 	var seen []int
-	out, _, err := MapTimedWithProgress(
-		func(int) struct{} { return struct{}{} },
-		items, 4,
-		func(done, total int) {
+	out, _, errs := Map(items, Options[struct{}]{
+		Workers: 4,
+		Progress: func(done, total int) {
 			seen = append(seen, done) // serialized by the runner's mutex
 			if total != len(items) {
 				t.Errorf("total = %d", total)
 			}
 		},
-		func(_ struct{}, i, item int) (int, error) { return item * 2, nil })
-	if err != nil {
+	}, func(_ struct{}, _ int, item int) (int, error) { return item * 2, nil })
+	if err := FirstErr(errs); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {
@@ -323,37 +289,14 @@ func TestMapTimedWithProgress(t *testing.T) {
 	}
 }
 
-// Progress must fire exactly once per item under MapTimedAllProgress, after
-// the item's final attempt — retried and failed items included.
-func TestMapTimedAllProgressCountsRetriedItems(t *testing.T) {
-	var attempts [6]int32
-	var fired int32
-	out, _, errs := MapTimedAllProgress(
-		func(int) struct{} { return struct{}{} },
-		[]int{0, 1, 2, 3, 4, 5}, 3, 2,
-		func(done, total int) {
-			atomic.AddInt32(&fired, 1)
-			if done < 1 || done > total || total != 6 {
-				t.Errorf("bad progress (%d/%d)", done, total)
-			}
-		},
-		func(_ struct{}, i, item int) (int, error) {
-			n := atomic.AddInt32(&attempts[i], 1)
-			if item == 2 && n < 3 {
-				return 0, fmt.Errorf("transient")
-			}
-			if item == 4 {
-				return 0, fmt.Errorf("permanent")
-			}
-			return item, nil
-		})
-	if fired != 6 {
-		t.Fatalf("progress fired %d times, want 6 (once per item)", fired)
+func TestEmptyAndWide(t *testing.T) {
+	identity := func(_ struct{}, _ int, n int) (int, error) { return n, nil }
+	if out, walls, errs := Map([]int(nil), pool(0), identity); len(out)+len(walls)+len(errs) != 0 {
+		t.Fatal("nil items should yield no results")
 	}
-	if errs[4] == nil || errs[2] != nil {
-		t.Fatalf("retry/failure handling broke: %v", errs)
-	}
-	if out[2] != 2 {
-		t.Fatalf("retried item lost its value: %d", out[2])
+	// More workers than items must not deadlock or drop runs.
+	out, _, errs := Map([]int{7}, pool(64), identity)
+	if len(out) != 1 || out[0] != 7 || errs[0] != nil {
+		t.Fatalf("wide pool mangled results: %v %v", out, errs)
 	}
 }

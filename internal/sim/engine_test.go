@@ -458,21 +458,22 @@ func TestEngineIsolationUnderRunner(t *testing.T) {
 		e.Run()
 		return out
 	}
-	specs := make([]runner.Spec, 12)
-	for i := range specs {
-		seed := int64(i + 1)
-		specs[i] = runner.Spec{
-			Label: "engine",
-			Run:   func() (any, error) { return trace(seed), nil },
-		}
+	seeds := make([]int64, 12)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
 	}
-	serial := runner.Run(specs, runner.Options{Workers: 1})
-	par := runner.Run(specs, runner.Options{})
-	for i := range specs {
-		if serial[i].Err != nil || par[i].Err != nil {
-			t.Fatalf("run %d errored: %v / %v", i, serial[i].Err, par[i].Err)
-		}
-		if serial[i].Value != par[i].Value {
+	run := func(workers int) ([]string, error) {
+		out, _, errs := runner.Map(seeds, runner.Options[struct{}]{Workers: workers},
+			func(_ struct{}, _ int, seed int64) (string, error) { return trace(seed), nil })
+		return out, runner.FirstErr(errs)
+	}
+	serial, serr := run(1)
+	par, perr := run(0)
+	if serr != nil || perr != nil {
+		t.Fatalf("runs errored: %v / %v", serr, perr)
+	}
+	for i := range seeds {
+		if serial[i] != par[i] {
 			t.Errorf("run %d: parallel trace diverged from serial", i)
 		}
 	}

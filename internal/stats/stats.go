@@ -1,12 +1,11 @@
 // Package stats provides the measurement primitives used by the experiment
-// harness: online summary statistics, fixed-bin histograms, time-bucketed
-// rate series, and a /proc/loadavg-style load sampler.
+// harness: online summary statistics, log-bucketed histograms,
+// time-bucketed rate series, and a /proc/loadavg-style load sampler.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates online count/mean/variance/min/max without storing
@@ -96,146 +95,6 @@ func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g max=%.4g sd=%.3g",
 		s.n, s.Mean(), s.Min(), s.Max(), s.Stddev())
-}
-
-// Quantiler stores samples to answer exact quantile queries. Intended for
-// the latency experiments, where sample counts are modest.
-type Quantiler struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one sample.
-func (q *Quantiler) Add(x float64) {
-	q.xs = append(q.xs, x)
-	q.sorted = false
-}
-
-// N returns the sample count.
-func (q *Quantiler) N() int { return len(q.xs) }
-
-// Merge folds other's samples into q. Because quantile queries sort on
-// demand, a merged quantiler answers exactly as if every sample had been
-// Added to q directly, in any order.
-func (q *Quantiler) Merge(other *Quantiler) {
-	if other == nil || len(other.xs) == 0 {
-		return
-	}
-	q.xs = append(q.xs, other.xs...)
-	q.sorted = false
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) using nearest-rank on the
-// sorted samples. Returns 0 with no samples.
-func (q *Quantiler) Quantile(p float64) float64 {
-	if len(q.xs) == 0 {
-		return 0
-	}
-	if !q.sorted {
-		sort.Float64s(q.xs)
-		q.sorted = true
-	}
-	if p <= 0 {
-		return q.xs[0]
-	}
-	if p >= 1 {
-		return q.xs[len(q.xs)-1]
-	}
-	i := int(math.Ceil(p*float64(len(q.xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return q.xs[i]
-}
-
-// Median returns the 0.5 quantile.
-func (q *Quantiler) Median() float64 { return q.Quantile(0.5) }
-
-// Histogram counts samples into equal-width bins over [lo, hi); samples
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	bins      []int64
-	under     int64
-	over      int64
-	total     int64
-	sum       float64
-	populated bool
-}
-
-// NewHistogram builds a histogram with n equal bins spanning [lo, hi). An
-// invalid shape (no bins, empty or inverted range) is a configuration error
-// reported to the caller, not a panic.
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram shape [%g, %g) with %d bins", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), bins: make([]int64, n)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	h.populated = true
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // guard FP edge
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns the number of samples in bin i.
-func (h *Histogram) Count(i int) int64 { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// BinLow returns the lower edge of bin i.
-func (h *Histogram) BinLow(i int) float64 { return h.lo + float64(i)*h.width }
-
-// Total returns the total number of samples including under/overflow.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
-
-// Mean returns the mean of all samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Merge folds other into h as if every one of other's samples had been
-// Added here. Only histograms with identical shape — the same range and bin
-// count — merge; anything else would silently misbin.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if other.lo != h.lo || other.hi != h.hi || len(other.bins) != len(h.bins) {
-		return fmt.Errorf("stats: merging histograms with different shapes ([%g, %g)×%d vs [%g, %g)×%d)",
-			h.lo, h.hi, len(h.bins), other.lo, other.hi, len(other.bins))
-	}
-	for i, c := range other.bins {
-		h.bins[i] += c
-	}
-	h.under += other.under
-	h.over += other.over
-	h.total += other.total
-	h.sum += other.sum
-	h.populated = h.populated || other.populated
-	return nil
 }
 
 // Series records (x, y) points, e.g. payload size vs throughput — the shape

@@ -84,136 +84,6 @@ func TestSummaryMergeProperty(t *testing.T) {
 	}
 }
 
-func TestQuantiler(t *testing.T) {
-	var q Quantiler
-	for i := 1; i <= 100; i++ {
-		q.Add(float64(i))
-	}
-	if q.N() != 100 {
-		t.Fatalf("n = %d", q.N())
-	}
-	if got := q.Median(); got != 50 {
-		t.Errorf("median = %v", got)
-	}
-	if got := q.Quantile(0.99); got != 99 {
-		t.Errorf("p99 = %v", got)
-	}
-	if got := q.Quantile(0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := q.Quantile(1); got != 100 {
-		t.Errorf("p100 = %v", got)
-	}
-}
-
-func TestQuantilerEmpty(t *testing.T) {
-	var q Quantiler
-	if q.Quantile(0.5) != 0 {
-		t.Error("empty quantiler should return 0")
-	}
-}
-
-// Property: quantiles are monotone in p and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(xs []float64, p1, p2 float64) bool {
-		var q Quantiler
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			q.Add(x)
-		}
-		if q.N() == 0 {
-			return true
-		}
-		p1 = math.Abs(math.Mod(p1, 1))
-		p2 = math.Abs(math.Mod(p2, 1))
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return q.Quantile(p1) <= q.Quantile(p2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Count(i))
-		}
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Errorf("outliers = %d/%d", under, over)
-	}
-	if h.Total() != 12 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Bins() != 10 {
-		t.Errorf("bins = %d", h.Bins())
-	}
-	if h.BinLow(3) != 3 {
-		t.Errorf("binlow(3) = %v", h.BinLow(3))
-	}
-	if !almost(h.Mean(), (0.5+1.5+2.5+3.5+4.5+5.5+6.5+7.5+8.5+9.5-1+11)/12, 1e-12) {
-		t.Errorf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramInvalidShape(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{
-		{5, 5, 10},  // empty range
-		{5, 4, 10},  // inverted range
-		{0, 10, 0},  // no bins
-		{0, 10, -3}, // negative bins
-	} {
-		if h, err := NewHistogram(c.lo, c.hi, c.n); err == nil {
-			t.Errorf("NewHistogram(%g, %g, %d) = %v, want error", c.lo, c.hi, c.n, h)
-		}
-	}
-}
-
-// Property: every histogram sample is accounted for exactly once.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		h, err := NewHistogram(-100, 100, 37)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := int64(0)
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			n++
-		}
-		sum := int64(0)
-		for i := 0; i < h.Bins(); i++ {
-			sum += h.Count(i)
-		}
-		u, o := h.Outliers()
-		return sum+u+o == n && h.Total() == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(128, 1.0)
@@ -249,93 +119,6 @@ func TestSeriesEmpty(t *testing.T) {
 	x, y := s.PeakY()
 	if x != 0 || y != 0 || s.MeanY() != 0 || s.MinY() != 0 || s.YAt(5) != 0 || s.MeanYOver(0) != 0 {
 		t.Error("empty series should return zeros")
-	}
-}
-
-// Property: merging two fixed-bin histograms equals adding all samples to
-// one. Counts are integers, so the equality is exact; sums use samples with
-// exact float64 representations so they are exact too.
-func TestHistogramMergeProperty(t *testing.T) {
-	f := func(a, b []int16) bool {
-		mk := func() *Histogram {
-			h, err := NewHistogram(-100, 100, 37)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		}
-		ha, hb, all := mk(), mk(), mk()
-		for _, x := range a {
-			ha.Add(float64(x))
-			all.Add(float64(x))
-		}
-		for _, x := range b {
-			hb.Add(float64(x))
-			all.Add(float64(x))
-		}
-		if err := ha.Merge(hb); err != nil {
-			t.Fatal(err)
-		}
-		if ha.Total() != all.Total() || ha.Mean() != all.Mean() {
-			return false
-		}
-		au, ao := ha.Outliers()
-		bu, bo := all.Outliers()
-		if au != bu || ao != bo {
-			return false
-		}
-		for i := 0; i < ha.Bins(); i++ {
-			if ha.Count(i) != all.Count(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramMergeShapeMismatch(t *testing.T) {
-	a, _ := NewHistogram(0, 10, 10)
-	b, _ := NewHistogram(0, 10, 20)
-	c, _ := NewHistogram(0, 20, 10)
-	if err := a.Merge(b); err == nil {
-		t.Error("bin-count mismatch merged without error")
-	}
-	if err := a.Merge(c); err == nil {
-		t.Error("range mismatch merged without error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("nil merge: %v", err)
-	}
-}
-
-// Property: a merged quantiler answers every quantile exactly like one that
-// saw all samples directly.
-func TestQuantilerMergeProperty(t *testing.T) {
-	f := func(a, b []float64, p float64) bool {
-		var qa, qb, all Quantiler
-		add := func(q *Quantiler, xs []float64) {
-			for _, x := range xs {
-				if math.IsNaN(x) {
-					continue
-				}
-				q.Add(x)
-				all.Add(x)
-			}
-		}
-		add(&qa, a)
-		add(&qb, b)
-		qa.Merge(&qb)
-		if qa.N() != all.N() {
-			return false
-		}
-		p = math.Abs(math.Mod(p, 1))
-		return qa.Quantile(p) == all.Quantile(p) && qa.Median() == all.Median()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
