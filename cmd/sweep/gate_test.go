@@ -29,9 +29,14 @@ func TestGateExitCodes(t *testing.T) {
 		return string(out), err
 	}
 
-	// Record a baseline from the current tree.
-	if out, err := run("-fig", "3", "-parallel", "-json"); err != nil {
-		t.Fatalf("baseline run: %v\n%s", err, out)
+	// Record a baseline from the current tree, gated against the committed
+	// BENCH_sweep.json, whose meta still carries the retired scheduler key.
+	committed, err := filepath.Abs("../../BENCH_sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := run("-fig", "3", "-parallel", "-json", "-baseline", committed, "-gate"); err != nil {
+		t.Fatalf("baseline run gated against %s: %v\n%s", committed, err, out)
 	}
 	basePath := filepath.Join(dir, "BENCH_sweep.json")
 
@@ -49,8 +54,8 @@ func TestGateExitCodes(t *testing.T) {
 	if err := json.Unmarshal(data, &sf); err != nil {
 		t.Fatal(err)
 	}
-	if sf.Meta == nil || sf.Meta.Scheduler == "" {
-		t.Error("BENCH_sweep.json missing self-describing meta block")
+	if sf.Meta == nil || sf.Meta.Seed != 1 || sf.Meta.Count != 3000 {
+		t.Errorf("BENCH_sweep.json meta %+v does not describe the run (seed 1, count 3000)", sf.Meta)
 	}
 	for i := range sf.Sweeps {
 		if sf.Sweeps[i].Profile == "" {

@@ -64,13 +64,11 @@ var (
 	topoFile = flag.String("topology", "", "compile a declarative topology file (JSON), run its flows, and report per-flow goodput and switch counters")
 	shardsF  = flag.Int("shards", 0, "run -topology under the conservative parallel-DES runner with N sharded engines (0 = sequential; output is byte-identical either way)")
 	pdesOut  = flag.String("pdes-bench", "", "measure the parallel runner's wall-clock scaling (shards 1/2/4) over the benchmark topology and write BENCH_pdes.json-shaped output to this path")
-	pdesRep  = flag.String("pdes-replica", "auto", "parallel-DES replica mode: auto, full (every shard compiles the whole topology), or sparse (owned slice plus one-hop boundary)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	sched    = flag.String("sched", sim.DefaultScheduler().String(), "event scheduler: wheel (O(1) timing wheel) or heap (reference binary heap); results are byte-identical either way")
 	metricsF = flag.Bool("metrics", false, "aggregate fleet-level metrics (FCT percentiles, Jain's fairness, per-class goodput) across every run and print the report")
 	progress = flag.Bool("progress", false, "print a live progress line (points completed / ETA) to stderr while sweeps run")
-	baseline = flag.String("baseline", "", "comma-separated BENCH_*.json baselines to compare this run against (sweep files check simulated Gb/s; kernel/sched files re-measure allocs/op in-process)")
+	baseline = flag.String("baseline", "", "comma-separated BENCH_*.json baselines to compare this run against (sweep files check simulated Gb/s; kernel files re-measure allocs/op in-process; pdes files re-measure the sharded speedup)")
 	gateF    = flag.Bool("gate", false, "exit non-zero when a -baseline comparison finds a regression past -gate-threshold")
 	gateThr  = flag.Float64("gate-threshold", 0.02, "relative throughput loss that counts as a sweep regression (0.02 = 2%)")
 	ckptPath = flag.String("checkpoint", "", "journal every completed sweep point into this JSONL file; a killed campaign restarts from the journal with -resume")
@@ -96,11 +94,6 @@ func workers() int {
 func main() {
 	log.SetFlags(0)
 	flag.Parse()
-	kind, err := sim.ParseScheduler(*sched)
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
-	sim.SetDefaultScheduler(kind)
 	stopProfiles := prof.Start(*cpuProf, *memProf)
 	defer stopProfiles()
 	if *verify {
@@ -149,7 +142,7 @@ func main() {
 	run(*exp == "compare", "compare", comparison)
 	run(*exp == "anecdotes", "anecdotes", anecdotes)
 	run(*exp == "mtu", "mtu", mtuSweep)
-	// A pure gate run (kernel/sched baselines) needs no figure selection.
+	// A pure gate run (kernel/pdes baselines) needs no figure selection.
 	if !ran && *baseline == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -186,9 +179,9 @@ var skippedFailures []string
 
 // checkpointIdentity is the invocation identity a journal is fingerprinted
 // with: everything that changes which points a campaign simulates or what
-// they measure. Workers and scheduler are deliberately absent — results are
-// byte-identical across both, so a campaign may resume with a different
-// worker count or scheduler and still fold exact results.
+// they measure. Workers are deliberately absent — results are byte-identical
+// across worker counts, so a campaign may resume with a different count and
+// still fold exact results.
 type checkpointIdentity struct {
 	Seed       int64
 	Count      int
@@ -239,8 +232,6 @@ func runGate() {
 			rep = bench.CompareSweeps(f.Sweeps, currentSweepFile(), *gateThr)
 		case bench.KindKernel:
 			rep = bench.CompareKernel(f.Kernel)
-		case bench.KindSched:
-			rep = bench.CompareSched(f.Sched)
 		case bench.KindPDES:
 			rep = bench.ComparePDES(f.PDES)
 		}
@@ -322,28 +313,8 @@ func runTopology(path string) {
 	}
 	wall := time.Since(start)
 
-	fmt.Printf("== topology %s: %d hosts, %d switches, %d links, %d flows ==\n",
-		spec.Name, len(spec.Hosts), len(spec.Switches), len(spec.Links), len(spec.Flows))
-	fmt.Printf("%-20s %-12s %-12s %-10s %s\n", "flow", "bytes", "elapsed", "Gb/s", "retrans")
-	for _, r := range results {
-		fmt.Printf("%-20s %-12d %-12v %-10.3f %d\n",
-			fmt.Sprintf("%s->%s", r.Src, r.Dst), r.Bytes, r.Elapsed,
-			r.Throughput.Gbps(), r.Retransmits)
-	}
-	fmt.Printf("aggregate %.3f Gb/s over %d flows (wall %v)\n\n",
-		topo.Aggregate(results).Gbps(), len(results), wall.Round(time.Millisecond))
-
-	for _, fc := range net.FabricCounters() {
-		fmt.Printf("switch %-12s forwarded %-8d dropped %-6d no-route %-4d ttl-drops %d\n",
-			fc.Node, fc.Forwarded, fc.Dropped, fc.NoRoute, fc.TTLDrops)
-		for _, ps := range fc.Ports {
-			if ps.Forwarded == 0 && ps.Drops == 0 {
-				continue
-			}
-			fmt.Printf("  port %-28s fwd %-8d drops %-6d max-queued %d B\n",
-				ps.Link, ps.Forwarded, ps.Drops, ps.MaxQueued)
-		}
-	}
+	printTopologyHeader(spec)
+	printTopologyReport(results, net.FabricCounters(), wall)
 
 	var fleet *telemetry.MetricsAccumulator
 	if *metricsF {
@@ -364,6 +335,37 @@ func runTopology(path string) {
 	}
 }
 
+// printTopologyHeader prints the one-line summary of a topology run.
+func printTopologyHeader(spec *topo.Spec) {
+	fmt.Printf("== topology %s: %d hosts, %d switches, %d links, %d flows ==\n",
+		spec.Name, len(spec.Hosts), len(spec.Switches), len(spec.Links), len(spec.Flows))
+}
+
+// printTopologyReport prints per-flow goodput and every switch's forwarding
+// counters — the same report for sequential and sharded runs, whose results
+// are byte-equal by construction.
+func printTopologyReport(flows []topo.FlowResult, fabric []telemetry.FabricCounters, wall time.Duration) {
+	fmt.Printf("%-20s %-12s %-12s %-10s %s\n", "flow", "bytes", "elapsed", "Gb/s", "retrans")
+	for _, r := range flows {
+		fmt.Printf("%-20s %-12d %-12v %-10.3f %d\n",
+			fmt.Sprintf("%s->%s", r.Src, r.Dst), r.Bytes, r.Elapsed,
+			r.Throughput.Gbps(), r.Retransmits)
+	}
+	fmt.Printf("aggregate %.3f Gb/s over %d flows (wall %v)\n\n",
+		topo.Aggregate(flows).Gbps(), len(flows), wall.Round(time.Millisecond))
+	for _, fc := range fabric {
+		fmt.Printf("switch %-12s forwarded %-8d dropped %-6d no-route %-4d ttl-drops %d\n",
+			fc.Node, fc.Forwarded, fc.Dropped, fc.NoRoute, fc.TTLDrops)
+		for _, ps := range fc.Ports {
+			if ps.Forwarded == 0 && ps.Drops == 0 {
+				continue
+			}
+			fmt.Printf("  port %-28s fwd %-8d drops %-6d max-queued %d B\n",
+				ps.Link, ps.Forwarded, ps.Drops, ps.MaxQueued)
+		}
+	}
+}
+
 // replayBundle re-executes a crash bundle and reports reproduction. Exits
 // non-zero when the recorded failure is still present.
 func replayBundle(path string) {
@@ -371,7 +373,7 @@ func replayBundle(path string) {
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
-	fmt.Printf("replaying %s bundle (seed %d, scheduler %s)\n", b.Kind, b.Seed, b.Scheduler)
+	fmt.Printf("replaying %s bundle (seed %d)\n", b.Kind, b.Seed)
 	fmt.Printf("recorded panic: %s\n", b.Panic)
 	r := b.Replay(nil)
 	switch {
@@ -424,17 +426,16 @@ func recordBench(res *core.SweepResult, p core.Profile, wall time.Duration) {
 }
 
 // currentSweepFile assembles this run's sweeps plus the metadata that makes
-// the file self-describing across PRs: scheduler, seed, resolution, and the
+// the file self-describing across changes: seed, resolution, and the
 // topology file when one drove the run.
 func currentSweepFile() *bench.SweepFile {
 	return &bench.SweepFile{
 		Meta: &bench.Meta{
-			Scheduler: sim.DefaultScheduler().String(),
-			Seed:      *seed,
-			Count:     count(),
-			Full:      *full,
-			Workers:   *nworkers,
-			Topology:  *topoFile,
+			Seed:     *seed,
+			Count:    count(),
+			Full:     *full,
+			Workers:  *nworkers,
+			Topology: *topoFile,
 		},
 		Sweeps: benchSweeps,
 	}

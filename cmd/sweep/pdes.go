@@ -25,17 +25,9 @@ const defaultPDESTopology = "examples/topologies/torus-grid.json"
 // of simulated nanoseconds wide and synchronization cost dominates.
 const pdesShortTopology = "examples/topologies/lan-star.json"
 
-// pdesBenchShards are the shard counts a -pdes-bench run measures.
+// pdesBenchShards are the shard counts a -pdes-bench run measures, in
+// ascending order.
 var pdesBenchShards = []int{1, 2, 4}
-
-// pdesModeOpts parses the -pdes-replica flag.
-func pdesModeOpts() pdes.Replica {
-	rep, err := pdes.ParseReplica(*pdesRep)
-	if err != nil {
-		log.Fatalf("sweep: %v", err)
-	}
-	return rep
-}
 
 // runTopologySharded is runTopology's parallel twin: it drives the topology
 // through the conservative parallel-DES runner and prints the identical flow
@@ -46,7 +38,7 @@ func runTopologySharded(path string, shards int) {
 	if err != nil {
 		log.Fatalf("topology: %v", err)
 	}
-	opts := pdes.Options{Shards: shards, Seed: *seed, Metrics: *metricsF, Replica: pdesModeOpts()}
+	opts := pdes.Options{Shards: shards, Seed: *seed, Metrics: *metricsF}
 	if *telemDir != "" {
 		opts.Telemetry = &telemetry.Options{Enabled: true}
 	}
@@ -61,12 +53,11 @@ func runTopologySharded(path string, shards int) {
 	}
 	wall := time.Since(start)
 
-	fmt.Printf("== topology %s: %d hosts, %d switches, %d links, %d flows ==\n",
-		spec.Name, len(spec.Hosts), len(spec.Switches), len(spec.Links), len(spec.Flows))
-	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v replicas, %v scheduler\n",
-		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, r.Replica(), r.Scheduler())
+	printTopologyHeader(spec)
+	fmt.Printf("parallel: %d shards, %d cut links, lookahead %v, %v subsets\n",
+		res.Plan.Shards, len(res.Plan.CutLinks), res.Plan.Lookahead, r.Replica())
 	if fb := r.SparseFallback(); fb != nil {
-		fmt.Printf("parallel: sparse replicas unavailable, using full: %v\n", fb)
+		fmt.Printf("parallel: every shard compiles the whole topology: %v\n", fb)
 	}
 	var meanSync time.Duration
 	if res.Windows > 0 {
@@ -74,26 +65,7 @@ func runTopologySharded(path string, shards int) {
 	}
 	fmt.Printf("sync: %d windows, mean window sync %v per shard (%v total blocked across shards)\n",
 		res.Windows, meanSync, res.SyncWall.Round(time.Microsecond))
-	fmt.Printf("%-20s %-12s %-12s %-10s %s\n", "flow", "bytes", "elapsed", "Gb/s", "retrans")
-	for _, fr := range res.Flows {
-		fmt.Printf("%-20s %-12d %-12v %-10.3f %d\n",
-			fmt.Sprintf("%s->%s", fr.Src, fr.Dst), fr.Bytes, fr.Elapsed,
-			fr.Throughput.Gbps(), fr.Retransmits)
-	}
-	fmt.Printf("aggregate %.3f Gb/s over %d flows (wall %v)\n\n",
-		topo.Aggregate(res.Flows).Gbps(), len(res.Flows), wall.Round(time.Millisecond))
-
-	for _, fc := range res.Fabric {
-		fmt.Printf("switch %-12s forwarded %-8d dropped %-6d no-route %-4d ttl-drops %d\n",
-			fc.Node, fc.Forwarded, fc.Dropped, fc.NoRoute, fc.TTLDrops)
-		for _, ps := range fc.Ports {
-			if ps.Forwarded == 0 && ps.Drops == 0 {
-				continue
-			}
-			fmt.Printf("  port %-28s fwd %-8d drops %-6d max-queued %d B\n",
-				ps.Link, ps.Forwarded, ps.Drops, ps.MaxQueued)
-		}
-	}
+	printTopologyReport(res.Flows, res.Fabric, wall)
 
 	if res.Metrics != nil {
 		printFleet("fleet metrics", res.Metrics.Fleet())
@@ -107,11 +79,11 @@ func runTopologySharded(path string, shards int) {
 }
 
 // measureSeries runs one topology's scaling series and prints each line.
-func measureSeries(topoPath string, reps int, rep pdes.Replica) []bench.PDESEntry {
+func measureSeries(topoPath string, reps int) []bench.PDESEntry {
 	wall1 := 0.0
 	var out []bench.PDESEntry
 	for _, n := range pdesBenchShards {
-		wall, err := bench.MeasurePDES(topoPath, *seed, n, reps, rep)
+		wall, err := bench.MeasurePDES(topoPath, *seed, n, reps)
 		if err != nil {
 			log.Fatalf("pdes bench: %s shards=%d: %v", topoPath, n, err)
 		}
@@ -131,8 +103,7 @@ func measureSeries(topoPath string, reps int, rep pdes.Replica) []bench.PDESEntr
 // writePDESBench measures the sharded runner's wall-clock scaling over the
 // long-lookahead benchmark topology and the short-lookahead LAN scenario,
 // then writes BENCH_pdes.json-shaped output to path. The file self-describes
-// the host (CPU count) and the runner modes (replica, scheduler) because
-// wall-clock speedup means nothing without them.
+// the host (CPU count) because wall-clock speedup means nothing without it.
 func writePDESBench(path string) {
 	topoPath := *topoFile
 	if topoPath == "" {
@@ -140,31 +111,13 @@ func writePDESBench(path string) {
 	}
 	const reps = 5
 	cpus := runtime.NumCPU()
-	rep := pdesModeOpts()
-	// Resolve what the runner will actually use for the primary topology, so
-	// the meta records modes, not flag spellings.
-	spec, err := topo.Load(topoPath)
-	if err != nil {
-		log.Fatalf("pdes bench: %v", err)
-	}
-	maxShards := 0
-	for _, n := range pdesBenchShards {
-		if n > maxShards {
-			maxShards = n
-		}
-	}
-	probe, err := pdes.New(spec, pdes.Options{Shards: maxShards, Seed: *seed, Replica: rep})
-	if err != nil {
-		log.Fatalf("pdes bench: %v", err)
-	}
+	maxShards := pdesBenchShards[len(pdesBenchShards)-1]
 	pf := &bench.PDESFile{
 		Meta: &bench.Meta{
-			Scheduler: probe.Scheduler().String(),
-			Replica:   probe.Replica().String(),
-			Seed:      *seed,
-			Topology:  topoPath,
-			Reps:      reps,
-			CPUs:      cpus,
+			Seed:     *seed,
+			Topology: topoPath,
+			Reps:     reps,
+			CPUs:     cpus,
 		},
 	}
 	if cpus < maxShards {
@@ -172,14 +125,13 @@ func writePDESBench(path string) {
 			"measured on a %d-CPU host: wall ratios record synchronization overhead, not parallel speedup; the speedup floors gate only on hosts with >= %d CPUs",
 			cpus, maxShards)
 	}
-	fmt.Printf("pdes bench: %s, %d reps per shard count, %d CPUs, %s replicas\n",
-		topoPath, reps, cpus, pf.Meta.Replica)
-	pf.PDES = measureSeries(topoPath, reps, rep)
+	fmt.Printf("pdes bench: %s, %d reps per shard count, %d CPUs\n", topoPath, reps, cpus)
+	pf.PDES = measureSeries(topoPath, reps)
 	if topoPath != pdesShortTopology {
 		fmt.Printf("pdes bench (short lookahead): %s\n", pdesShortTopology)
 		pf.Short = &bench.PDESScenario{
 			Topology: pdesShortTopology,
-			Entries:  measureSeries(pdesShortTopology, reps, rep),
+			Entries:  measureSeries(pdesShortTopology, reps),
 		}
 	}
 	data, err := json.MarshalIndent(pf, "", "  ")

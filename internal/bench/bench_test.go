@@ -12,7 +12,6 @@ func TestParseDetectsShapes(t *testing.T) {
 	}{
 		{`{"meta":{"scheduler":"wheel"},"sweeps":[{"figure":"fig3","label":"x","points":[]}]}`, KindSweep},
 		{`{"description":"d","benchmarks":{"TimerChurn":{"before":{"ns_op":1},"after":{"allocs_op":0}}}}`, KindKernel},
-		{`{"heap":{"TimerChurn":{"allocs_op":0}},"wheel":{"TimerChurn":{"allocs_op":0}}}`, KindSched},
 		{`{"meta":{"topology":"t.json","cpus":4},"pdes":[{"shards":1,"wall_ms":10,"speedup":1}]}`, KindPDES},
 	}
 	for _, c := range cases {
@@ -34,8 +33,8 @@ func TestParseDetectsShapes(t *testing.T) {
 
 func TestLoadCommittedBaselines(t *testing.T) {
 	for path, kind := range map[string]Kind{
+		"../../BENCH_sweep.json":  KindSweep,
 		"../../BENCH_kernel.json": KindKernel,
-		"../../BENCH_sched.json":  KindSched,
 		"../../BENCH_pdes.json":   KindPDES,
 	} {
 		f, err := Load(path)
@@ -50,7 +49,7 @@ func TestLoadCommittedBaselines(t *testing.T) {
 
 func sweepFile(gbps float64) *SweepFile {
 	return &SweepFile{
-		Meta: &Meta{Scheduler: "wheel", Seed: 1, Count: 3000},
+		Meta: &Meta{Seed: 1, Count: 3000},
 		Sweeps: []Sweep{{
 			Figure: "fig3", Label: "stock-mtu9000", Profile: "pe2650",
 			Points: []SweepPoint{
@@ -104,7 +103,7 @@ func TestCompareSweepsSkipsUnrunAndMismatched(t *testing.T) {
 	// Current run only executed fig3, and on a disjoint payload grid.
 	cur := &SweepFile{Sweeps: []Sweep{{
 		Figure: "fig3", Label: "stock-mtu9000",
-		Points: []SweepPoint{{Payload: 4096, Gbps: 0.001}},
+		Points:   []SweepPoint{{Payload: 4096, Gbps: 0.001}},
 		PeakGbps: 0.001,
 	}}}
 	rep := CompareSweeps(base, cur, 0.02)

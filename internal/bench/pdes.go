@@ -49,25 +49,15 @@ const pdesShortFloor = 1.0
 // pdesReps is how many runs a measurement takes the median of.
 const pdesReps = 3
 
-// pdesReplica resolves the baseline's recorded replica string into the
-// runner option; an empty string means the runner default, so older
-// baselines without the field keep working.
-func pdesReplica(meta *Meta) (pdes.Replica, error) {
-	if meta == nil || meta.Replica == "" {
-		return pdes.ReplicaAuto, nil
-	}
-	return pdes.ParseReplica(meta.Replica)
-}
-
 // MeasurePDES runs the topology's flows under the sharded runner and
 // returns the median wall-clock milliseconds over reps runs (first warm-up
 // run discarded — it pays compile and allocator warm-up).
-func MeasurePDES(topoPath string, seed int64, shards, reps int, rep pdes.Replica) (float64, error) {
+func MeasurePDES(topoPath string, seed int64, shards, reps int) (float64, error) {
 	spec, err := topo.Load(topoPath)
 	if err != nil {
 		return 0, err
 	}
-	r, err := pdes.New(spec, pdes.Options{Shards: shards, Seed: seed, Replica: rep})
+	r, err := pdes.New(spec, pdes.Options{Shards: shards, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
@@ -88,10 +78,9 @@ func MeasurePDES(topoPath string, seed int64, shards, reps int, rep pdes.Replica
 
 // ComparePDES re-measures each recorded scaling series — the primary
 // topology against the 2x floor, the short-lookahead scenario (if recorded)
-// against the stay-ahead floor — in the baseline's own replica mode.
-// Speedup is a property of parallel hardware: on hosts with fewer
-// CPUs than shards the entries are skipped with the reason visible in the
-// report, never silently passed.
+// against the stay-ahead floor. Speedup is a property of parallel hardware:
+// on hosts with fewer CPUs than shards the entries are skipped with the
+// reason visible in the report, never silently passed.
 func ComparePDES(pf *PDESFile) *Report {
 	rep := &Report{}
 	if len(pf.PDES) == 0 {
@@ -108,21 +97,16 @@ func ComparePDES(pf *PDESFile) *Report {
 		rep.Skipped = append(rep.Skipped, "pdes: baseline meta names no topology")
 		return rep
 	}
-	repl, err := pdesReplica(pf.Meta)
-	if err != nil {
-		rep.Skipped = append(rep.Skipped, fmt.Sprintf("pdes: baseline meta: %v", err))
-		return rep
-	}
-	gateSeries(rep, "pdes", topoPath, seed, repl, pf.PDES, pdesSpeedupFloor)
+	gateSeries(rep, "pdes", topoPath, seed, pf.PDES, pdesSpeedupFloor)
 	if pf.Short != nil && len(pf.Short.Entries) > 0 && pf.Short.Topology != "" {
-		gateSeries(rep, "pdes short", pf.Short.Topology, seed, repl, pf.Short.Entries, pdesShortFloor)
+		gateSeries(rep, "pdes short", pf.Short.Topology, seed, pf.Short.Entries, pdesShortFloor)
 	}
 	return rep
 }
 
 // gateSeries re-measures one topology's scaling series and records a finding
 // when the speedup at the largest shard count falls under floor.
-func gateSeries(rep *Report, label, topoPath string, seed int64, repl pdes.Replica, entries []PDESEntry, floor float64) {
+func gateSeries(rep *Report, label, topoPath string, seed int64, entries []PDESEntry, floor float64) {
 	maxShards := 0
 	for _, e := range entries {
 		if e.Shards > maxShards {
@@ -141,7 +125,7 @@ func gateSeries(rep *Report, label, topoPath string, seed int64, repl pdes.Repli
 	wall1 := 0.0
 	walls := make(map[int]float64, len(entries))
 	for _, e := range entries {
-		w, err := MeasurePDES(topoPath, seed, e.Shards, pdesReps, repl)
+		w, err := MeasurePDES(topoPath, seed, e.Shards, pdesReps)
 		if err != nil {
 			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: shards=%d: %v", label, e.Shards, err))
 			return

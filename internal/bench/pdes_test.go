@@ -4,14 +4,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"tengig/internal/pdes"
 )
 
 // TestCommittedPDESBaselineGates: the committed BENCH_pdes.json loads and
 // either gates or skips for a reason about this host, never because the
-// baseline itself is unusable; a baseline that still records the retired
-// barrier word loads and resolves to its replica mode.
+// baseline itself is unusable — though its meta still records the retired
+// scheduler and replica words; a baseline that also records the retired
+// barrier word loads too.
 func TestCommittedPDESBaselineGates(t *testing.T) {
 	f, err := Load("../../BENCH_pdes.json")
 	if err != nil {
@@ -26,12 +25,12 @@ func TestCommittedPDESBaselineGates(t *testing.T) {
 			t.Errorf("committed pdes baseline skipped for its own content: %s", s)
 		}
 	}
-	old, err := Parse([]byte(`{"meta":{"topology":"t.json","barrier":"spin","replica":"sparse"},"pdes":[{"shards":1}]}`))
+	old, err := Parse([]byte(`{"meta":{"topology":"t.json","scheduler":"heap","barrier":"spin","replica":"full"},"pdes":[{"shards":1}]}`))
 	if err != nil {
-		t.Fatalf("baseline recording a barrier word: %v", err)
+		t.Fatalf("baseline recording retired mode words: %v", err)
 	}
-	if got, err := pdesReplica(old.PDES.Meta); err != nil || got != pdes.ReplicaSparse {
-		t.Errorf("old baseline replica = %v, %v; want sparse", got, err)
+	if old.PDES.Meta.Topology != "t.json" || len(old.PDES.PDES) != 1 {
+		t.Errorf("old baseline decoded as %+v", old.PDES)
 	}
 }
 

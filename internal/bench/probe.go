@@ -105,15 +105,3 @@ func MeasureAllocs(name string) (int64, error) {
 	runtime.ReadMemStats(&after)
 	return int64(after.Mallocs-before.Mallocs) / int64(p.iters), nil
 }
-
-// setScheduler switches the default event scheduler for a sched-file probe
-// run, returning the restore function.
-func setScheduler(kind string) (restore func(), err error) {
-	k, err := sim.ParseScheduler(kind)
-	if err != nil {
-		return nil, err
-	}
-	prev := sim.DefaultScheduler()
-	sim.SetDefaultScheduler(k)
-	return func() { sim.SetDefaultScheduler(prev) }, nil
-}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -157,36 +160,50 @@ func TestCampaignCrashBundleReplay(t *testing.T) {
 	}
 }
 
-// TestSweepPointReplayPerScheduler: a sweep-point bundle records the event
-// scheduler the crashed run used, and Replay must rebuild under exactly
-// that scheduler — wheel as well as heap — reproduce the injected panic
-// with the hook re-armed, and run clean without it.
+// TestSweepPointReplayPerScheduler: bundles written while the event
+// scheduler was selectable carry a "scheduler" key, "wheel" or "heap".
+// Either must still read as the same bundle and replay identically to it on
+// the wheel — reproducing the injected panic with the hook re-armed and
+// running clean without it — since the scheduler never changed a simulated
+// outcome.
 func TestSweepPointReplayPerScheduler(t *testing.T) {
 	tun := Optimized(9000)
+	in := &CrashBundle{
+		Kind: "sweep-point", Seed: 7, Profile: PE2650, Tuning: &tun,
+		Payload: 512, Count: 50, Timeout: 30 * units.Second,
+		Panic: "injected fault at payload 512",
+	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "scheduler") {
+		t.Fatalf("bundle still writes a scheduler: %s", data)
+	}
+	wantHooked, wantClean := in.Replay(crashHook(512)), in.Replay(nil)
+	if !wantHooked.Reproduced || wantClean.Panic != "" || wantClean.Err != nil {
+		t.Fatalf("bundle replay: hooked %+v, clean %+v", wantHooked, wantClean)
+	}
 	for _, sched := range []string{"wheel", "heap"} {
 		sched := sched
 		t.Run(sched, func(t *testing.T) {
-			in := &CrashBundle{
-				Kind: "sweep-point", Seed: 7, Profile: PE2650, Tuning: &tun,
-				Payload: 512, Count: 50, Timeout: 30 * units.Second,
-				Scheduler: sched, Panic: "injected fault at payload 512",
-			}
-			path, err := WriteCrashBundle(t.TempDir(), "sched_"+sched, in)
-			if err != nil {
+			legacy := append([]byte(`{"scheduler":"`+sched+`",`), data[1:]...)
+			path := filepath.Join(t.TempDir(), "sched_"+sched+".json")
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			b, err := ReadCrashBundle(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Scheduler != sched {
-				t.Fatalf("scheduler lost in round trip: %q", b.Scheduler)
+			if !reflect.DeepEqual(b, in) {
+				t.Fatalf("legacy bundle read as %+v, want %+v", b, in)
 			}
-			if r := b.Replay(crashHook(512)); !r.Reproduced || r.Panic != b.Panic {
-				t.Fatalf("replay under %s did not reproduce: %+v", sched, r)
+			if r := b.Replay(crashHook(512)); !reflect.DeepEqual(r, wantHooked) {
+				t.Fatalf("hooked replay %+v, want %+v", r, wantHooked)
 			}
-			if rc := b.Replay(nil); rc.Panic != "" || rc.Err != nil {
-				t.Fatalf("clean replay under %s not clean: %+v", sched, rc)
+			if r := b.Replay(nil); !reflect.DeepEqual(r, wantClean) {
+				t.Fatalf("clean replay %+v, want %+v", r, wantClean)
 			}
 		})
 	}
@@ -205,8 +222,7 @@ func TestCampaignBundleFaultScriptedReplay(t *testing.T) {
 	if direct.Err != nil {
 		t.Fatalf("direct campaign run failed: %v", direct.Err)
 	}
-	in := &CrashBundle{Kind: "chaos-campaign", Seed: spec.Seed,
-		Scheduler: "wheel", Campaign: &spec}
+	in := &CrashBundle{Kind: "chaos-campaign", Seed: spec.Seed, Campaign: &spec}
 	path, err := WriteCrashBundle(t.TempDir(), "faulted_campaign", in)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +247,7 @@ func TestCrashBundleRoundTrip(t *testing.T) {
 	tun := Optimized(9000)
 	in := &CrashBundle{
 		Kind: "chaos-campaign", Seed: spec.Seed, Profile: PE2650,
-		Tuning: &tun, Scheduler: "wheel", Campaign: &spec,
+		Tuning: &tun, Campaign: &spec,
 		Panic: "boom", Stack: "stack",
 	}
 	path, err := WriteCrashBundle(t.TempDir(), "crash test/odd name", in)

@@ -264,7 +264,6 @@ func (c SweepConfig) writeCrashBundle(payload int, pe *runner.PanicError) (strin
 		Count:     c.Count,
 		ViaSwitch: c.ViaSwitch,
 		Timeout:   c.Timeout,
-		Scheduler: sim.DefaultScheduler().String(),
 		Panic:     fmt.Sprint(pe.Value),
 		Stack:     string(pe.Stack),
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 )
 
@@ -65,31 +64,26 @@ func goldenProbes() []struct {
 	}
 }
 
-// TestTelemetryGoldenDeterminism checks every probe under both scheduler
-// implementations: the digests predate the timing wheel and must hold
-// unchanged under it, proving the wheel alters no simulated outcome.
+// TestTelemetryGoldenDeterminism checks every probe on the timing wheel,
+// the one scheduler that ships: the digests predate the wheel and must hold
+// unchanged under it. The wheel's pop order is pinned against the heap
+// oracle in internal/sim's lockstep tests.
 func TestTelemetryGoldenDeterminism(t *testing.T) {
-	restore := sim.DefaultScheduler()
-	defer sim.SetDefaultScheduler(restore)
-	for _, kind := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			sim.SetDefaultScheduler(kind)
-			for _, g := range goldenProbes() {
-				g := g
-				t.Run(g.name, func(t *testing.T) {
-					res, err := ProbeRun(g.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fmt.Sprintf("%x", sha256.Sum256(res.Bundle.ExportJSONL()))
-					if got != g.want {
-						t.Errorf("telemetry bundle digest changed:\n got %s\nwant %s\n"+
-							"(simulated behavior diverged from the recorded baseline; "+
-							"if intentional, regenerate the golden digests)", got, g.want)
-					}
-				})
-			}
-		})
-	}
+	t.Run("wheel", func(t *testing.T) {
+		for _, g := range goldenProbes() {
+			g := g
+			t.Run(g.name, func(t *testing.T) {
+				res, err := ProbeRun(g.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("%x", sha256.Sum256(res.Bundle.ExportJSONL()))
+				if got != g.want {
+					t.Errorf("telemetry bundle digest changed:\n got %s\nwant %s\n"+
+						"(simulated behavior diverged from the recorded baseline; "+
+						"if intentional, regenerate the golden digests)", got, g.want)
+				}
+			})
+		}
+	})
 }

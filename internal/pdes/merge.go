@@ -17,13 +17,6 @@ import (
 func (r *Runner) merge(finals, setups []shardRes, c *coord, startLive int) (*Result, error) {
 	owner := r.plan.Owner
 	t0 := c.t0
-	// The single-engine compile baseline: with full replicas every shard's
-	// compile count is that baseline; with sparse replicas each shard
-	// compiled a different slice, so the reference compile supplies it.
-	compiled, hwCompile := setups[0].executed, setups[0].hwCompile
-	if r.opts.Replica == ReplicaSparse {
-		compiled, hwCompile = r.ref.compiled, r.ref.hw
-	}
 	res := &Result{Plan: r.plan, Windows: c.windows}
 	for i := range finals {
 		res.SyncWall += finals[i].syncWall
@@ -61,10 +54,9 @@ func (r *Runner) merge(finals, setups []shardRes, c *coord, startLive int) (*Res
 	// its share of run events; run events are disjoint and exhaustive (one
 	// wireDone at the source plus one injected delivery at the sink per
 	// crossing — exactly the single engine's pair), so subtracting each
-	// shard's compile count and adding the single-engine compile baseline
-	// reassembles the single-engine total exactly — for full replicas
-	// (where every setup count equals the baseline) and sparse ones alike.
-	res.Events = compiled
+	// shard's compile count and adding the reference compile's count
+	// reassembles the single-engine total exactly.
+	res.Events = r.ref.compiled
 	for i := range finals {
 		res.Events += finals[i].executed - setups[i].executed
 	}
@@ -73,10 +65,7 @@ func (r *Runner) merge(finals, setups []shardRes, c *coord, startLive int) (*Res
 		// HighWater from the canonical liveness replay: start from the
 		// combined post-kickoff population and apply every shard's atoms in
 		// content order.
-		hw0 := hwCompile
-		if startLive > hw0 {
-			hw0 = startLive
-		}
+		hw0 := max(r.ref.hw, startLive)
 		atoms := make([][]sim.LiveAtom, len(finals))
 		for i := range finals {
 			atoms[i] = finals[i].atoms

@@ -7,25 +7,26 @@
 //
 // The topology is partitioned into shards (topo.Partition): contiguous runs
 // of a BFS linearization of the switch graph, balanced by event weight, with
-// explicit per-node pins honored. Each shard compiles a replica of the spec
-// on its own engine with the same seed, then activates only the flows whose
-// endpoints it owns (sends from local sources, auto-reads at local sinks,
-// telemetry on local connections), so foreign replicas stay silent and
-// execute no events. The replica comes in two shapes:
+// explicit per-node pins honored. Each shard compiles one subset of the spec
+// (topo.CompileSubset) on its own engine with the same seed, then activates
+// only the flows whose endpoints it owns (sends from local sources,
+// auto-reads at local sinks, telemetry on local connections), so foreign
+// replicas stay silent and execute no events.
 //
-//   - Full (ReplicaFull): the entire spec, everywhere. Construction,
-//     addressing, and TCP handshakes are trivially bit-identical across
-//     shards, at O(topology) memory per shard.
-//   - Sparse (ReplicaSparse, the default where eligible): only the owned
-//     nodes, the one-hop stubs across cut links, and the nodes traversed by
-//     flows whose packets touch the shard (topo.BuildSubset). Skipped
-//     foreign handshakes become exact clock advances (sim.AdvanceTo) of
-//     their reference durations, recorded by one throwaway full compile in
-//     New; any timing deviation is detected at compile, not silently
-//     diverged. Memory drops to O(shard + cut), and because the replica no
-//     longer spans foreign far-future timers, sparse shards run the
-//     timing-wheel scheduler (bounded per-window peeks stay cheap — see
-//     sim.NextEventAtWithin); full replicas run the heap.
+// The subset is chosen by one rule, with no user option. New runs one
+// throwaway reference compile of the whole spec that records the clock after
+// every flow's handshake. Each shard's subset (topo.BuildSubset) then holds
+// its owned nodes, the one-hop stubs across its cut links, and the nodes
+// traversed by flows whose packets touch the shard; it widens to every flow
+// crossing a link whose fault script has a step inside the compile horizon,
+// so that link's rng draws replay exactly. Skipped foreign handshakes become
+// exact clock advances (sim.AdvanceTo) of their reference durations, and any
+// timing deviation is detected at compile, not silently diverged. Memory
+// drops to O(shard + cut). When a handshake leaves events pending (so
+// skipping it would shift later timestamps) or the FIB walks fail, every
+// shard compiles the whole spec instead; Runner.SparseFallback says why.
+// Every shard runs the timing wheel, with bounded per-window peeks (see
+// sim.NextEventAtWithin).
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
@@ -48,8 +49,7 @@
 // # Determinism
 //
 // The crown-jewel constraint: telemetry, metrics, and fabric counters are
-// byte-identical for every shard count and replica mode. The mechanisms
-// that carry the proof:
+// byte-identical for every shard count. The mechanisms that carry the proof:
 //
 //   - Event order. Engines order events by (time, creation time, seq);
 //     cross-shard deliveries are injected with the sender-side creation time
@@ -61,13 +61,12 @@
 //     where the partition falls. Every shard count executes the same event
 //     set, including the tail events between the last flow's completion and
 //     its window's end.
-//   - Compile alignment. Full replicas replay the whole construction;
-//     sparse replicas replay exactly the slice of it their packets can
-//     observe and advance the clock over the rest, with per-flow quiescence
-//     and handshake-duration equality asserted against the reference
-//     compile (topo.CompileSubset) — so every replica enters the window
-//     loop at the same t0 with the same local state the full compile
-//     produces.
+//   - Compile alignment. Each shard replays exactly the slice of the
+//     construction its packets can observe and advances the clock over the
+//     rest, with per-flow quiescence and handshake-duration equality
+//     asserted against the reference compile (topo.CompileSubset) — so
+//     every shard enters the window loop at the reference t0 with the same
+//     local state the full compile produces.
 //   - Engine counters. Executed sums exactly (each event runs on one shard;
 //     a boundary crossing costs one wireDone at the source plus one injected
 //     delivery at the destination, same as the single engine). HighWater is
@@ -87,7 +86,6 @@ import (
 	"fmt"
 	"time"
 
-	"tengig/internal/netem"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/topo"
@@ -103,41 +101,24 @@ type Barrier uint8
 // coordinator goroutine's channels. It is the zero value.
 const BarrierChan Barrier = 0
 
-// Replica selects how much of the topology each shard compiles.
+// Replica names the shape of the shards' compile subsets. Nothing selects
+// it: Runner.Replica reports what New chose.
 type Replica uint8
 
 const (
-	// ReplicaAuto tries sparse and falls back to full if the topology is
-	// ineligible (Runner.SparseFallback reports why).
-	ReplicaAuto Replica = iota
-	// ReplicaFull compiles the whole spec on every shard.
+	// ReplicaSparse: each shard compiles the subset built by the subset
+	// rule.
+	ReplicaSparse Replica = iota
+	// ReplicaFull: each shard compiles the whole spec, because narrow
+	// subsets could not be proven exact (Runner.SparseFallback says why).
 	ReplicaFull
-	// ReplicaSparse compiles each shard's subset only; New fails if the
-	// topology is ineligible.
-	ReplicaSparse
 )
 
 func (m Replica) String() string {
-	switch m {
-	case ReplicaFull:
+	if m == ReplicaFull {
 		return "full"
-	case ReplicaSparse:
-		return "sparse"
 	}
-	return "auto"
-}
-
-// ParseReplica parses "auto", "full", or "sparse".
-func ParseReplica(s string) (Replica, error) {
-	switch s {
-	case "auto":
-		return ReplicaAuto, nil
-	case "full":
-		return ReplicaFull, nil
-	case "sparse":
-		return ReplicaSparse, nil
-	}
-	return 0, fmt.Errorf("pdes: unknown replica mode %q (want auto, full, or sparse)", s)
+	return "sparse"
 }
 
 // Options configures a parallel run.
@@ -161,9 +142,6 @@ type Options struct {
 	// Barrier is accepted for source compatibility; BarrierChan is its only
 	// value.
 	Barrier Barrier
-	// Replica picks the shard replica shape (default ReplicaAuto: sparse
-	// where eligible, full otherwise).
-	Replica Replica
 }
 
 // Result is a completed parallel run.
@@ -193,9 +171,9 @@ type Result struct {
 	SyncWall time.Duration
 }
 
-// sparseRef is the reference full compile's fingerprint, recorded once in
-// New and checked against every sparse replica.
-type sparseRef struct {
+// compileRef is the reference full compile's fingerprint, recorded once in
+// New and checked against every shard.
+type compileRef struct {
 	t0       units.Time
 	compiled uint64
 	hw       int
@@ -210,15 +188,15 @@ type Runner struct {
 	opts    Options
 	engines []*sim.Engine
 
-	// Sparse-replica state (nil/zero under ReplicaFull).
+	// subs holds each shard's compile subset; nil entries compile the whole
+	// spec.
 	subs           []*topo.Subset
-	ref            sparseRef
+	ref            compileRef
 	sparseFallback error
 }
 
-// New partitions the spec and validates that a parallel run can be exact.
-// Under ReplicaAuto/ReplicaSparse it also runs one throwaway reference
-// compile to record per-flow handshake clocks and build each shard's subset.
+// New partitions the spec, runs one throwaway reference compile to record
+// per-flow handshake clocks, and builds each shard's subset.
 func New(spec *topo.Spec, opts Options) (*Runner, error) {
 	if opts.Shards == 0 {
 		opts.Shards = spec.Shards
@@ -237,108 +215,73 @@ func New(spec *topo.Spec, opts Options) (*Runner, error) {
 		return nil, err
 	}
 	r := &Runner{spec: spec, plan: plan, opts: opts}
-	if opts.Shards <= 1 {
-		// A single shard compiles everything either way; normalize so Run
-		// takes the plain full-compile path.
-		r.opts.Replica = ReplicaFull
-	} else if r.opts.Replica != ReplicaFull {
-		if err := r.prepareSparse(); err != nil {
-			if r.opts.Replica == ReplicaSparse {
-				return nil, err
-			}
-			r.opts.Replica = ReplicaFull
-			r.sparseFallback = err
-		}
+	if err := r.prepare(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// prepareSparse runs the reference full compile on a scratch engine,
-// recording the clock after each flow's handshake and asserting per-flow
-// quiescence, then builds each shard's subset from the partition and the
-// per-flow FIB walks. The scratch engine and network are dropped afterwards,
-// so the retained per-shard cost is the subsets alone.
-func (r *Runner) prepareSparse() error {
+// prepare runs the reference full compile on a scratch engine, recording the
+// clock after each flow's handshake and checking per-flow quiescence, then
+// builds each shard's subset from the partition and the per-flow FIB walks.
+// Where narrow subsets cannot be proven exact it leaves every subset nil
+// (the whole spec) and records why. The scratch engine and network are
+// dropped afterwards, so the retained per-shard cost is the subsets alone.
+func (r *Runner) prepare() error {
 	spec := r.spec
-	eng := sim.NewEngineWith(r.opts.Seed, sim.SchedWheel)
+	eng := sim.NewEngine(r.opts.Seed)
 	connT := make([]units.Time, len(spec.Flows))
 	pendAfter := -1
-	obs := &topo.CompileObserver{AfterConnect: func(i int) {
+	afterConnect := func(i int) {
 		connT[i] = eng.Now()
 		if pendAfter < 0 && eng.Pending() != 0 {
 			pendAfter = i
 		}
-	}}
-	if _, err := topo.CompileObserved(eng, spec, r.opts.Seed, obs); err != nil {
-		return fmt.Errorf("pdes: sparse reference compile: %w", err)
 	}
+	if _, err := topo.CompileObserved(eng, spec, r.opts.Seed, afterConnect); err != nil {
+		return fmt.Errorf("pdes: reference compile: %w", err)
+	}
+	r.ref = compileRef{t0: eng.Now(), compiled: eng.Executed, hw: eng.HighWater}
+	r.subs = make([]*topo.Subset, r.plan.Shards)
 	if pendAfter >= 0 {
-		return fmt.Errorf("pdes: topo %s: flow %d's handshake leaves events pending; sparse replicas need per-flow compile quiescence",
+		r.sparseFallback = fmt.Errorf("pdes: topo %s: flow %d's handshake leaves events pending; narrow subsets need per-flow compile quiescence",
 			spec.Name, pendAfter)
-	}
-	// A fault step due during compile could impair handshake packets and
-	// consume rng draws; a sparse subset skips foreign flows' handshakes, so
-	// its Impairs would enter the window loop at a different stream position
-	// than the full compile's. Steps strictly after the compile horizon
-	// cannot: every knob is zero while handshakes run, no draws happen, and
-	// the streams of full and sparse replicas are aligned at position 0.
-	for li := range spec.Links {
-		l := &spec.Links[li]
-		if l.Faults == nil {
-			continue
-		}
-		for _, s := range []netem.Script{l.Faults.AtoB, l.Faults.BtoA} {
-			for _, st := range s {
-				if st.At <= eng.Now() {
-					return fmt.Errorf("pdes: topo %s: link %s fault step at %v is inside the compile horizon (handshakes end at %v); sparse replicas need fault-free compiles",
-						spec.Name, l.EffectiveName(), st.At, eng.Now())
-				}
-			}
-		}
+		return nil
 	}
 	paths, err := topo.FlowPaths(spec)
 	if err != nil {
-		return fmt.Errorf("pdes: topo %s: sparse replicas ineligible: %w", spec.Name, err)
+		r.sparseFallback = fmt.Errorf("pdes: topo %s: narrow subsets ineligible: %w", spec.Name, err)
+		return nil
 	}
-	r.subs = make([]*topo.Subset, r.plan.Shards)
 	for i := range r.subs {
-		r.subs[i] = topo.BuildSubset(spec, r.plan, i, paths)
+		r.subs[i] = topo.BuildSubset(spec, r.plan, i, paths, r.ref.t0)
 		r.subs[i].ConnectAt = connT
 	}
-	r.ref = sparseRef{t0: eng.Now(), compiled: eng.Executed, hw: eng.HighWater}
-	r.opts.Replica = ReplicaSparse
 	return nil
 }
 
 // Plan returns the partition the runner will execute.
 func (r *Runner) Plan() *topo.PartitionPlan { return r.plan }
 
-// Replica reports the resolved replica mode (never ReplicaAuto after New).
-func (r *Runner) Replica() Replica { return r.opts.Replica }
-
-// SparseFallback reports why ReplicaAuto fell back to full replicas (nil
-// when sparse was used or never attempted).
-func (r *Runner) SparseFallback() error { return r.sparseFallback }
-
-// Scheduler reports the per-shard event scheduler the run will use: the
-// timing wheel for sparse replicas, the heap for full ones (a full
-// replica's wheel spans the whole simulated time while holding only a
-// shard's slice of the events, so per-window peeks would pay full-span slot
-// scans; the heap peeks in O(1)).
-func (r *Runner) Scheduler() sim.SchedulerKind {
-	if r.opts.Replica == ReplicaSparse {
-		return sim.SchedWheel
+// Replica reports the shape of the shards' subsets: ReplicaFull when New
+// fell back to the whole spec, ReplicaSparse otherwise.
+func (r *Runner) Replica() Replica {
+	if r.sparseFallback != nil {
+		return ReplicaFull
 	}
-	return sim.SchedHeap
+	return ReplicaSparse
 }
+
+// SparseFallback reports why every shard compiles the whole spec (nil when
+// the shards compile subsets built by the subset rule).
+func (r *Runner) SparseFallback() error { return r.sparseFallback }
 
 // Run executes the flows to completion and merges the shards' outputs.
 func (r *Runner) Run() (*Result, error) {
 	if r.engines == nil {
-		kind := r.Scheduler()
 		r.engines = make([]*sim.Engine, r.plan.Shards)
 		for i := range r.engines {
-			r.engines[i] = sim.NewEngineWith(r.opts.Seed, kind)
+			r.engines[i] = sim.NewEngine(r.opts.Seed)
 		}
 	} else {
 		for _, eng := range r.engines {
@@ -356,7 +299,7 @@ func (r *Runner) Run() (*Result, error) {
 		go r.runShard(shards[i])
 	}
 
-	// Setup barrier: every shard compiles its replica and reports the
+	// Setup barrier: every shard compiles its subset and reports the
 	// construction fingerprint.
 	setups := make([]shardRes, len(shards))
 	var firstErr error
@@ -371,27 +314,19 @@ func (r *Runner) Run() (*Result, error) {
 		r.shutdown(shards, alive)
 		return nil, firstErr
 	}
-	// Cross-check the fingerprint. Full replicas must agree on everything;
-	// sparse replicas execute different slices of the construction, but the
-	// subset compile already asserted per-flow clock equality, so t0 against
-	// the reference is the residual invariant.
-	t0 := setups[0].t0
+	// Cross-check the fingerprint. Shards execute different slices of the
+	// construction, but the subset compile already asserted per-flow clock
+	// equality, so t0 against the reference is the residual invariant.
 	startLive := 0
 	for i := range setups {
-		bad := setups[i].t0 != t0
-		if r.opts.Replica == ReplicaSparse {
-			bad = setups[i].t0 != r.ref.t0
-		} else {
-			bad = bad || setups[i].executed != setups[0].executed || setups[i].hwCompile != setups[0].hwCompile
-		}
-		if bad {
+		if setups[i].t0 != r.ref.t0 {
 			r.shutdown(shards, alive)
-			return nil, fmt.Errorf("pdes: topo %s: shard %d replica diverged during compile (t0 %v vs %v, events %d vs %d): construction is not deterministic",
-				r.spec.Name, i, setups[i].t0, t0, setups[i].executed, setups[0].executed)
+			return nil, fmt.Errorf("pdes: topo %s: shard %d compiled to t0 %v, reference %v: construction is not deterministic",
+				r.spec.Name, i, setups[i].t0, r.ref.t0)
 		}
 		startLive += setups[i].startLive
 	}
-	return r.runWindows(shards, setups, alive, t0, startLive)
+	return r.runWindows(shards, setups, alive, r.ref.t0, startLive)
 }
 
 // runWindows drives the window loop from the exact setup reports: each round

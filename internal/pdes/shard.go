@@ -41,7 +41,7 @@ type cmdKind uint8
 
 const (
 	cmdWindow cmdKind = iota
-	cmdProbe // report the exact next-event time (no horizon bound)
+	cmdProbe          // report the exact next-event time (no horizon bound)
 	cmdFinish
 )
 
@@ -58,9 +58,8 @@ type shardRes struct {
 	shard int
 	err   error
 
-	// Setup: replicated-construction fingerprint.
+	// Setup: construction fingerprint.
 	t0        units.Time
-	hwCompile int
 	startLive int
 
 	// Windows: boundary traffic and progress. out aliases the shard's
@@ -94,8 +93,8 @@ type shard struct {
 	res chan shardRes
 }
 
-// shardState is the goroutine-local world: the (full or sparse) replica plus
-// the activation state for locally-owned endpoints.
+// shardState is the goroutine-local world: the compiled subset plus the
+// activation state for locally-owned endpoints.
 type shardState struct {
 	net    *topo.Network
 	ledger *sim.LiveLedger
@@ -135,7 +134,7 @@ func (st *shardState) runWindow(eng *sim.Engine, wEnd units.Time, inbox []crossM
 	eng.RunUntil(wEnd - 1)
 }
 
-// runShard is the per-shard goroutine: compile the replica, activate local
+// runShard is the per-shard goroutine: compile the subset, activate local
 // endpoints, then serve barrier windows until told to finish. Panics are
 // contained into a runner.PanicError so one bad shard fails the run, not
 // the process. The goroutine carries a pprof label so CPU and allocation
@@ -209,21 +208,15 @@ func (r *Runner) shardBody(s *shard) {
 	}
 }
 
-// setupShard compiles the replica and activates the locally-owned slice of
-// the simulation. The returned shardRes carries the construction fingerprint
-// the coordinator cross-checks.
+// setupShard compiles the shard's subset and activates the locally-owned
+// slice of the simulation. The returned shardRes carries the construction
+// fingerprint the coordinator cross-checks.
 func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 	fail := func(err error) (*shardState, shardRes) {
 		return nil, shardRes{shard: s.idx, err: err}
 	}
 	eng, spec, owner := s.eng, r.spec, r.plan.Owner
-	var net *topo.Network
-	var err error
-	if r.opts.Replica == ReplicaSparse {
-		net, err = topo.CompileSubset(eng, spec, r.opts.Seed, r.subs[s.idx])
-	} else {
-		net, err = topo.Compile(eng, spec, r.opts.Seed)
-	}
+	net, err := topo.CompileSubset(eng, spec, r.opts.Seed, r.subs[s.idx])
 	if err != nil {
 		return fail(fmt.Errorf("pdes: shard %d: %w", s.idx, err))
 	}
@@ -234,7 +227,7 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 	if n := eng.Pending(); n != 0 {
 		return fail(fmt.Errorf("pdes: topo %s: %d events still pending after compile; replicated shards would diverge", spec.Name, n))
 	}
-	compiled, hwCompile, t0 := eng.Executed, eng.HighWater, eng.Now()
+	compiled, t0 := eng.Executed, eng.Now()
 
 	st := &shardState{
 		net:         net,
@@ -248,8 +241,8 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 
 	// Boundary ports: for each cut-link direction, the sending shard hands
 	// packets off, the receiving shard registers the injection target. A
-	// sparse replica wires only the cut links present in its subset — every
-	// cut link with a locally-owned endpoint is, by the one-hop stub rule.
+	// shard wires only the cut links present in its subset — every cut link
+	// with a locally-owned endpoint is, by the one-hop stub rule.
 	links := net.Links()
 	for _, li := range r.plan.CutLinks {
 		le := links[li]
@@ -339,7 +332,7 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 	next, has := eng.NextEventAt()
 	return st, shardRes{
 		shard: s.idx,
-		t0:    t0, executed: compiled, hwCompile: hwCompile,
+		t0:    t0, executed: compiled,
 		startLive: eng.Pending(), nextAt: next, hasNext: has,
 	}
 }

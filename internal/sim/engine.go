@@ -7,14 +7,12 @@
 // (time, insertion-order) order, so simulations are fully deterministic for a
 // given seed and construction order.
 //
-// # Scheduler implementations
+// # Event queue
 //
-// The event queue behind an engine is pluggable (see SchedulerKind): the
-// default is a hierarchical timing wheel (wheel.go) with O(1) amortized
-// schedule, cancel, and reschedule; a binary min-heap (heap.go) remains as
-// the O(log n) reference implementation. Both pop events in the identical
-// total (time, seq) order, so the choice can never change a simulated
-// outcome — golden digests and property tests pin this.
+// The event queue is a hierarchical timing wheel (wheel.go) with O(1)
+// amortized schedule, cancel, and reschedule. A binary min-heap lives in the
+// package tests as its oracle: the two pop events in the identical total
+// (time, seq) order, which lockstep property tests pin.
 //
 // # Allocation discipline
 //
@@ -45,7 +43,7 @@ type event struct {
 	do   func()
 	fn   func(any) // closure-free form: fn(arg)
 	arg  any
-	idx  int    // scheduler position: heap array index or wheel slot/idxReady; idxNone when out
+	idx  int    // scheduler position: wheel slot/idxReady (the test heap's array index); idxNone when out
 	gen  uint64 // bumped on recycle so stale Timers cannot touch a reused event
 	next *event // free-list link while recycled; wheel list link while queued
 	prev *event // wheel list back link
@@ -73,10 +71,10 @@ func (t *Timer) live() bool {
 
 // Stop cancels the timer if it has not fired yet, reporting whether the
 // event was still pending. Cancellation is lazy: the event is marked dead
-// and recycled when the scheduler next touches it (at pop for the heap, at
-// pop or first cascade for the wheel), so Stop is O(1) instead of an
-// eager removal. Stop always detaches the handle (both eng and ev are
-// nilled), so repeated calls are safe no-ops.
+// and recycled when the wheel next touches it (at pop or at the first
+// cascade), so Stop is O(1) instead of an eager removal. Stop always
+// detaches the handle (both eng and ev are nilled), so repeated calls are
+// safe no-ops.
 func (t *Timer) Stop() bool {
 	if t == nil {
 		return false
@@ -133,7 +131,6 @@ const maxFreeEvents = 32768
 // parallel under `go test`).
 type Engine struct {
 	sched     scheduler
-	kind      SchedulerKind
 	now       units.Time
 	seq       uint64
 	live      int // scheduled, not-cancelled events (the scheduler may also hold dead ones)
@@ -141,8 +138,8 @@ type Engine struct {
 	freeN     int          // free-list length, kept under maxFreeEvents
 	recycleFn func(*event) // bound recycle, built once so Reset stays allocation-free
 	stopped   bool
-	maxEvents uint64 // event budget (LimitEvents); 0 = unlimited
-	budgetHit bool   // the budget stopped the run (EventBudgetExceeded)
+	maxEvents uint64      // event budget (LimitEvents); 0 = unlimited
+	budgetHit bool        // the budget stopped the run (EventBudgetExceeded)
 	ledger    *LiveLedger // optional liveness ledger for parallel-DES HighWater reconstruction
 	injecting bool        // InjectCall in progress: suppress the ledger's creation delta
 	rng       *rand.Rand
@@ -155,20 +152,13 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock starts at zero, with a
-// deterministic random source derived from seed, using the default
-// scheduler kind (see SetDefaultScheduler).
-func NewEngine(seed int64) *Engine { return NewEngineWith(seed, defaultSched) }
-
-// NewEngineWith is NewEngine with an explicit scheduler implementation.
-func NewEngineWith(seed int64, kind SchedulerKind) *Engine {
-	e := &Engine{kind: kind, rng: rand.New(rand.NewSource(seed))}
-	e.sched = newScheduler(e, kind)
+// deterministic random source derived from seed.
+func NewEngine(seed int64) *Engine {
+	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	e.sched = newWheel(e)
 	e.recycleFn = e.recycle
 	return e
 }
-
-// Scheduler reports which event-queue implementation the engine runs on.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // Reset returns the engine to the state NewEngine(seed) would give —
 // clock at zero, empty queue, reseeded RNG, zeroed counters — while

@@ -160,11 +160,11 @@ func TestDeterminism(t *testing.T) {
 // Property: events always execute in nondecreasing time order regardless of
 // insertion order.
 func TestSchedOrderProperty(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, sc := range schedulers {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
 			f := func(seed int64, raw []uint16) bool {
-				e := NewEngineWith(seed, kind)
+				e := sc.newEngine(seed)
 				var order []units.Time
 				for _, r := range raw {
 					at := units.Time(r)

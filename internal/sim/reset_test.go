@@ -36,12 +36,12 @@ func traceRun(e *Engine, seed int64) string {
 }
 
 // TestEngineReset proves a reset engine is observationally a fresh engine:
-// same trace, same counters, for both scheduler kinds, across several
-// reseedings.
+// same trace, same counters, on the wheel and on the heap oracle, across
+// several reseedings.
 func TestEngineReset(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			reused := NewEngineWith(999, kind)
+	for _, sc := range schedulers {
+		t.Run(sc.name, func(t *testing.T) {
+			reused := sc.newEngine(999)
 			// Dirty the engine: run part of a workload and leave events pending.
 			reused.After(5, func() {})
 			traceRun(reused, 999)
@@ -50,7 +50,7 @@ func TestEngineReset(t *testing.T) {
 			stale := reused.After(300, func() {})
 
 			for _, seed := range []int64{1, 7, 42} {
-				fresh := NewEngineWith(seed, kind)
+				fresh := sc.newEngine(seed)
 				reused.Reset(seed)
 				if got, want := traceRun(reused, seed), traceRun(fresh, seed); got != want {
 					t.Fatalf("seed %d: reset engine diverged from fresh engine:\nreset: %s\nfresh: %s", seed, got, want)
@@ -68,7 +68,7 @@ func TestEngineReset(t *testing.T) {
 // so a reused engine does not pin its peak-watermark footprint.
 func TestResetReleasesBacking(t *testing.T) {
 	t.Run("heap-backing-array", func(t *testing.T) {
-		e := NewEngineWith(1, SchedHeap)
+		e := newHeapEngine(1)
 		h := e.sched.(*heapSched)
 		for i := 0; i < 5000; i++ {
 			e.After(units.Time(i+1), func() {})
@@ -119,7 +119,7 @@ func TestResetReleasesBacking(t *testing.T) {
 	})
 
 	t.Run("wheel-reuses-buckets", func(t *testing.T) {
-		e := NewEngineWith(1, SchedWheel)
+		e := NewEngine(1)
 		w := e.sched.(*wheelSched)
 		for i := 0; i < 500; i++ {
 			e.After(units.Time(i)*units.Microsecond+1, func() {})

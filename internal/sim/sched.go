@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"tengig/internal/units"
@@ -20,8 +19,6 @@ const maxTime = units.Time(math.MaxInt64)
 // single-engine run would have created it — seq alone cannot, because the
 // injecting engine only learns about the event at a synchronization barrier,
 // after later-created local events have already drawn their sequence numbers.
-// Both schedulers pop in exactly this order, which is why the choice of
-// scheduler can never change a simulated outcome.
 func evLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -32,8 +29,10 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// scheduler is the event-queue strategy behind an Engine. Implementations
-// must pop events in ascending (at, seq) order — the total order that makes
+// scheduler is the event queue behind an Engine. The timing wheel (wheel.go)
+// is the only implementation that ships; the binary heap in heap_test.go is
+// the test oracle the wheel runs against in lockstep. Implementations must
+// pop events in ascending (at, ct, seq) order — the total order that makes
 // simulations deterministic — but are free to organize storage however they
 // like. Cancellation is lazy: dead events stay queued until popped (or, for
 // the wheel, until a cascade prunes them), so schedulers must tolerate dead
@@ -58,60 +57,4 @@ type scheduler interface {
 	// reset empties the scheduler and releases any monotonically-grown
 	// backing storage (fixed-size bucket arrays may be kept).
 	reset()
-}
-
-// SchedulerKind selects an Engine's event-queue implementation.
-type SchedulerKind uint8
-
-const (
-	// SchedWheel is the hierarchical timing wheel: O(1) amortized
-	// schedule, cancel, and reschedule. The default.
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the binary min-heap reference implementation:
-	// O(log n) sifts, kept selectable (-sched=heap) so determinism can be
-	// cross-checked against an independently ordered structure.
-	SchedHeap
-)
-
-// String returns the flag spelling of the kind.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedWheel:
-		return "wheel"
-	case SchedHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("SchedulerKind(%d)", uint8(k))
-}
-
-// ParseScheduler maps a -sched flag value onto a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	}
-	return SchedWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
-}
-
-// defaultSched is the kind NewEngine uses. It is read once per engine
-// construction; set it from main (or a test's setup) before any engines are
-// built concurrently.
-var defaultSched = SchedWheel
-
-// SetDefaultScheduler changes the implementation NewEngine picks. Call it
-// before constructing engines; it is not synchronized against concurrent
-// engine construction.
-func SetDefaultScheduler(k SchedulerKind) { defaultSched = k }
-
-// DefaultScheduler reports the kind NewEngine currently picks.
-func DefaultScheduler() SchedulerKind { return defaultSched }
-
-// newScheduler builds a scheduler of the given kind for eng.
-func newScheduler(eng *Engine, kind SchedulerKind) scheduler {
-	if kind == SchedHeap {
-		return &heapSched{}
-	}
-	return newWheel(eng)
 }

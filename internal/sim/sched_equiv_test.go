@@ -13,7 +13,7 @@ import (
 // identical — same pop order (time, seq), same Pending accounting, same
 // Timer semantics — over arbitrary interleavings of Schedule, After, Stop,
 // Reschedule, Step, Run, and RunUntil. A lockstep driver applies one op
-// stream to two engines that differ only in SchedulerKind and diffs every
+// stream to two engines that differ only in their scheduler and diffs every
 // observable after every op.
 
 // schedPair drives a wheel engine and a heap engine in lockstep.
@@ -25,8 +25,8 @@ type schedPair struct {
 
 func newSchedPair(seed int64) *schedPair {
 	return &schedPair{
-		wheel: NewEngineWith(seed, SchedWheel),
-		heap:  NewEngineWith(seed, SchedHeap),
+		wheel: NewEngine(seed),
+		heap:  newHeapEngine(seed),
 	}
 }
 

@@ -64,18 +64,11 @@ func Compile(eng *sim.Engine, s *Spec, seed int64) (*Network, error) {
 	return compileNetwork(eng, s, seed, nil, nil)
 }
 
-// CompileObserver receives per-flow compile progress. The sparse-replica
-// reference pass uses it to record the engine clock after each handshake.
-type CompileObserver struct {
-	// AfterConnect runs right after flow i's three-way handshake completes
-	// (and after any subset divergence checks), with the engine quiescent on
-	// eligible topologies.
-	AfterConnect func(flow int)
-}
-
-// CompileObserved is Compile with a progress observer.
-func CompileObserved(eng *sim.Engine, s *Spec, seed int64, obs *CompileObserver) (*Network, error) {
-	return compileNetwork(eng, s, seed, nil, obs)
+// CompileObserved is Compile calling afterConnect(i) right after flow i's
+// three-way handshake completes. The parallel-DES reference pass uses it to
+// record the engine clock after each handshake.
+func CompileObserved(eng *sim.Engine, s *Spec, seed int64, afterConnect func(flow int)) (*Network, error) {
+	return compileNetwork(eng, s, seed, nil, afterConnect)
 }
 
 // CompileSubset builds only the slice of the spec named by sub — the nodes in
@@ -87,12 +80,12 @@ func CompileObserved(eng *sim.Engine, s *Spec, seed int64, obs *CompileObserver)
 // it, and leave a nil entry in Pairs; Links carries zero-valued placeholders
 // for absent links so global link indices keep working. Any timing deviation
 // from the reference compile is detected and returned as an error rather than
-// silently diverging.
+// silently diverging. A nil sub compiles the whole spec, exactly as Compile.
 func CompileSubset(eng *sim.Engine, s *Spec, seed int64, sub *Subset) (*Network, error) {
 	return compileNetwork(eng, s, seed, sub, nil)
 }
 
-func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, obs *CompileObserver) (*Network, error) {
+func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConnect func(int)) (*Network, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,7 +265,7 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, obs *Comp
 			// drains fully — so any pending event means the replica diverged.
 			at := sub.ConnectAt[i]
 			if eng.Pending() != 0 || at < eng.Now() {
-				return nil, fmt.Errorf("topo %s: flow %d: sparse replica diverged before skipped flow (now=%v ref=%v pending=%d)",
+				return nil, fmt.Errorf("topo %s: flow %d: subset compile diverged before skipped flow (now=%v ref=%v pending=%d)",
 					s.Name, i, eng.Now(), at, eng.Pending())
 			}
 			eng.AdvanceTo(at)
@@ -301,16 +294,16 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, obs *Comp
 			// quiescence the skip above relies on) must match the reference
 			// compile exactly, or the replica's clock is off for good.
 			if p := eng.Pending(); p != 0 {
-				return nil, fmt.Errorf("topo %s: flow %d (%s -> %s): %d events pending after handshake; sparse replicas need per-flow quiescence",
+				return nil, fmt.Errorf("topo %s: flow %d (%s -> %s): %d events pending after handshake; subset compiles need per-flow quiescence",
 					s.Name, i, f.Src, f.Dst, p)
 			}
 			if got := eng.Now(); got != sub.ConnectAt[i] {
-				return nil, fmt.Errorf("topo %s: flow %d (%s -> %s): sparse replica handshake finished at %v, reference %v",
+				return nil, fmt.Errorf("topo %s: flow %d (%s -> %s): subset compile handshake finished at %v, reference %v",
 					s.Name, i, f.Src, f.Dst, got, sub.ConnectAt[i])
 			}
 		}
-		if obs != nil && obs.AfterConnect != nil {
-			obs.AfterConnect(i)
+		if afterConnect != nil {
+			afterConnect(i)
 		}
 		n.Pairs = append(n.Pairs, pair)
 		n.flows = append(n.flows, f)
@@ -355,7 +348,7 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 		if l.Faults != nil {
 			// Seed each direction's rng stream from (seed, link name, spec
 			// direction) — never from link index or compile order — so a
-			// sparse-subset compile that skips other links hands this Impair
+			// subset compile that skips other links hands this Impair
 			// the exact stream a full compile would (netem.StreamSeed).
 			up, down := l.Faults.AtoB, l.Faults.BtoA
 			dirUp, dirDown := l.A+">"+l.B, l.B+">"+l.A

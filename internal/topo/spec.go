@@ -11,6 +11,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"tengig/internal/core"
@@ -91,6 +92,9 @@ func (ts *TuningSpec) Resolve() (core.Tuning, error) {
 	if ts == nil {
 		return t, nil
 	}
+	if ts.MMRBC < 0 || ts.SockBuf < 0 || ts.TxQueueLen < 0 {
+		return core.Tuning{}, fmt.Errorf("negative mmrbc, sockbuf, or txqueuelen")
+	}
 	if ts.MMRBC != 0 {
 		t.MMRBC = ts.MMRBC
 	}
@@ -107,7 +111,14 @@ func (ts *TuningSpec) Resolve() (core.Tuning, error) {
 		t.WindowScale = *ts.WindowScale
 	}
 	if ts.CoalesceUS != nil {
-		t.CoalesceDelay = units.Time(*ts.CoalesceUS * float64(units.Microsecond))
+		us := *ts.CoalesceUS
+		if us < 0 {
+			return core.Tuning{}, fmt.Errorf("negative coalesce_us %g", us)
+		}
+		if err := checkDelay("coalesce_us", us, units.Microsecond); err != nil {
+			return core.Tuning{}, err
+		}
+		t.CoalesceDelay = units.Time(us * float64(units.Microsecond))
 	}
 	if ts.NAPI {
 		t.NAPI = true
@@ -263,8 +274,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("topo %s: host %s: unknown NIC kind %q (valid: %s, %s)",
 				s.Name, h.Name, h.NIC, NIC10G, NIC1G)
 		}
-		if h.Addr < 0 {
-			return fmt.Errorf("topo %s: host %s: negative addr %d", s.Name, h.Name, h.Addr)
+		if addr := h.Addr; addr < 0 || addr > maxHostAddr || (addr == 0 && i+1 > maxHostAddr) {
+			return fmt.Errorf("topo %s: host %s: addr %d outside 1..%d", s.Name, h.Name, h.Addr, maxHostAddr)
 		}
 		if _, err := h.Tuning.Resolve(); err != nil {
 			return fmt.Errorf("topo %s: host %s: %w", s.Name, h.Name, err)
@@ -292,6 +303,12 @@ func (s *Spec) Validate() error {
 		case "":
 			if sw.LatencyNS < 0 || sw.BackplaneGbps < 0 {
 				return fmt.Errorf("topo %s: switch %s: negative latency or backplane", s.Name, sw.Name)
+			}
+			if err := checkDelay("latency_ns", sw.LatencyNS, units.Nanosecond); err != nil {
+				return fmt.Errorf("topo %s: switch %s: %w", s.Name, sw.Name, err)
+			}
+			if err := checkRate("backplane_gbps", sw.BackplaneGbps); err != nil {
+				return fmt.Errorf("topo %s: switch %s: %w", s.Name, sw.Name, err)
 			}
 		default:
 			return fmt.Errorf("topo %s: switch %s: unknown preset %q (valid: %s)",
@@ -327,8 +344,17 @@ func (s *Spec) Validate() error {
 		if l.RateGbps < 0 || l.PropNS < 0 {
 			return fmt.Errorf("topo %s: link %s: negative rate or propagation", s.Name, name)
 		}
+		if err := checkRate("rate_gbps", l.RateGbps); err != nil {
+			return fmt.Errorf("topo %s: link %s: %w", s.Name, name, err)
+		}
+		if err := checkDelay("prop_ns", l.PropNS, units.Nanosecond); err != nil {
+			return fmt.Errorf("topo %s: link %s: %w", s.Name, name, err)
+		}
 		if l.QueueKB < -1 {
 			return fmt.Errorf("topo %s: link %s: queue_kb %d (use -1 for unlimited)", s.Name, name, l.QueueKB)
+		}
+		if int64(l.QueueKB) > math.MaxInt64/int64(units.KB) {
+			return fmt.Errorf("topo %s: link %s: queue_kb %d overflows int64 bytes", s.Name, name, l.QueueKB)
 		}
 		for _, end := range []string{l.A, l.B} {
 			if names[end] == "host" {
@@ -391,6 +417,36 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// maxHostAddr is the largest host number ipv4.HostN can address.
+const maxHostAddr = 0xFFFF
+
+// maxDelay bounds every delay a spec declares to a quarter of the int64
+// picosecond clock (about 26 days), so a clock reading plus a few stacked
+// delays can never overflow it.
+const maxDelay = units.Time(math.MaxInt64 / 4)
+
+// checkDelay reports an error naming field when the non-negative delay v,
+// in unit, exceeds maxDelay (which also catches int64 overflow).
+func checkDelay(field string, v float64, unit units.Time) error {
+	if v*float64(unit) > float64(maxDelay) {
+		return fmt.Errorf("%s %g exceeds the %v delay limit of the int64 picosecond clock", field, v, maxDelay)
+	}
+	return nil
+}
+
+// checkRate reports an error naming field when the non-negative rate v, in
+// Gb/s, overflows int64 b/s or rounds a positive value to 0 b/s, which no
+// link can serialize at and a backplane reads as unset.
+func checkRate(field string, v float64) error {
+	switch bps := v * float64(units.GbitPerSecond); {
+	case bps >= math.MaxInt64:
+		return fmt.Errorf("%s %g overflows int64 b/s", field, v)
+	case v > 0 && int64(bps) == 0:
+		return fmt.Errorf("%s %g rounds to 0 b/s", field, v)
+	}
+	return nil
+}
+
 // EffectiveName returns the link's name, defaulting to "<a>-<b>".
 func (l *LinkSpec) EffectiveName() string {
 	if l.Name != "" {
@@ -418,6 +474,22 @@ func (l *LinkSpec) prop() units.Time {
 		return 100 * units.Nanosecond
 	}
 	return units.Time(l.PropNS * float64(units.Nanosecond))
+}
+
+// faultsBy reports whether either direction's fault script has a step due
+// at or before t.
+func (l *LinkSpec) faultsBy(t units.Time) bool {
+	if l.Faults == nil {
+		return false
+	}
+	for _, script := range []netem.Script{l.Faults.AtoB, l.Faults.BtoA} {
+		for _, st := range script {
+			if st.At <= t {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // queueCap returns the link's switch-side output queue bound (default 4 MB).

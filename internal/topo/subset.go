@@ -6,25 +6,25 @@ import (
 	"tengig/internal/units"
 )
 
-// Sparse-replica subsetting for parallel DES.
+// Compile subsets for parallel DES.
 //
-// A full-replica shard compiles the entire spec and keeps most of it silent;
-// a sparse-replica shard compiles only what it can ever observe: the nodes
-// it owns, the one-hop stubs across its cut links (the far endpoint of each
+// Each parallel-DES shard compiles only what it can observe: the nodes it
+// owns, the one-hop stubs across its cut links (the far endpoint of each
 // boundary link must exist locally for the link itself to be wired), and —
 // for compile-time exactness — every node traversed by any flow whose
-// handshake packets touch the shard. Everything else is skipped, and the
-// skipped flows' handshakes are replaced by clock advances of their
-// reference duration, so every timestamp the shard produces afterwards is
-// identical to a full compile's.
+// handshake packets touch the shard, widened for faults inside the compile
+// horizon (BuildSubset). Everything else is skipped, and the skipped flows'
+// handshakes are replaced by clock advances of their reference duration, so
+// every timestamp the shard produces afterwards is identical to a full
+// compile's.
 
-// Subset names what one sparse-replica shard compiles.
+// Subset names what one parallel-DES shard compiles. A nil *Subset is the
+// whole spec.
 type Subset struct {
 	// Nodes marks the hosts and switches this shard instantiates.
 	Nodes map[string]bool
 	// Relevant marks, per spec flow, whether this shard compiles and
-	// connects the flow's pair (true when the flow's handshake path touches
-	// an owned node). Irrelevant flows get a nil Pairs entry.
+	// connects the flow's pair. Irrelevant flows get a nil Pairs entry.
 	Relevant []bool
 	// ConnectAt is the full-compile engine clock after each flow's
 	// handshake, recorded by the reference pass; CompileSubset advances the
@@ -33,12 +33,19 @@ type Subset struct {
 	ConnectAt []units.Time
 }
 
-// FlowPaths computes, for every flow, the set of nodes the flow's packets
+// FlowPath is what one flow's packets can traverse: nodes and spec link
+// indices, each in first-visit order.
+type FlowPath struct {
+	Nodes []string
+	Links []int
+}
+
+// FlowPaths computes, for every flow, the nodes and links the flow's packets
 // can traverse under the compiled FIBs: the forward walk src->dst plus the
 // reverse walk dst->src (equal-cost tie-breaks may differ by direction), each
 // following the shortest-path tables with explicit route pins applied on
 // top — the same effective FIBs Compile installs.
-func FlowPaths(s *Spec) ([][]string, error) {
+func FlowPaths(s *Spec) ([]FlowPath, error) {
 	// Effective per-switch next-link tables: shortest-path precompute, then
 	// explicit pins override, mirroring Compile's installation order.
 	eff := s.routeTables()
@@ -63,24 +70,33 @@ func FlowPaths(s *Spec) ([][]string, error) {
 		eff[r.Switch][r.Dst] = li
 	}
 
-	// Each host's single attachment point.
-	attached := make(map[string]string, len(s.Hosts))
+	// Each host's single attachment link.
+	attached := make(map[string]int, len(s.Hosts))
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, sw := range s.Switches {
 		isSwitch[sw.Name] = true
 	}
-	for _, l := range s.Links {
+	for li, l := range s.Links {
 		switch {
 		case !isSwitch[l.A]:
-			attached[l.A] = l.B
+			attached[l.A] = li
 		case !isSwitch[l.B]:
-			attached[l.B] = l.A
+			attached[l.B] = li
 		}
 	}
+	// far returns link li's endpoint opposite from.
+	far := func(li int, from string) string {
+		l := &s.Links[li]
+		if l.A == from {
+			return l.B
+		}
+		return l.A
+	}
 
-	walk := func(from, to string, visit func(string)) error {
+	walk := func(from, to string, visit func(string), cross func(int)) error {
 		visit(from)
-		cur := attached[from]
+		cross(attached[from])
+		cur := far(attached[from], from)
 		for hops := 0; ; hops++ {
 			if hops > len(s.Links)+1 {
 				return fmt.Errorf("topo %s: FIB walk %s->%s loops", s.Name, from, to)
@@ -90,10 +106,8 @@ func FlowPaths(s *Spec) ([][]string, error) {
 			if !ok {
 				return fmt.Errorf("topo %s: FIB walk %s->%s: %s has no route", s.Name, from, to, cur)
 			}
-			next := s.Links[li].A
-			if next == cur {
-				next = s.Links[li].B
-			}
+			cross(li)
+			next := far(li, cur)
 			if next == to {
 				visit(to)
 				return nil
@@ -105,32 +119,44 @@ func FlowPaths(s *Spec) ([][]string, error) {
 		}
 	}
 
-	paths := make([][]string, len(s.Flows))
+	paths := make([]FlowPath, len(s.Flows))
 	for i, f := range s.Flows {
+		p := &paths[i]
 		seen := make(map[string]bool)
-		var nodes []string
+		crossed := make(map[int]bool)
 		visit := func(n string) {
 			if !seen[n] {
 				seen[n] = true
-				nodes = append(nodes, n)
+				p.Nodes = append(p.Nodes, n)
 			}
 		}
-		if err := walk(f.Src, f.Dst, visit); err != nil {
+		cross := func(li int) {
+			if !crossed[li] {
+				crossed[li] = true
+				p.Links = append(p.Links, li)
+			}
+		}
+		if err := walk(f.Src, f.Dst, visit, cross); err != nil {
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
-		if err := walk(f.Dst, f.Src, visit); err != nil {
+		if err := walk(f.Dst, f.Src, visit, cross); err != nil {
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
-		paths[i] = nodes
 	}
 	return paths, nil
 }
 
-// BuildSubset assembles shard's sparse-replica subset from a partition plan
-// and the per-flow FIB walks: owned nodes, one-hop boundary stubs across cut
-// links, and the full walk of every flow that touches an owned node. The
-// caller fills ConnectAt from the reference compile.
-func BuildSubset(s *Spec, plan *PartitionPlan, shard int, paths [][]string) *Subset {
+// BuildSubset assembles shard's subset from a partition plan and the
+// per-flow FIB walks. It starts from the owned nodes, the one-hop boundary
+// stubs across cut links, and every flow that touches an owned node. It then
+// widens for faults inside the compile horizon: a link with a fault step at
+// or before horizon draws from its rng streams while the handshakes that
+// cross it run, so once the subset holds one flow crossing such a link it
+// takes in every flow crossing it, repeating until nothing changes. The
+// link's draws then replay exactly as in the full compile. Every relevant
+// flow's path nodes join the subset. The caller fills ConnectAt from the
+// reference compile.
+func BuildSubset(s *Spec, plan *PartitionPlan, shard int, paths []FlowPath, horizon units.Time) *Subset {
 	sub := &Subset{
 		Nodes:    make(map[string]bool),
 		Relevant: make([]bool, len(s.Flows)),
@@ -149,20 +175,46 @@ func BuildSubset(s *Spec, plan *PartitionPlan, shard int, paths [][]string) *Sub
 			sub.Nodes[l.A] = true
 		}
 	}
-	for i, path := range paths {
-		touches := false
-		for _, n := range path {
+	// crossing lists, per link faulted inside the horizon, the flows that
+	// cross it.
+	crossing := make(map[int][]int)
+	for li := range s.Links {
+		if s.Links[li].faultsBy(horizon) {
+			crossing[li] = nil
+		}
+	}
+	var work []int
+	for i, p := range paths {
+		for _, li := range p.Links {
+			if fs, hot := crossing[li]; hot {
+				crossing[li] = append(fs, i)
+			}
+		}
+		for _, n := range p.Nodes {
 			if plan.Owner[n] == shard {
-				touches = true
+				sub.Relevant[i] = true
+				work = append(work, i)
 				break
 			}
 		}
-		if !touches {
-			continue
+	}
+	for len(work) > 0 {
+		i := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, li := range paths[i].Links {
+			for _, j := range crossing[li] {
+				if !sub.Relevant[j] {
+					sub.Relevant[j] = true
+					work = append(work, j)
+				}
+			}
 		}
-		sub.Relevant[i] = true
-		for _, n := range path {
-			sub.Nodes[n] = true
+	}
+	for i, p := range paths {
+		if sub.Relevant[i] {
+			for _, n := range p.Nodes {
+				sub.Nodes[n] = true
+			}
 		}
 	}
 	return sub

@@ -2,6 +2,8 @@ package topo_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,6 +98,10 @@ func TestValidation(t *testing.T) {
 			"switches":[{"name":"sw","preset":"fastiron1500"}],
 			"links":[{"a":"a","b":"sw","faults":{"a_to_b":[{"at":0,"fault":{"loss_prob":1.5}}]}},
 			         {"a":"b","b":"sw"}]}`, "outside [0,1]"},
+		// Each of these used to panic a constructor during compile.
+		{"addr-range", `{"name":"x","hosts":[{"name":"a","addr":70000}]}`, "outside 1..65535"},
+		{"negative-sockbuf", `{"name":"x","hosts":[{"name":"a","tuning":{"sockbuf":-5}}]}`, "negative mmrbc, sockbuf"},
+		{"coalesce-overflow", `{"name":"x","tuning":{"coalesce_us":9e12},"hosts":[{"name":"a"}]}`, "coalesce_us"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -340,4 +346,76 @@ func TestFabricTelemetryRoundTrip(t *testing.T) {
 			t.Errorf("port %d round-trip: got %+v, want %+v", i, got.Ports[i], want.Ports[i])
 		}
 	}
+}
+
+// unitOverflowCases are two-host, one-switch specs with one field whose unit
+// conversion overflows int64 or rounds a positive rate to 0 b/s. Each used
+// to panic deep in construction (sim: pipe with non-positive rate, phys:
+// negative propagation delay, fabric: negative latency, fabric: negative
+// queue capacity).
+var unitOverflowCases = []struct {
+	field      string
+	link, node string // JSON members spliced into the first link / the switch
+}{
+	{field: "rate_gbps", link: `, "rate_gbps": 1e-12`},
+	{field: "prop_ns", link: `, "prop_ns": 1e300`},
+	{field: "latency_ns", node: `, "latency_ns": 1e300`},
+	{field: "queue_kb", link: `, "queue_kb": 9000000000000000000`},
+}
+
+func unitOverflowSpec(link, node string) []byte {
+	return []byte(`{"name": "overflow", "hosts": [{"name": "a"}, {"name": "b"}],
+		"switches": [{"name": "sw"` + node + `}],
+		"links": [{"a": "a", "b": "sw"` + link + `}, {"a": "b", "b": "sw"}],
+		"flows": [{"src": "a", "dst": "b"}]}`)
+}
+
+// TestValidateUnitOverflow: Validate rejects each unit-overflow input with
+// an error naming the field, so no binary reaches the panicking constructor.
+func TestValidateUnitOverflow(t *testing.T) {
+	if _, err := topo.Parse(unitOverflowSpec("", "")); err != nil {
+		t.Fatalf("unmodified spec rejected: %v", err)
+	}
+	for _, c := range unitOverflowCases {
+		t.Run(c.field, func(t *testing.T) {
+			_, err := topo.Parse(unitOverflowSpec(c.link, c.node))
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+}
+
+// FuzzParseCompile: no topology file may panic the compiler. Parse either
+// rejects the input, or the spec compiles — or fails with an error — under
+// an event budget that bounds runaway handshakes. The corpus seeds are the
+// shipped example topologies and the unit-overflow inputs; `go test -fuzz
+// FuzzParseCompile ./internal/topo` explores further.
+func FuzzParseCompile(f *testing.F) {
+	files, err := filepath.Glob("../../examples/topologies/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example topologies found: %v", err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, c := range unitOverflowCases {
+		f.Add(unitOverflowSpec(c.link, c.node))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := topo.Parse(data)
+		if err != nil {
+			return
+		}
+		eng := sim.NewEngine(1)
+		eng.LimitEvents(1 << 20)
+		_, _ = topo.Compile(eng, s, 1)
+	})
 }
