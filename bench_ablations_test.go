@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -16,8 +17,8 @@ import (
 // the load that the 10GbE card places on the receiving host."
 func BenchmarkAblation_NAPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		old := runSweep(b, core.PE2650, core.Optimized(8160))
-		napi := runSweep(b, core.PE2650, core.Optimized(8160).WithNAPI())
+		old := runSweep(b, host.PE2650, host.Optimized(8160))
+		napi := runSweep(b, host.PE2650, host.Optimized(8160).WithNAPI())
 		_, po := old.Peak()
 		_, pn := napi.Peak()
 		b.ReportMetric(po.Gbps(), "oldapi_Gb/s")
@@ -32,8 +33,8 @@ func BenchmarkAblation_NAPI(b *testing.B) {
 // transmitting systems, and in many cases, will increase throughput."
 func BenchmarkAblation_TSO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		off := runSweep(b, core.PE2650, core.Optimized(8160))
-		on := runSweep(b, core.PE2650, core.Optimized(8160).WithTSO())
+		off := runSweep(b, host.PE2650, host.Optimized(8160))
+		on := runSweep(b, host.PE2650, host.Optimized(8160).WithTSO())
 		_, po := off.Peak()
 		_, pn := on.Peak()
 		// On the memory-bound PE2650 the benefit is per-segment stack work,
@@ -52,8 +53,8 @@ func BenchmarkAblation_MMRBCSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mmrbc := range []int{512, 1024, 2048, 4096} {
 			res, err := core.SweepConfig{
-				Seed: 1, Profile: core.PE2650,
-				Tuning:   core.Stock(9000).WithMMRBC(mmrbc),
+				Seed: 1, Profile: host.PE2650,
+				Tuning:   host.Stock(9000).WithMMRBC(mmrbc),
 				Payloads: []int{8948, 16384}, Count: benchCount,
 				Workers: benchWorkers,
 			}.Run()
@@ -74,10 +75,10 @@ func BenchmarkAblation_MMRBCSweep(b *testing.B) {
 func BenchmarkAblation_CoalescingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, us := range []int{0, 5, 20} {
-			t := core.Optimized(9000)
+			t := host.Optimized(9000)
 			t.CoalesceDelay = microseconds(us)
 			pts, err := core.LatencyConfig{
-				Seed: 1, Profile: core.PE2650, Tuning: t,
+				Seed: 1, Profile: host.PE2650, Tuning: t,
 				Payloads: []int{1}, Reps: 10,
 			}.Run()
 			if err != nil {
@@ -100,9 +101,9 @@ func microseconds(n int) units.Time { return units.Time(n) * units.Microsecond }
 // fractional-window variant recovers (part of) the alignment waste.
 func BenchmarkAblation_FractionalWindows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tun := core.Stock(9000).WithMMRBC(4096).WithUP()
-		aligned := runSweep(b, core.PE2650, tun)
-		frac := runSweep(b, core.PE2650, tun.WithFractionalWindows())
+		tun := host.Stock(9000).WithMMRBC(4096).WithUP()
+		aligned := runSweep(b, host.PE2650, tun)
+		frac := runSweep(b, host.PE2650, tun.WithFractionalWindows())
 		_, pa := aligned.Peak()
 		_, pf := frac.Peak()
 		b.ReportMetric(pa.Gbps(), "aligned_Gb/s")
@@ -124,8 +125,8 @@ func BenchmarkAblation_FractionalWindows(b *testing.B) {
 // batches — the trade this bench measures.
 func BenchmarkAblation_IRQRoundRobin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pinned := runSweep(b, core.PE2650, core.Stock(1500).WithMMRBC(4096))
-		rr := runSweep(b, core.PE2650, core.Stock(1500).WithMMRBC(4096).WithIRQRoundRobin())
+		pinned := runSweep(b, host.PE2650, host.Stock(1500).WithMMRBC(4096))
+		rr := runSweep(b, host.PE2650, host.Stock(1500).WithMMRBC(4096).WithIRQRoundRobin())
 		_, pp := pinned.Peak()
 		_, pr := rr.Peak()
 		b.ReportMetric(pp.Gbps(), "pinned_Gb/s")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -14,15 +15,15 @@ import (
 
 func BenchmarkAnecdotal_E7505_OutOfBox(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.IntelE7505, core.Stock(9000).WithoutTimestamps())
+		res := runSweep(b, host.IntelE7505, host.Stock(9000).WithoutTimestamps())
 		reportSweep(b, res, 4.64)
 	}
 }
 
 func BenchmarkAnecdotal_E7505_TimestampCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		nots := runSweep(b, core.IntelE7505, core.Stock(9000).WithoutTimestamps())
-		ts := runSweep(b, core.IntelE7505, core.Stock(9000))
+		nots := runSweep(b, host.IntelE7505, host.Stock(9000).WithoutTimestamps())
+		ts := runSweep(b, host.IntelE7505, host.Stock(9000))
 		_, pn := nots.Peak()
 		_, pt := ts.Peak()
 		b.ReportMetric(pn.Gbps(), "nots_Gb/s")
@@ -34,8 +35,8 @@ func BenchmarkAnecdotal_E7505_TimestampCost(b *testing.B) {
 
 func BenchmarkAnecdotal_ItaniumII_MultiFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewMultiFlow(1, core.ItaniumII,
-			core.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024),
+		m, err := core.NewMultiFlow(1, host.ItaniumII,
+			host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024),
 			10, core.GbESenders, false)
 		if err != nil {
 			b.Fatal(err)
@@ -49,8 +50,8 @@ func BenchmarkAnecdotal_ItaniumII_MultiFlow(b *testing.B) {
 // §3.5.2: the PE4600's ~50% STREAM advantage buys no TCP throughput.
 func BenchmarkAnecdotal_PE4600_NoGain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pe2650 := runSweep(b, core.PE2650, core.Optimized(9000))
-		pe4600 := runSweep(b, core.PE4600, core.Optimized(9000))
+		pe2650 := runSweep(b, host.PE2650, host.Optimized(9000))
+		pe4600 := runSweep(b, host.PE4600, host.Optimized(9000))
 		_, a := pe2650.Peak()
 		_, c := pe4600.Peak()
 		b.ReportMetric(a.Gbps(), "pe2650_Gb/s")

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/compare"
-	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -16,9 +16,9 @@ import (
 func BenchmarkComparison_InterconnectClaims(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Use this reproduction's own measured numbers.
-		res := runSweep(b, core.PE2650, core.Optimized(8160))
+		res := runSweep(b, host.PE2650, host.Optimized(8160))
 		_, peak := res.Peak()
-		pts := latencySweep(b, core.Optimized(9000), false)
+		pts := latencySweep(b, host.Optimized(9000), false)
 		lat := units.Time(pts[0].OneWay)
 
 		claims := compare.EvaluateClaims(peak, lat)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 )
 
 // Figure 3: throughput of stock TCP (SMP kernel, MMRBC 512, default
@@ -22,7 +23,7 @@ const benchCount = 2000
 // changes.
 const benchWorkers = -1
 
-func runSweep(b *testing.B, p core.Profile, t core.Tuning) *core.SweepResult {
+func runSweep(b *testing.B, p host.Profile, t host.Tuning) *core.SweepResult {
 	b.Helper()
 	res, err := core.SweepConfig{
 		Seed: 1, Profile: p, Tuning: t,
@@ -44,7 +45,7 @@ func reportSweep(b *testing.B, res *core.SweepResult, paperPeak float64) {
 
 func BenchmarkFigure3_Stock_1500MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.PE2650, core.Stock(1500))
+		res := runSweep(b, host.PE2650, host.Stock(1500))
 		reportSweep(b, res, 1.8)
 		// The paper's load observation: ~0.9 at 1500.
 		b.ReportMetric(res.Points[len(res.Points)-1].ReceiverLoad, "rcv_load")
@@ -53,7 +54,7 @@ func BenchmarkFigure3_Stock_1500MTU(b *testing.B) {
 
 func BenchmarkFigure3_Stock_9000MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.PE2650, core.Stock(9000))
+		res := runSweep(b, host.PE2650, host.Stock(9000))
 		reportSweep(b, res, 2.7)
 		b.ReportMetric(res.Points[len(res.Points)-1].ReceiverLoad, "rcv_load")
 	}
@@ -63,13 +64,13 @@ func BenchmarkFigure3_Stock_9000MTU(b *testing.B) {
 
 func BenchmarkFigure3_MMRBC4096_9000MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSweep(b, runSweep(b, core.PE2650, core.Stock(9000).WithMMRBC(4096)), 3.6)
+		reportSweep(b, runSweep(b, host.PE2650, host.Stock(9000).WithMMRBC(4096)), 3.6)
 	}
 }
 
 func BenchmarkFigure3_MMRBC4096_UP_9000MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSweep(b, runSweep(b, core.PE2650, core.Stock(9000).WithMMRBC(4096).WithUP()), 3.6)
+		reportSweep(b, runSweep(b, host.PE2650, host.Stock(9000).WithMMRBC(4096).WithUP()), 3.6)
 	}
 }
 
@@ -80,9 +81,9 @@ func BenchmarkFigure3_MMRBC4096_UP_9000MTU(b *testing.B) {
 func BenchmarkFigure3_WindowDipCharacterization(b *testing.B) {
 	fine := []int{7168, 7436, 7704, 7972, 8240, 8508, 8776, 8948, 9216, 9484}
 	for i := 0; i < b.N; i++ {
-		run := func(t core.Tuning) (min, mean float64) {
+		run := func(t host.Tuning) (min, mean float64) {
 			res, err := core.SweepConfig{
-				Seed: 1, Profile: core.PE2650, Tuning: t,
+				Seed: 1, Profile: host.PE2650, Tuning: t,
 				Payloads: fine, Count: benchCount, Workers: benchWorkers,
 			}.Run()
 			if err != nil {
@@ -90,8 +91,8 @@ func BenchmarkFigure3_WindowDipCharacterization(b *testing.B) {
 			}
 			return res.Series.MinY(), res.Series.MeanY()
 		}
-		dmin, dmean := run(core.Stock(9000).WithMMRBC(4096).WithUP())
-		omin, omean := run(core.Optimized(9000))
+		dmin, dmean := run(host.Stock(9000).WithMMRBC(4096).WithUP())
+		omin, omean := run(host.Optimized(9000))
 		b.ReportMetric(dmin/dmean, "default_min_over_mean")
 		b.ReportMetric(omin/omean, "tuned_min_over_mean")
 		b.ReportMetric(dmean, "default_mean_Gb/s")

@@ -3,7 +3,7 @@ package tengig_test
 import (
 	"testing"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
 )
 
 // Figure 4: TCP with oversized (256 KB) windows, increased PCI-X burst
@@ -12,13 +12,13 @@ import (
 
 func BenchmarkFigure4_Optimized_1500MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportSweep(b, runSweep(b, core.PE2650, core.Optimized(1500)), 2.47)
+		reportSweep(b, runSweep(b, host.PE2650, host.Optimized(1500)), 2.47)
 	}
 }
 
 func BenchmarkFigure4_Optimized_9000MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.PE2650, core.Optimized(9000))
+		res := runSweep(b, host.PE2650, host.Optimized(9000))
 		reportSweep(b, res, 3.9)
 		// Dip elimination: the sweep's minimum should stay near its mean
 		// rather than cratering as in Figure 3.

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/compare"
-	"tengig/internal/core"
+	"tengig/internal/host"
 )
 
 // Figure 5: cumulative optimizations with non-standard MTUs. Paper: peaks
@@ -14,7 +14,7 @@ import (
 
 func BenchmarkFigure5_Optimized_8160MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.PE2650, core.Optimized(8160))
+		res := runSweep(b, host.PE2650, host.Optimized(8160))
 		reportSweep(b, res, 4.11)
 		// Reference lines from the figure.
 		rows := compare.Published()
@@ -26,7 +26,7 @@ func BenchmarkFigure5_Optimized_8160MTU(b *testing.B) {
 
 func BenchmarkFigure5_Optimized_16000MTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := runSweep(b, core.PE2650, core.Optimized(16000))
+		res := runSweep(b, host.PE2650, host.Optimized(16000))
 		reportSweep(b, res, 4.09)
 		b.ReportMetric(res.MeanOver(8000).Gbps(), "mean_hi_Gb/s")
 	}
@@ -36,8 +36,8 @@ func BenchmarkFigure5_Optimized_16000MTU(b *testing.B) {
 // order apart.
 func BenchmarkFigure5_AllocatorEffect_8160vs9000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r8160 := runSweep(b, core.PE2650, core.Optimized(8160))
-		r9000 := runSweep(b, core.PE2650, core.Optimized(9000))
+		r8160 := runSweep(b, host.PE2650, host.Optimized(8160))
+		r9000 := runSweep(b, host.PE2650, host.Optimized(9000))
 		_, p8160 := r8160.Peak()
 		_, p9000 := r9000.Peak()
 		b.ReportMetric(p8160.Gbps(), "peak_8160_Gb/s")

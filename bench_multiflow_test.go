@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -16,7 +17,7 @@ import (
 
 func aggregate(b *testing.B, reverse bool, nics int) float64 {
 	b.Helper()
-	m, err := core.NewMultiFlowNICs(1, core.PE2650, core.Optimized(9000),
+	m, err := core.NewMultiFlowNICs(1, host.PE2650, host.Optimized(9000),
 		6, core.GbESenders, reverse, nics)
 	if err != nil {
 		b.Fatal(err)
@@ -54,7 +55,7 @@ func BenchmarkMultiFlow_TwoAdaptersEqualOne(b *testing.B) {
 
 func BenchmarkPktgen_8160(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.PktgenRun(1, core.PE2650, core.Optimized(8160), 30000, 8160)
+		res, err := core.PktgenRun(1, host.PE2650, host.Optimized(8160), 30000, 8160)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,8 +3,11 @@ package tengig_test
 import (
 	"testing"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/netem"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -15,16 +18,17 @@ import (
 
 func lossyRun(b *testing.B, sack bool) tools.ThroughputResult {
 	b.Helper()
-	tun := core.Optimized(9000)
+	tun := host.Optimized(9000)
 	if !sack {
 		tun = tun.WithoutSACK()
 	}
-	pair, _, _, err := core.BackToBackImpaired(11, core.PE2650, tun,
-		core.Impairments{AtoB: core.FaultConfig{LossProb: 0.005}})
+	spec := topo.BackToBack(host.PE2650, tun)
+	spec.Links[0].Faults = &topo.LinkFaults{AtoB: netem.Script{{Fault: netem.Fault{LossProb: 0.005}}}}
+	net, err := topo.Compile(sim.NewEngine(11), spec, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := tools.NTTCP(pair, 8000, 8948, 10*units.Minute)
+	res, err := tools.NTTCP(net.Pairs[0], 8000, 8948, 10*units.Minute)
 	if err != nil {
 		b.Fatal(err)
 	}

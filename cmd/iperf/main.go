@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"log"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -29,23 +31,28 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	hostProfile, err := host.ParseProfile(*profile)
+	if err != nil {
+		log.Fatalf("iperf: %v", err)
+	}
+	if err := host.ValidateMTU(*mtu); err != nil {
+		log.Fatalf("iperf: %v", err)
+	}
 
-	tun := core.Optimized(*mtu)
+	tun := host.Optimized(*mtu)
 	if *stock {
-		tun = core.Stock(*mtu)
+		tun = host.Stock(*mtu)
 	}
-	var pair *tools.Pair
-	var err error
+	spec := topo.BackToBack(hostProfile, tun)
 	if *via {
-		pair, err = core.ThroughSwitch(*seed, core.Profile(*profile), tun)
-	} else {
-		pair, err = core.BackToBack(*seed, core.Profile(*profile), tun)
+		spec = topo.ThroughSwitch(hostProfile, tun)
 	}
+	net, err := topo.Compile(sim.NewEngine(*seed), spec, *seed)
 	if err != nil {
 		log.Fatalf("iperf: %v", err)
 	}
 	dur := units.FromSeconds(*seconds)
-	res, err := tools.IperfSampled(pair, dur, dur/10)
+	res, err := tools.IperfSampled(net.Pairs[0], dur, dur/10)
 	if err != nil {
 		log.Fatalf("iperf: %v", err)
 	}

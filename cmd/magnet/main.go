@@ -18,8 +18,11 @@ import (
 
 	"tengig/internal/capture"
 	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/trace"
 	"tengig/internal/units"
 )
@@ -38,28 +41,30 @@ func main() {
 		telemDir = flag.String("telemetry", "", "directory for the run's telemetry bundle (JSONL + CSV); enables instrument sampling")
 	)
 	flag.Parse()
-	hostProfile, err := core.ParseProfile(*profile)
+	hostProfile, err := host.ParseProfile(*profile)
 	if err != nil {
 		log.Fatalf("magnet: %v", err)
 	}
-	if err := core.ValidateMTU(*mtu); err != nil {
+	if err := host.ValidateMTU(*mtu); err != nil {
 		log.Fatalf("magnet: %v", err)
 	}
-	if err := core.ValidateTransfer(*count, *payload); err != nil {
+	if err := host.ValidateTransfer(*count, *payload); err != nil {
 		log.Fatalf("magnet: %v", err)
 	}
 	if *sample == 0 {
 		log.Fatal("magnet: -sample must be at least 1")
 	}
 
-	tun := core.Optimized(*mtu)
+	tun := host.Optimized(*mtu)
 	if *stock {
-		tun = core.Stock(*mtu)
+		tun = host.Stock(*mtu)
 	}
-	pair, err := core.BackToBack(*seed, hostProfile, tun)
+	eng := sim.NewEngine(*seed)
+	net, err := topo.Compile(eng, topo.BackToBack(hostProfile, tun), *seed)
 	if err != nil {
 		log.Fatalf("magnet: %v", err)
 	}
+	pair := net.Pairs[0]
 
 	// MAGNET instruments both end hosts: transmit stages are stamped at the
 	// sender and receive stages at the receiver, profiling the whole path.
@@ -72,7 +77,7 @@ func main() {
 	var bundle *telemetry.Bundle
 	if *telemDir != "" {
 		name := fmt.Sprintf("magnet_%s_p%d", core.SanitizeName(tun.Label()), *payload)
-		bundle = core.AttachTelemetry(pair, name, *seed, telemetry.Options{Enabled: true})
+		bundle = net.AttachTelemetry(name, *seed, telemetry.Options{Enabled: true})
 	}
 
 	res, err := tools.NTTCP(pair, *count, *payload, 10*units.Minute)
@@ -82,7 +87,7 @@ func main() {
 	fmt.Printf("transfer: %v over %v (%s)\n\n", res.Throughput, res.Elapsed, tun.Label())
 
 	if bundle != nil {
-		core.CapturePairEngine(bundle, pair)
+		bundle.CaptureEngine(eng.Executed, eng.HighWater)
 		if err := core.WriteBundle(*telemDir, bundle); err != nil {
 			log.Fatalf("magnet: telemetry: %v", err)
 		}

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 )
 
 func main() {
@@ -28,8 +29,15 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	hostProfile, err := host.ParseProfile(*profile)
+	if err != nil {
+		log.Fatalf("netpipe: %v", err)
+	}
+	if err := host.ValidateMTU(*mtu); err != nil {
+		log.Fatalf("netpipe: %v", err)
+	}
 
-	tun := core.Optimized(*mtu)
+	tun := host.Optimized(*mtu)
 	if *noco {
 		tun = tun.WithoutCoalescing()
 	}
@@ -38,7 +46,7 @@ func main() {
 		payloads = append(payloads, p)
 	}
 	pts, err := core.LatencyConfig{
-		Seed: *seed, Profile: core.Profile(*profile), Tuning: tun,
+		Seed: *seed, Profile: hostProfile, Tuning: tun,
 		Payloads: payloads, Reps: *reps, ViaSwitch: *via,
 	}.Run()
 	if err != nil {

@@ -14,8 +14,10 @@ import (
 	"log"
 	"os"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -33,10 +35,17 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	hostProfile, err := host.ParseProfile(*profile)
+	if err != nil {
+		log.Fatalf("nttcp: %v", err)
+	}
+	if err := host.ValidateMTU(*mtu); err != nil {
+		log.Fatalf("nttcp: %v", err)
+	}
 
-	tun := core.Optimized(*mtu)
+	tun := host.Optimized(*mtu)
 	if *stock {
-		tun = core.Stock(*mtu)
+		tun = host.Stock(*mtu)
 	}
 	if *mmrbc != 0 {
 		tun = tun.WithMMRBC(*mmrbc)
@@ -45,17 +54,15 @@ func main() {
 		tun = tun.WithSockBuf(*buf)
 	}
 
-	var pair *tools.Pair
-	var err error
+	spec := topo.BackToBack(hostProfile, tun)
 	if *via {
-		pair, err = core.ThroughSwitch(*seed, core.Profile(*profile), tun)
-	} else {
-		pair, err = core.BackToBack(*seed, core.Profile(*profile), tun)
+		spec = topo.ThroughSwitch(hostProfile, tun)
 	}
+	net, err := topo.Compile(sim.NewEngine(*seed), spec, *seed)
 	if err != nil {
 		log.Fatalf("nttcp: %v", err)
 	}
-	res, err := tools.NTTCP(pair, *count, *payload, 10*units.Minute)
+	res, err := tools.NTTCP(net.Pairs[0], *count, *payload, 10*units.Minute)
 	if err != nil {
 		log.Fatalf("nttcp: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 )
 
 func main() {
@@ -25,9 +26,17 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	hostProfile, err := host.ParseProfile(*profile)
+	if err != nil {
+		log.Fatalf("pktgen: %v", err)
+	}
+	// The datagram size is the device MTU pktgen runs at.
+	if err := host.ValidateMTU(*size); err != nil {
+		log.Fatalf("pktgen: -size: %v", err)
+	}
 
-	tun := core.Optimized(*size).WithMMRBC(*mmrbc)
-	res, err := core.PktgenRun(*seed, core.Profile(*profile), tun, *count, *size)
+	tun := host.Optimized(*size).WithMMRBC(*mmrbc)
+	res, err := core.PktgenRun(*seed, hostProfile, tun, *count, *size)
 	if err != nil {
 		log.Fatalf("pktgen: %v", err)
 	}

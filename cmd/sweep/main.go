@@ -38,6 +38,7 @@ import (
 	"tengig/internal/bench"
 	"tengig/internal/compare"
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/prof"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
@@ -405,7 +406,7 @@ var benchSweeps []bench.Sweep
 // benchRecording reports whether sweeps should record bench summaries.
 func benchRecording() bool { return *jsonOut || *baseline != "" }
 
-func recordBench(res *core.SweepResult, p core.Profile, wall time.Duration) {
+func recordBench(res *core.SweepResult, p host.Profile, wall time.Duration) {
 	b := bench.Sweep{
 		Figure:  benchFigure,
 		Label:   res.Label,
@@ -477,7 +478,7 @@ func count() int {
 // call order, which is fixed by the figure functions — deterministic.
 var campaignMetrics = telemetry.NewMetricsAccumulator()
 
-func sweep(p core.Profile, t core.Tuning) *core.SweepResult {
+func sweep(p host.Profile, t host.Tuning) *core.SweepResult {
 	cfg := core.SweepConfig{
 		Seed: *seed, Profile: p, Tuning: t,
 		Payloads: payloads(), Count: count(), Workers: workers(),
@@ -589,12 +590,12 @@ func rowsString(res *core.SweepResult) string {
 func verifyDeterminism() {
 	samples := []struct {
 		name string
-		p    core.Profile
-		t    core.Tuning
+		p    host.Profile
+		t    host.Tuning
 	}{
-		{"fig3-stock-1500", core.PE2650, core.Stock(1500)},
-		{"fig3-stock-9000", core.PE2650, core.Stock(9000)},
-		{"fig4-optimized-9000", core.PE2650, core.Optimized(9000)},
+		{"fig3-stock-1500", host.PE2650, host.Stock(1500)},
+		{"fig3-stock-9000", host.PE2650, host.Stock(9000)},
+		{"fig4-optimized-9000", host.PE2650, host.Optimized(9000)},
 	}
 	grid := []int{1024, 4096, 8148, 16384}
 	const verifyCount = 600
@@ -656,15 +657,15 @@ func printSeries(res *core.SweepResult) {
 func figure3() {
 	fmt.Println("== Figure 3: Throughput of Stock TCP: 1500- vs 9000-byte MTU ==")
 	fmt.Println("paper: peaks 1.8 Gb/s (1500) and 2.7 Gb/s (9000)")
-	printSeries(sweep(core.PE2650, core.Stock(1500)))
-	printSeries(sweep(core.PE2650, core.Stock(9000)))
+	printSeries(sweep(host.PE2650, host.Stock(1500)))
+	printSeries(sweep(host.PE2650, host.Stock(9000)))
 }
 
 func figure4() {
 	fmt.Println("== Figure 4: Oversized windows + PCI-X burst + UP kernel ==")
 	fmt.Println("paper: peaks 2.47 Gb/s (1500) and 3.9 Gb/s (9000)")
-	printSeries(sweep(core.PE2650, core.Optimized(1500)))
-	printSeries(sweep(core.PE2650, core.Optimized(9000)))
+	printSeries(sweep(host.PE2650, host.Optimized(1500)))
+	printSeries(sweep(host.PE2650, host.Optimized(9000)))
 }
 
 func figure5() {
@@ -672,13 +673,13 @@ func figure5() {
 	fmt.Println("paper: peaks 4.11 Gb/s (8160) and 4.09 Gb/s (16000)")
 	fmt.Printf("reference lines: GbE 1.0, Myrinet 2.0, QsNet 3.2, 10GbE(PCI-X) %.1f Gb/s\n\n",
 		compare.TenGbETheoretical.Gbps())
-	printSeries(sweep(core.PE2650, core.Optimized(8160)))
-	printSeries(sweep(core.PE2650, core.Optimized(16000)))
+	printSeries(sweep(host.PE2650, host.Optimized(8160)))
+	printSeries(sweep(host.PE2650, host.Optimized(16000)))
 }
 
-func latency(t core.Tuning, via bool, label string) {
+func latency(t host.Tuning, via bool, label string) {
 	pts, err := core.LatencyConfig{
-		Seed: *seed, Profile: core.PE2650, Tuning: t,
+		Seed: *seed, Profile: host.PE2650, Tuning: t,
 		Payloads: core.DefaultLatencyPayloads(), Reps: 20, ViaSwitch: via,
 	}.Run()
 	if err != nil {
@@ -702,14 +703,14 @@ func latency(t core.Tuning, via bool, label string) {
 func figure6() {
 	fmt.Println("== Figure 6: End-to-end latency (5 us interrupt coalescing) ==")
 	fmt.Println("paper: 19 us back-to-back / 25 us via switch at 1 B; 23/28 us at 1 KB")
-	latency(core.Optimized(9000), false, "back-to-back")
-	latency(core.Optimized(9000), true, "through FastIron 1500")
+	latency(host.Optimized(9000), false, "back-to-back")
+	latency(host.Optimized(9000), true, "through FastIron 1500")
 }
 
 func figure7() {
 	fmt.Println("== Figure 7: End-to-end latency without interrupt coalescing ==")
 	fmt.Println("paper: 14 us back-to-back at 1 B")
-	latency(core.Optimized(9000).WithoutCoalescing(), false, "back-to-back, coalescing off")
+	latency(host.Optimized(9000).WithoutCoalescing(), false, "back-to-back, coalescing off")
 }
 
 func figure8() {
@@ -734,7 +735,7 @@ func table1() {
 func ladder() {
 	fmt.Println("== §3.3 optimization ladder (9000-byte MTU) ==")
 	fmt.Println("paper peaks: stock 2.7 -> +MMRBC 3.6 -> +UP ~3.6 -> +256K 3.9 Gb/s")
-	steps, err := core.RunLadder(*seed, core.PE2650, 9000, payloads(), count(), workers())
+	steps, err := core.RunLadder(*seed, host.PE2650, 9000, payloads(), count(), workers())
 	if err != nil {
 		log.Fatalf("ladder: %v", err)
 	}
@@ -774,8 +775,8 @@ func multiflow() {
 	fmt.Println("== §3.5.2: multi-flow aggregation through the FastIron 1500 ==")
 	spec := func(label string, reverse bool, nics int) core.MultiFlowSpec {
 		return core.MultiFlowSpec{
-			Label: label, Seed: *seed, Profile: core.PE2650,
-			Tuning: core.Optimized(9000), Senders: 6, Kind: core.GbESenders,
+			Label: label, Seed: *seed, Profile: host.PE2650,
+			Tuning: host.Optimized(9000), Senders: 6, Kind: core.GbESenders,
 			Reverse: reverse, SinkNICs: nics, Duration: 200 * units.Millisecond,
 		}
 	}
@@ -795,10 +796,10 @@ func multiflow() {
 
 func comparison() {
 	fmt.Println("== §3.5.3: interconnect comparison ==")
-	res := sweep(core.PE2650, core.Optimized(8160))
+	res := sweep(host.PE2650, host.Optimized(8160))
 	_, peak := res.Peak()
-	pts, err := core.LatencyConfig{Seed: *seed, Profile: core.PE2650,
-		Tuning: core.Optimized(9000), Payloads: []int{1}, Reps: 20}.Run()
+	pts, err := core.LatencyConfig{Seed: *seed, Profile: host.PE2650,
+		Tuning: host.Optimized(9000), Payloads: []int{1}, Reps: 20}.Run()
 	if err != nil {
 		log.Fatalf("compare: %v", err)
 	}
@@ -823,7 +824,7 @@ func mtuSweep() {
 	fmt.Println("== MTU sweep (extension): the allocator-block sawtooth ==")
 	fmt.Println("throughput climbs with MTU, then dips past each power-of-2 block boundary")
 	mtus := []int{1500, 3000, 4000, 4200, 6000, 8000, 8160, 8400, 9000, 12000, 16000}
-	pts, err := core.MTUSweep(*seed, core.PE2650, mtus, 16384, count(), workers())
+	pts, err := core.MTUSweep(*seed, host.PE2650, mtus, 16384, count(), workers())
 	if err != nil {
 		log.Fatalf("mtu: %v", err)
 	}
@@ -836,25 +837,25 @@ func mtuSweep() {
 
 func anecdotes() {
 	fmt.Println("== §3.4 anecdotal results ==")
-	nots := sweep(core.IntelE7505, core.Stock(9000).WithoutTimestamps())
+	nots := sweep(host.IntelE7505, host.Stock(9000).WithoutTimestamps())
 	_, pn := nots.Peak()
-	ts := sweep(core.IntelE7505, core.Stock(9000))
+	ts := sweep(host.IntelE7505, host.Stock(9000))
 	_, pt := ts.Peak()
 	fmt.Printf("E7505 out-of-box (no timestamps): %v  (paper: 4.64 Gb/s)\n", pn)
 	fmt.Printf("E7505 with timestamps:            %v  (paper: ~10%% lower; got %.1f%%)\n",
 		pt, (1-pt.Gbps()/pn.Gbps())*100)
-	m, err := core.NewMultiFlow(*seed, core.ItaniumII,
-		core.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, core.GbESenders, false)
+	m, err := core.NewMultiFlow(*seed, host.ItaniumII,
+		host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, core.GbESenders, false)
 	if err != nil {
 		log.Fatalf("anecdotes: %v", err)
 	}
 	res := core.RunMultiFlow(m, 200*units.Millisecond)
 	fmt.Printf("Itanium-II aggregated receive:    %v  (paper: 7.2 Gb/s)\n", res.Aggregate)
 	// STREAM context for the §3.5.2 memory-bandwidth discussion.
-	pair, err := core.BackToBack(*seed, core.PE4600, core.Optimized(9000))
+	net, err := topo.Compile(sim.NewEngine(*seed), topo.BackToBack(host.PE4600, host.Optimized(9000)), *seed)
 	if err != nil {
 		log.Fatalf("anecdotes: %v", err)
 	}
 	fmt.Printf("PE4600 STREAM:                    %v  (paper: 12.8 Gb/s, yet no TCP gain)\n\n",
-		tools.Stream(pair.SrcHost))
+		tools.Stream(net.Pairs[0].SrcHost))
 }

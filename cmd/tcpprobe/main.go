@@ -25,6 +25,8 @@ import (
 	"time"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/netem"
 	"tengig/internal/prof"
 	"tengig/internal/telemetry"
 	"tengig/internal/units"
@@ -48,25 +50,26 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
-	hostProfile, err := core.ParseProfile(*profile)
+	hostProfile, err := host.ParseProfile(*profile)
 	if err != nil {
 		log.Fatalf("tcpprobe: %v", err)
 	}
-	if err := core.ValidateMTU(*mtu); err != nil {
+	if err := host.ValidateMTU(*mtu); err != nil {
 		log.Fatalf("tcpprobe: %v", err)
 	}
-	if err := core.ValidateTransfer(*count, *payload); err != nil {
+	if err := host.ValidateTransfer(*count, *payload); err != nil {
 		log.Fatalf("tcpprobe: %v", err)
 	}
-	if *loss < 0 || *loss > 1 {
-		log.Fatalf("tcpprobe: -loss %v outside [0,1]", *loss)
+	data := netem.Script{{Fault: netem.Fault{LossProb: *loss, DropNth: *dropNth}}}
+	if err := data.Validate(); err != nil {
+		log.Fatalf("tcpprobe: -loss/-drop-nth: %v", err)
 	}
 	stopProfiles := prof.Start(*cpuProf, *memProf)
 	defer stopProfiles()
 
-	tun := core.Optimized(*mtu)
+	tun := host.Optimized(*mtu)
 	if *stock {
-		tun = core.Stock(*mtu)
+		tun = host.Stock(*mtu)
 	}
 	cfg := core.ProbeConfig{
 		Seed:    *seed,
@@ -79,8 +82,8 @@ func main() {
 			SampleInterval: units.Time(interval.Nanoseconds()) * units.Nanosecond,
 		},
 	}
-	if *loss > 0 || *dropNth > 0 {
-		cfg.Impair.AtoB = core.FaultConfig{LossProb: *loss, DropNth: *dropNth}
+	if data[0].Fault != (netem.Fault{}) {
+		cfg.Data = data
 	}
 
 	start := time.Now()

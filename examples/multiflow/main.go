@@ -14,13 +14,14 @@ import (
 	"log"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
 func spec(label string, reverse bool, nics int) core.MultiFlowSpec {
 	return core.MultiFlowSpec{
-		Label: label, Seed: 1, Profile: core.PE2650,
-		Tuning: core.Optimized(9000), Senders: 6, Kind: core.GbESenders,
+		Label: label, Seed: 1, Profile: host.PE2650,
+		Tuning: host.Optimized(9000), Senders: 6, Kind: core.GbESenders,
 		Reverse: reverse, SinkNICs: nics, Duration: 200 * units.Millisecond,
 	}
 }
@@ -53,7 +54,7 @@ func main() {
 	fmt.Println("PCI-X bus as a primary bottleneck\"")
 
 	// pktgen establishes the single-copy ceiling the paper compares against.
-	res, err := core.PktgenRun(1, core.PE2650, core.Optimized(8160), 50000, 8160)
+	res, err := core.PktgenRun(1, host.PE2650, host.Optimized(8160), 50000, 8160)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,10 @@ import (
 	"log"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -17,14 +20,15 @@ func main() {
 
 	// The fully tuned configuration that produced the paper's headline
 	// 4.11 Gb/s: MMRBC 4096, UP kernel, 256 KB socket buffers, MTU 8160.
-	tuning := core.Optimized(8160)
+	tuning := host.Optimized(8160)
 	fmt.Printf("configuration: %s\n\n", tuning.Label())
 
 	// Throughput: NTTCP-style fixed-count transfer.
-	pair, err := core.BackToBack(1, core.PE2650, tuning)
+	net, err := topo.Compile(sim.NewEngine(1), topo.BackToBack(host.PE2650, tuning), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	pair := net.Pairs[0]
 	res, err := tools.NTTCP(pair, 8192, 16384, units.Minute)
 	if err != nil {
 		log.Fatal(err)
@@ -34,7 +38,7 @@ func main() {
 
 	// Latency: NetPipe-style one-byte ping-pong.
 	pts, err := core.LatencyConfig{
-		Seed: 1, Profile: core.PE2650, Tuning: core.Optimized(9000),
+		Seed: 1, Profile: host.PE2650, Tuning: host.Optimized(9000),
 		Payloads: []int{1}, Reps: 20,
 	}.Run()
 	if err != nil {

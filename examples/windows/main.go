@@ -11,7 +11,10 @@ import (
 
 	"tengig/internal/capture"
 	"tengig/internal/core"
+	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -26,7 +29,7 @@ func main() {
 	fmt.Println()
 
 	// Live wire check: attach a capture and watch the advertisements.
-	pair, err := core.BackToBack(1, core.PE2650, core.Optimized(9000))
+	pair, err := backToBack(host.Optimized(9000))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +48,9 @@ func main() {
 		st.MSSAlignedFraction*100)
 
 	// The paper's proposed fix, as an ablation: fractional-MSS windows.
-	tun := core.Stock(9000).WithMMRBC(4096).WithUP()
-	measure := func(t core.Tuning) float64 {
-		p, err := core.BackToBack(1, core.PE2650, t)
+	tun := host.Stock(9000).WithMMRBC(4096).WithUP()
+	measure := func(t host.Tuning) float64 {
+		p, err := backToBack(t)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,4 +65,14 @@ func main() {
 	fmt.Println("§3.5.1's proposed solution (\"fractional MSS increments\"), default buffers:")
 	fmt.Printf("  MSS-aligned windows:  %.2f Gb/s\n", aligned)
 	fmt.Printf("  fractional windows:   %.2f Gb/s\n", fractional)
+}
+
+// backToBack compiles the Figure 2(a) testbed of PE2650 hosts at tuning t
+// and returns its measurement pair.
+func backToBack(t host.Tuning) (*tools.Pair, error) {
+	net, err := topo.Compile(sim.NewEngine(1), topo.BackToBack(host.PE2650, t), 1)
+	if err != nil {
+		return nil, err
+	}
+	return net.Pairs[0], nil
 }

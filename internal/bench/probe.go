@@ -5,7 +5,9 @@ import (
 	"runtime"
 
 	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/sim"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -52,10 +54,11 @@ var probes = map[string]probe{
 		}, nil
 	}},
 	"SingleFlowSteadyState": {iters: 128, setup: func() (func(), error) {
-		p, err := core.BackToBack(1, core.PE2650, core.Optimized(9000))
+		net, err := topo.Compile(sim.NewEngine(1), topo.BackToBack(host.PE2650, host.Optimized(9000)), 1)
 		if err != nil {
 			return nil, err
 		}
+		p := net.Pairs[0]
 		p.Dst.SetAutoRead(func(int64) {})
 		p.Src.Send(1<<50, 64*1024, false, nil)
 		// 50 ms of simulated warm-up: the event pool keeps growing for a few
@@ -67,7 +70,7 @@ var probes = map[string]probe{
 		}, nil
 	}},
 	"MultiFlow16PE2650": {iters: 64, setup: func() (func(), error) {
-		m, err := core.NewMultiFlow(1, core.PE2650, core.Optimized(9000),
+		m, err := core.NewMultiFlow(1, host.PE2650, host.Optimized(9000),
 			16, core.GbESenders, false)
 		if err != nil {
 			return nil, err

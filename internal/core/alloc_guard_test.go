@@ -3,7 +3,8 @@ package core
 import (
 	"testing"
 
-	"tengig/internal/sim"
+	"tengig/internal/host"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -14,9 +15,9 @@ import (
 // The guards run on the timing wheel, whose cascade and ready-list plumbing
 // must stay allocation-free.
 
-func steadyStateAllocs(t *testing.T, tun Tuning) float64 {
+func steadyStateAllocs(t *testing.T, tun host.Tuning) float64 {
 	t.Helper()
-	p, err := BackToBackOn(sim.NewEngine(1), PE2650, tun)
+	p, err := compilePair(topo.BackToBack(host.PE2650, tun), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func steadyStateAllocs(t *testing.T, tun Tuning) float64 {
 
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
-		if allocs := steadyStateAllocs(t, Optimized(9000)); allocs != 0 {
+		if allocs := steadyStateAllocs(t, host.Optimized(9000)); allocs != 0 {
 			t.Errorf("steady-state slice allocated %.1f times (want 0)", allocs)
 		}
 	})
@@ -41,7 +42,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 func TestSteadyStateZeroAllocTSO(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
-		if allocs := steadyStateAllocs(t, Optimized(9000).WithTSO()); allocs != 0 {
+		if allocs := steadyStateAllocs(t, host.Optimized(9000).WithTSO()); allocs != 0 {
 			t.Errorf("TSO steady-state slice allocated %.1f times (want 0)", allocs)
 		}
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"tengig/internal/alloc"
 	"tengig/internal/ethernet"
+	"tengig/internal/host"
 	"tengig/internal/runner"
 	"tengig/internal/tcp"
 	"tengig/internal/units"
@@ -61,7 +62,7 @@ func WindowAudit() []WindowAuditRow {
 // LadderStep is one rung of the §3.3 optimization ladder.
 type LadderStep struct {
 	Name   string
-	Tuning Tuning
+	Tuning host.Tuning
 	Result *SweepResult
 }
 
@@ -69,12 +70,12 @@ type LadderStep struct {
 // optimizations at the given MTU.
 func LadderRungs(mtu int) []struct {
 	Name   string
-	Tuning Tuning
+	Tuning host.Tuning
 } {
-	stock := Stock(mtu)
+	stock := host.Stock(mtu)
 	return []struct {
 		Name   string
-		Tuning Tuning
+		Tuning host.Tuning
 	}{
 		{"stock", stock},
 		{"+MMRBC 4096", stock.WithMMRBC(4096)},
@@ -86,7 +87,7 @@ func LadderRungs(mtu int) []struct {
 // RunLadder executes the full ladder, one sweep per rung. workers fans
 // each rung's payload points across the pool (0 or 1 = serial, negative =
 // one per CPU); rungs themselves run in order.
-func RunLadder(seed int64, p Profile, mtu int, payloads []int, count, workers int) ([]LadderStep, error) {
+func RunLadder(seed int64, p host.Profile, mtu int, payloads []int, count, workers int) ([]LadderStep, error) {
 	var steps []LadderStep
 	for _, rung := range LadderRungs(mtu) {
 		res, err := SweepConfig{
@@ -117,11 +118,11 @@ type MTUPoint struct {
 // Each MTU is a one-payload sweep on its own engine, so workers fans the
 // MTUs themselves across the pool (0 or 1 = serial, negative = one per
 // CPU) with input-ordered, scheduling-independent results.
-func MTUSweep(seed int64, p Profile, mtus []int, payload, count, workers int) ([]MTUPoint, error) {
+func MTUSweep(seed int64, p host.Profile, mtus []int, payload, count, workers int) ([]MTUPoint, error) {
 	pts, _, errs := runner.Map(mtus, runner.Options[struct{}]{Workers: NormalizeWorkers(workers)},
 		func(_ struct{}, _ int, mtu int) (MTUPoint, error) {
 			res, err := SweepConfig{
-				Seed: seed, Profile: p, Tuning: Optimized(mtu),
+				Seed: seed, Profile: p, Tuning: host.Optimized(mtu),
 				Payloads: []int{payload}, Count: count,
 			}.Run()
 			if err != nil {

@@ -5,8 +5,10 @@ import (
 	"os"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -61,7 +63,7 @@ func BenchmarkTimerReschedule(b *testing.B) {
 // state so the measured slices contain only established-flow work.
 func benchSteadyPair(b *testing.B) *tools.Pair {
 	b.Helper()
-	p, err := BackToBack(1, PE2650, Optimized(9000))
+	p, err := compilePair(topo.BackToBack(host.PE2650, host.Optimized(9000)), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func BenchmarkSingleFlowSteadyState(b *testing.B) {
 }
 
 func BenchmarkMultiFlow16PE2650(b *testing.B) {
-	m, err := NewMultiFlow(1, PE2650, Optimized(9000), 16, GbESenders, false)
+	m, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 16, GbESenders, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"tengig/internal/capture"
+	"tengig/internal/host"
+	"tengig/internal/netem"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/trace"
 	"tengig/internal/units"
 )
@@ -13,7 +16,7 @@ import (
 // must show the §3.5.1 behaviors.
 
 func TestWireLevelWindowAlignment(t *testing.T) {
-	pair, err := BackToBack(1, PE2650, Optimized(9000))
+	pair, err := compilePair(topo.BackToBack(host.PE2650, host.Optimized(9000)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +48,7 @@ func TestWireLevelWindowAlignment(t *testing.T) {
 }
 
 func TestWireLevelRetransmissionVisible(t *testing.T) {
-	pair, toB, _, err := BackToBackImpaired(1, PE2650, Optimized(9000),
-		Impairments{AtoB: FaultConfig{DropNth: 300}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair, toB, _ := impairedPair(t, 1, host.Optimized(9000), netem.Fault{DropNth: 300}, netem.Fault{})
 	tap := capture.New(1 << 18)
 	pair.SrcHost.SetCapture(tap)
 	if _, err := tools.NTTCP(pair, 2000, 8948, units.Minute); err != nil {
@@ -66,7 +65,7 @@ func TestWireLevelRetransmissionVisible(t *testing.T) {
 func TestMagnetPathProfile(t *testing.T) {
 	// End-to-end MAGNET run: both hosts share a tracer; the dominant path
 	// must be the clean fast path, and stage costs must be sane.
-	pair, err := BackToBack(1, PE2650, Optimized(9000))
+	pair, err := compilePair(topo.BackToBack(host.PE2650, host.Optimized(9000)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,25 +5,29 @@ import (
 	"math/rand"
 
 	"tengig/internal/audit"
+	"tengig/internal/host"
 	"tengig/internal/netem"
 	"tengig/internal/runner"
 	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
 // CampaignSpec is one randomized fault campaign: a short impaired transfer
-// whose fault scripts are generated from (and fully replayable by) its
-// fields. The whole struct is JSON-serializable so a failing campaign rides
-// inside a crash bundle verbatim.
+// on the Figure 2(a) testbed whose fault scripts are generated from (and
+// fully replayable by) its fields. The scripts sit on the crossover cable
+// from t=0, so they also see the handshake; generated steps start at 1 ms
+// or later, after it. The whole struct is JSON-serializable so a failing
+// campaign rides inside a crash bundle verbatim.
 type CampaignSpec struct {
-	ID      int        `json:"id"`
-	Seed    int64      `json:"seed"`
-	Profile Profile    `json:"profile"`
-	Tuning  Tuning     `json:"tuning"`
-	Count   int        `json:"count"`
-	Payload int        `json:"payload"`
-	Timeout units.Time `json:"timeout"`
+	ID      int          `json:"id"`
+	Seed    int64        `json:"seed"`
+	Profile host.Profile `json:"profile"`
+	Tuning  host.Tuning  `json:"tuning"`
+	Count   int          `json:"count"`
+	Payload int          `json:"payload"`
+	Timeout units.Time   `json:"timeout"`
 	// EventBudget caps events per campaign: a fault config that sends the
 	// simulation into a non-converging loop becomes a structured budget
 	// stop, never a hang. 0 = unlimited.
@@ -90,7 +94,7 @@ func (c ChaosConfig) Specs() []CampaignSpec {
 // delay, or a carrier flap) that always end with an all-clear heal step, so
 // a surviving connection can finish and be audited to byte exactness.
 func randomCampaign(rng *rand.Rand, id int, soakSeed int64) CampaignSpec {
-	tunings := []Tuning{Stock(1500), Optimized(1500), Optimized(9000)}
+	tunings := []host.Tuning{host.Stock(1500), host.Optimized(1500), host.Optimized(9000)}
 	heal := 20*units.Millisecond + units.Time(rng.Int63n(int64(40*units.Millisecond)))
 
 	var data netem.Script
@@ -141,7 +145,7 @@ func randomCampaign(rng *rand.Rand, id int, soakSeed int64) CampaignSpec {
 	return CampaignSpec{
 		ID:          id,
 		Seed:        soakSeed*1_000_003 + int64(id),
-		Profile:     PE2650,
+		Profile:     host.PE2650,
 		Tuning:      tunings[rng.Intn(len(tunings))],
 		Count:       150 + rng.Intn(150),
 		Payload:     1024 + rng.Intn(3072),
@@ -167,15 +171,15 @@ func RunCampaignOn(eng *sim.Engine, spec CampaignSpec) CampaignResult {
 	if spec.EventBudget > 0 {
 		eng.LimitEvents(spec.EventBudget)
 	}
-	pair, toB, toA, err := BackToBackImpairedOn(eng, spec.Seed, spec.Profile, spec.Tuning, Impairments{})
+	ts := topo.BackToBack(spec.Profile, spec.Tuning)
+	ts.Links[0].Faults = &topo.LinkFaults{AtoB: spec.Data, BtoA: spec.Ack}
+	net, err := topo.Compile(eng, ts, spec.Seed)
 	if err != nil {
 		res.Err = fmt.Errorf("campaign %d: build: %w", spec.ID, err)
 		return res
 	}
-	// Scripts arm after the pair is connected; steps are generated at >= 1 ms
-	// so the (microsecond-scale) handshake always precedes the first fault.
-	spec.Data.Apply(eng, toB)
-	spec.Ack.Apply(eng, toA)
+	pair := net.Pairs[0]
+	impairs, _ := net.Impairs()
 
 	aud := audit.New(eng)
 	aud.WatchHost("send", pair.SrcHost)
@@ -183,8 +187,9 @@ func RunCampaignOn(eng *sim.Engine, spec CampaignSpec) CampaignResult {
 	aud.WatchConn(pair.Src.Conn)
 	aud.WatchConn(pair.Dst.Conn)
 	aud.WatchStream("data", pair.Src.Conn, pair.Dst.Conn)
-	aud.WatchNetem(toB)
-	aud.WatchNetem(toA)
+	for _, im := range impairs {
+		aud.WatchNetem(im)
+	}
 	aud.Start(units.Millisecond)
 
 	r, terr := tools.NTTCP(pair, spec.Count, spec.Payload, spec.Timeout)
@@ -206,10 +211,12 @@ func RunCampaignOn(eng *sim.Engine, spec CampaignSpec) CampaignResult {
 	res.BudgetHit = eng.EventBudgetExceeded()
 	res.Completed = terr == nil && !res.BudgetHit
 	res.Violations = aud.Finish(res.Completed)
-	res.NetemStats.Dropped = toB.Dropped() + toA.Dropped()
-	res.NetemStats.Corrupted = toB.Corrupted() + toA.Corrupted()
-	res.NetemStats.Duplicated = toB.Duplicated() + toA.Duplicated()
-	res.NetemStats.FlapDropped = toB.FlapDropped() + toA.FlapDropped()
+	for _, im := range impairs {
+		res.NetemStats.Dropped += im.Dropped()
+		res.NetemStats.Corrupted += im.Corrupted()
+		res.NetemStats.Duplicated += im.Duplicated()
+		res.NetemStats.FlapDropped += im.FlapDropped()
+	}
 	return res
 }
 

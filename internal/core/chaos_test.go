@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"tengig/internal/audit"
+	"tengig/internal/host"
 	"tengig/internal/netem"
 	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -125,18 +127,24 @@ func TestCampaignReplayDeterminism(t *testing.T) {
 // the expected violation.
 func TestAuditorDetectsFailures(t *testing.T) {
 	eng := sim.NewEngine(3)
-	pair, toB, toA, err := BackToBackImpairedOn(eng, 3, PE2650, Optimized(1500), Impairments{})
+	spec := topo.BackToBack(host.PE2650, host.Optimized(1500))
+	heal := netem.Script{{}} // a pass-through stage on each direction
+	spec.Links[0].Faults = &topo.LinkFaults{AtoB: heal, BtoA: heal}
+	net, err := topo.Compile(eng, spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pair := net.Pairs[0]
+	impairs, _ := net.Impairs()
 	aud := audit.New(eng)
 	aud.WatchHost("send", pair.SrcHost)
 	aud.WatchHost("recv", pair.DstHost)
 	aud.WatchConn(pair.Src.Conn)
 	aud.WatchConn(pair.Dst.Conn)
 	aud.WatchStream("data", pair.Src.Conn, pair.Dst.Conn)
-	aud.WatchNetem(toB)
-	aud.WatchNetem(toA)
+	for _, im := range impairs {
+		aud.WatchNetem(im)
+	}
 	if _, err := tools.NTTCP(pair, 50, 1024, 30*units.Second); err != nil {
 		t.Fatal(err)
 	}

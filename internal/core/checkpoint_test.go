@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -85,8 +86,8 @@ func TestCheckpointFingerprint(t *testing.T) {
 func TestSweepCheckpointResume(t *testing.T) {
 	base := SweepConfig{
 		Seed:     11,
-		Profile:  PE2650,
-		Tuning:   Optimized(1500),
+		Profile:  host.PE2650,
+		Tuning:   host.Optimized(1500),
 		Payloads: []int{256, 512, 1024, 2048, 4096},
 		Count:    200,
 		Timeout:  30 * units.Second,

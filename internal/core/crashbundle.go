@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -18,14 +20,14 @@ import (
 // before the timing wheel became the only scheduler carry a "scheduler" key;
 // reading ignores it, since the scheduler cannot change a simulated outcome.
 type CrashBundle struct {
-	Kind      string     `json:"kind"` // "sweep-point" or "chaos-campaign"
-	Seed      int64      `json:"seed"`
-	Profile   Profile    `json:"profile,omitempty"`
-	Tuning    *Tuning    `json:"tuning,omitempty"`
-	Payload   int        `json:"payload,omitempty"`
-	Count     int        `json:"count,omitempty"`
-	ViaSwitch bool       `json:"via_switch,omitempty"`
-	Timeout   units.Time `json:"timeout,omitempty"`
+	Kind      string       `json:"kind"` // "sweep-point" or "chaos-campaign"
+	Seed      int64        `json:"seed"`
+	Profile   host.Profile `json:"profile,omitempty"`
+	Tuning    *host.Tuning `json:"tuning,omitempty"`
+	Payload   int          `json:"payload,omitempty"`
+	Count     int          `json:"count,omitempty"`
+	ViaSwitch bool         `json:"via_switch,omitempty"`
+	Timeout   units.Time   `json:"timeout,omitempty"`
 	// Campaign carries the full spec for chaos-campaign bundles.
 	Campaign *CampaignSpec `json:"campaign,omitempty"`
 	// Panic is the fmt.Sprint of the panic value; Stack the goroutine stack
@@ -98,16 +100,14 @@ func (b *CrashBundle) Replay(hook func(payload int)) ReplayResult {
 			if hook != nil {
 				hook(b.Payload)
 			}
-			var t Tuning
-			if b.Tuning != nil {
-				t = *b.Tuning
+			if b.Tuning == nil {
+				return fmt.Errorf("sweep-point bundle without tuning")
 			}
-			c := SweepConfig{Seed: b.Seed, Profile: b.Profile, Tuning: t,
-				ViaSwitch: b.ViaSwitch}
-			pair, perr := c.newPairOn(eng)
+			net, perr := topo.Compile(eng, testbed(b.Profile, *b.Tuning, b.ViaSwitch), b.Seed)
 			if perr != nil {
 				return perr
 			}
+			pair := net.Pairs[0]
 			timeout := b.Timeout
 			if timeout == 0 {
 				timeout = 30 * units.Second

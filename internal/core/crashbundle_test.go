@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -29,8 +30,8 @@ func TestSweepCrashContainment(t *testing.T) {
 	dir := t.TempDir()
 	cfg := SweepConfig{
 		Seed:         11,
-		Profile:      PE2650,
-		Tuning:       Optimized(1500),
+		Profile:      host.PE2650,
+		Tuning:       host.Optimized(1500),
 		Payloads:     []int{256, 512, 1024},
 		Count:        50,
 		Timeout:      30 * units.Second,
@@ -108,8 +109,8 @@ func TestSweepCrashContainment(t *testing.T) {
 func TestSweepCrashContainmentParallel(t *testing.T) {
 	cfg := SweepConfig{
 		Seed:         11,
-		Profile:      PE2650,
-		Tuning:       Optimized(1500),
+		Profile:      host.PE2650,
+		Tuning:       host.Optimized(1500),
 		Payloads:     []int{128, 256, 512, 1024, 2048, 4096},
 		Count:        50,
 		Timeout:      30 * units.Second,
@@ -121,7 +122,7 @@ func TestSweepCrashContainmentParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("contained sweep aborted: %v", err)
 	}
-	clean := SweepConfig{Seed: 11, Profile: PE2650, Tuning: Optimized(1500),
+	clean := SweepConfig{Seed: 11, Profile: host.PE2650, Tuning: host.Optimized(1500),
 		Payloads: cfg.Payloads, Count: 50, Timeout: 30 * units.Second, Workers: 1}
 	ref, err := clean.Run()
 	if err != nil {
@@ -167,9 +168,9 @@ func TestCampaignCrashBundleReplay(t *testing.T) {
 // running clean without it — since the scheduler never changed a simulated
 // outcome.
 func TestSweepPointReplayPerScheduler(t *testing.T) {
-	tun := Optimized(9000)
+	tun := host.Optimized(9000)
 	in := &CrashBundle{
-		Kind: "sweep-point", Seed: 7, Profile: PE2650, Tuning: &tun,
+		Kind: "sweep-point", Seed: 7, Profile: host.PE2650, Tuning: &tun,
 		Payload: 512, Count: 50, Timeout: 30 * units.Second,
 		Panic: "injected fault at payload 512",
 	}
@@ -244,9 +245,9 @@ func TestCampaignBundleFaultScriptedReplay(t *testing.T) {
 // cycle, including the embedded campaign spec.
 func TestCrashBundleRoundTrip(t *testing.T) {
 	spec := ChaosConfig{Seed: 8, Campaigns: 1}.Specs()[0]
-	tun := Optimized(9000)
+	tun := host.Optimized(9000)
 	in := &CrashBundle{
-		Kind: "chaos-campaign", Seed: spec.Seed, Profile: PE2650,
+		Kind: "chaos-campaign", Seed: spec.Seed, Profile: host.PE2650,
 		Tuning: &tun, Campaign: &spec,
 		Panic: "boom", Stack: "stack",
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/units"
 )
 
@@ -11,7 +12,7 @@ func TestMultiFlowTwoAdaptersEqualsOne(t *testing.T) {
 	// independent buses yields results statistically identical to one
 	// adapter — ruling out the PCI-X bus and the adapter as bottlenecks.
 	run := func(nics int) float64 {
-		m, err := NewMultiFlowNICs(1, PE2650, Optimized(9000), 6, GbESenders, false, nics)
+		m, err := NewMultiFlowNICs(1, host.PE2650, host.Optimized(9000), 6, GbESenders, false, nics)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -25,22 +27,23 @@ func freshSweepPoints(t *testing.T, c SweepConfig) []Point {
 	t.Helper()
 	pts := make([]Point, len(c.Payloads))
 	for i, payload := range c.Payloads {
-		pair, err := c.newPairOn(sim.NewEngine(c.Seed))
+		eng := sim.NewEngine(c.Seed)
+		net, err := topo.Compile(eng, testbed(c.Profile, c.Tuning, c.ViaSwitch), c.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pt := Point{Payload: payload}
 		if c.Telemetry.Enabled {
 			name := fmt.Sprintf("%s_p%d", SanitizeName(c.Tuning.Label()), payload)
-			pt.Telemetry = AttachTelemetry(pair, name, c.Seed, c.Telemetry)
+			pt.Telemetry = net.AttachTelemetry(name, c.Seed, c.Telemetry)
 		}
-		r, err := tools.NTTCP(pair, c.Count, payload, c.Timeout)
+		r, err := tools.NTTCP(net.Pairs[0], c.Count, payload, c.Timeout)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pt.ThroughputResult = r
 		if pt.Telemetry != nil {
-			CapturePairEngine(pt.Telemetry, pair)
+			pt.Telemetry.CaptureEngine(eng.Executed, eng.HighWater)
 		}
 		pts[i] = pt
 	}
@@ -50,8 +53,8 @@ func freshSweepPoints(t *testing.T, c SweepConfig) []Point {
 func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 	c := SweepConfig{
 		Seed:     23,
-		Profile:  PE2650,
-		Tuning:   Optimized(9000),
+		Profile:  host.PE2650,
+		Tuning:   host.Optimized(9000),
 		Payloads: []int{1448, 8192, 8948, 16384},
 		Count:    300,
 		Timeout:  10 * units.Minute,
@@ -95,11 +98,11 @@ func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 // reused-engine RunMultiFlows must match fresh-engine builds spec for spec.
 func TestMultiFlowEngineReuseMatchesFresh(t *testing.T) {
 	specs := []MultiFlowSpec{
-		{Label: "4xGbE", Seed: 5, Profile: PE2650, Tuning: Optimized(9000),
+		{Label: "4xGbE", Seed: 5, Profile: host.PE2650, Tuning: host.Optimized(9000),
 			Senders: 4, Kind: GbESenders, Duration: 20 * units.Millisecond},
-		{Label: "2x10GbE", Seed: 6, Profile: PE2650, Tuning: Optimized(9000),
+		{Label: "2x10GbE", Seed: 6, Profile: host.PE2650, Tuning: host.Optimized(9000),
 			Senders: 2, Kind: TenGbESenders, Duration: 20 * units.Millisecond},
-		{Label: "4xGbE-rev", Seed: 5, Profile: PE2650, Tuning: Optimized(9000),
+		{Label: "4xGbE-rev", Seed: 5, Profile: host.PE2650, Tuning: host.Optimized(9000),
 			Senders: 4, Kind: GbESenders, Reverse: true, Duration: 20 * units.Millisecond},
 	}
 	fresh := make([]MultiFlowResult, len(specs))

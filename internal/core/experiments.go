@@ -11,14 +11,15 @@ import (
 	"tengig/internal/stats"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
 // SweepConfig describes a throughput-vs-payload sweep (Figures 3, 4, 5).
 type SweepConfig struct {
 	Seed    int64
-	Profile Profile
-	Tuning  Tuning
+	Profile host.Profile
+	Tuning  host.Tuning
 	// Payloads are the application write sizes; DefaultPayloads() mirrors
 	// the paper's 128 B – 16 KB range.
 	Payloads []int
@@ -137,9 +138,10 @@ func (r *SweepResult) MeanOver(lo int) units.Bandwidth {
 }
 
 // Run executes the sweep: a fresh testbed per payload point (as the paper
-// restarts NTTCP per measurement), reporting Gb/s per payload. Points are
-// independent simulations, so Workers > 1 fans them out without changing
-// any result row.
+// restarts NTTCP per measurement), reporting Gb/s per payload. The testbed
+// spec is built once and compiled for each point on the worker's reset
+// engine. Points are independent simulations, so Workers > 1 fans them out
+// without changing any result row.
 func (c SweepConfig) Run() (*SweepResult, error) {
 	if c.Count <= 0 {
 		c.Count = 3000
@@ -151,6 +153,7 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 		c.Timeout = 30 * units.Second
 	}
 	label := c.Tuning.Label()
+	spec := testbed(c.Profile, c.Tuning, c.ViaSwitch)
 	runPoint := func(eng *sim.Engine, _ int, payload int) (Point, error) {
 		if c.Checkpoint != nil {
 			if e, ok := c.Checkpoint.Lookup(label, payload); ok {
@@ -165,22 +168,22 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 		if c.PointHook != nil {
 			c.PointHook(payload)
 		}
-		pair, err := c.newPairOn(eng)
+		net, err := topo.Compile(eng, spec, c.Seed)
 		if err != nil {
 			return Point{}, err
 		}
 		pt := Point{Payload: payload}
 		if c.Telemetry.Enabled {
 			name := fmt.Sprintf("%s_p%d", SanitizeName(label), payload)
-			pt.Telemetry = AttachTelemetry(pair, name, c.Seed, c.Telemetry)
+			pt.Telemetry = net.AttachTelemetry(name, c.Seed, c.Telemetry)
 		}
-		r, err := tools.NTTCP(pair, c.Count, payload, c.Timeout)
+		r, err := tools.NTTCP(net.Pairs[0], c.Count, payload, c.Timeout)
 		if err != nil {
 			return Point{}, fmt.Errorf("payload %d: %w", payload, err)
 		}
 		pt.ThroughputResult = r
 		if pt.Telemetry != nil {
-			CapturePairEngine(pt.Telemetry, pair)
+			pt.Telemetry.CaptureEngine(eng.Executed, eng.HighWater)
 		}
 		if c.Checkpoint != nil {
 			// Journal after the point fully completes (telemetry captured):
@@ -290,18 +293,29 @@ func NormalizeWorkers(w int) int {
 // order can never leak into results.
 func newWorkerEngine(int) *sim.Engine { return sim.NewEngine(0) }
 
-func (c SweepConfig) newPairOn(eng *sim.Engine) (*tools.Pair, error) {
-	if c.ViaSwitch {
-		return ThroughSwitchOn(eng, c.Profile, c.Tuning)
+// testbed returns the Figure 2(b) spec when viaSwitch, else Figure 2(a).
+func testbed(p host.Profile, t host.Tuning, viaSwitch bool) *topo.Spec {
+	if viaSwitch {
+		return topo.ThroughSwitch(p, t)
 	}
-	return BackToBackOn(eng, c.Profile, c.Tuning)
+	return topo.BackToBack(p, t)
+}
+
+// compilePair compiles spec on a fresh engine seeded with seed and returns
+// its one measurement pair.
+func compilePair(spec *topo.Spec, seed int64) (*tools.Pair, error) {
+	net, err := topo.Compile(sim.NewEngine(seed), spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	return net.Pairs[0], nil
 }
 
 // LatencyConfig describes a NetPipe latency sweep (Figures 6, 7).
 type LatencyConfig struct {
 	Seed      int64
-	Profile   Profile
-	Tuning    Tuning
+	Profile   host.Profile
+	Tuning    host.Tuning
 	Payloads  []int
 	Reps      int
 	ViaSwitch bool
@@ -320,14 +334,8 @@ func (c LatencyConfig) Run() ([]tools.LatencyPoint, error) {
 	if c.Reps <= 0 {
 		c.Reps = 20
 	}
-	t := c.Tuning
 	// NetPipe disables Nagle; a ping-pong never benefits from it.
-	pair, err := func() (*tools.Pair, error) {
-		if c.ViaSwitch {
-			return ThroughSwitch(c.Seed, c.Profile, t)
-		}
-		return BackToBack(c.Seed, c.Profile, t)
-	}()
+	pair, err := compilePair(testbed(c.Profile, c.Tuning, c.ViaSwitch), c.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +344,8 @@ func (c LatencyConfig) Run() ([]tools.LatencyPoint, error) {
 
 // PktgenRun measures the kernel packet generator on a back-to-back pair
 // (§3.5.2's 5.5 Gb/s ceiling measurement).
-func PktgenRun(seed int64, p Profile, t Tuning, count int64, ipLen int) (host.PktgenResult, error) {
-	pair, err := BackToBack(seed, p, t)
+func PktgenRun(seed int64, p host.Profile, t host.Tuning, count int64, ipLen int) (host.PktgenResult, error) {
+	pair, err := compilePair(topo.BackToBack(p, t), seed)
 	if err != nil {
 		return host.PktgenResult{}, err
 	}
@@ -365,8 +373,8 @@ type MultiFlowResult struct {
 type MultiFlowSpec struct {
 	Label    string
 	Seed     int64
-	Profile  Profile
-	Tuning   Tuning
+	Profile  host.Profile
+	Tuning   host.Tuning
 	Senders  int
 	Kind     SenderKind
 	Reverse  bool

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/netem"
 	"tengig/internal/units"
 )
@@ -92,8 +93,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		h.Write(data)
 		spec := CampaignSpec{
 			Seed:        int64(h.Sum64() % (1 << 62)),
-			Profile:     PE2650,
-			Tuning:      Optimized(1500),
+			Profile:     host.PE2650,
+			Tuning:      host.Optimized(1500),
 			Count:       30,
 			Payload:     512,
 			Timeout:     30 * units.Second,

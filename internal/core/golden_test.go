@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"tengig/internal/host"
+	"tengig/internal/netem"
 	"tengig/internal/telemetry"
 )
 
@@ -32,7 +34,7 @@ func goldenProbes() []struct {
 		{
 			name: "stock1500",
 			cfg: ProbeConfig{
-				Seed: 42, Profile: PE2650, Tuning: Stock(1500),
+				Seed: 42, Profile: host.PE2650, Tuning: host.Stock(1500),
 				Count: 1500, Payload: 8948,
 				Telemetry: telemetry.Options{Enabled: true},
 			},
@@ -43,7 +45,7 @@ func goldenProbes() []struct {
 			// path.
 			name: "optimized9000_tso",
 			cfg: ProbeConfig{
-				Seed: 7, Profile: PE2650, Tuning: Optimized(9000).WithTSO(),
+				Seed: 7, Profile: host.PE2650, Tuning: host.Optimized(9000).WithTSO(),
 				Count: 1500, Payload: 65536,
 				Telemetry: telemetry.Options{Enabled: true},
 			},
@@ -54,9 +56,9 @@ func goldenProbes() []struct {
 			// netem drop/release points.
 			name: "lossy9000",
 			cfg: ProbeConfig{
-				Seed: 99, Profile: PE2650, Tuning: Stock(9000),
+				Seed: 99, Profile: host.PE2650, Tuning: host.Stock(9000),
 				Count: 1500, Payload: 8948,
-				Impair:    Impairments{AtoB: FaultConfig{DropNth: 400, LossProb: 0.0002}},
+				Data:      netem.Script{{Fault: netem.Fault{DropNth: 400, LossProb: 0.0002}}},
 				Telemetry: telemetry.Options{Enabled: true},
 			},
 			want: "4461bd99c8b74f1f6dca245f006d842256452b78eae7e9543ce243b3a9a3cb2b",

@@ -3,21 +3,51 @@ package core
 import (
 	"testing"
 
+	"tengig/internal/host"
+	"tengig/internal/netem"
+	"tengig/internal/sim"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
 // Failure-injection integration tests: the full calibrated stack must
 // survive loss, reordering, and delay on the wire.
 
-func TestImpairedSingleLossFastRetransmit(t *testing.T) {
-	// Drop exactly one mid-stream data packet: the sender must recover via
-	// fast retransmit (dup acks), not a timeout, and deliver everything.
-	pair, toB, _, err := BackToBackImpaired(1, PE2650, Optimized(9000),
-		Impairments{AtoB: FaultConfig{DropNth: 500}})
+// impairedPair compiles the Figure 2(a) testbed of PE2650 hosts with the
+// data and ack faults on the crossover from t=0, returning the pair and the
+// netem stage of each direction (nil where the fault is zero).
+func impairedPair(t testing.TB, seed int64, tun host.Tuning, data, ack netem.Fault) (pair *tools.Pair, toB, toA *netem.Impair) {
+	t.Helper()
+	spec := topo.BackToBack(host.PE2650, tun)
+	faults := &topo.LinkFaults{}
+	if data != (netem.Fault{}) {
+		faults.AtoB = netem.Script{{Fault: data}}
+	}
+	if ack != (netem.Fault{}) {
+		faults.BtoA = netem.Script{{Fault: ack}}
+	}
+	spec.Links[0].Faults = faults
+	net, err := topo.Compile(sim.NewEngine(seed), spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ims, names := net.Impairs()
+	for i, im := range ims {
+		switch names[i] {
+		case "crossover/a>b":
+			toB = im
+		case "crossover/b>a":
+			toA = im
+		}
+	}
+	return net.Pairs[0], toB, toA
+}
+
+func TestImpairedSingleLossFastRetransmit(t *testing.T) {
+	// Drop exactly one mid-stream data packet: the sender must recover via
+	// fast retransmit (dup acks), not a timeout, and deliver everything.
+	pair, toB, _ := impairedPair(t, 1, host.Optimized(9000), netem.Fault{DropNth: 500}, netem.Fault{})
 	res, err := tools.NTTCP(pair, 4000, 8948, units.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +73,8 @@ func TestImpairedRandomLossCompletes(t *testing.T) {
 	}
 	// 0.2% random loss in both directions: throughput suffers but the
 	// transfer completes, all bytes intact.
-	pair, toB, toA, err := BackToBackImpaired(3, PE2650, Optimized(9000),
-		Impairments{
-			AtoB: FaultConfig{LossProb: 0.002},
-			BtoA: FaultConfig{LossProb: 0.002},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair, toB, toA := impairedPair(t, 3, host.Optimized(9000),
+		netem.Fault{LossProb: 0.002}, netem.Fault{LossProb: 0.002})
 	const count, payload = 8000, 8948
 	res, err := tools.NTTCP(pair, count, payload, 10*units.Minute)
 	if err != nil {
@@ -66,7 +90,7 @@ func TestImpairedRandomLossCompletes(t *testing.T) {
 		t.Error("no retransmissions despite loss")
 	}
 	// Compare against a clean run: loss must cost throughput.
-	clean, err := BackToBack(3, PE2650, Optimized(9000))
+	clean, err := compilePair(topo.BackToBack(host.PE2650, host.Optimized(9000)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +106,8 @@ func TestImpairedRandomLossCompletes(t *testing.T) {
 func TestImpairedReorderingCompletes(t *testing.T) {
 	// 2% of data packets delayed past their successors: dup acks fire but
 	// every byte still arrives in order at the application.
-	pair, _, _, err := BackToBackImpaired(5, PE2650, Optimized(9000),
-		Impairments{AtoB: FaultConfig{ReorderProb: 0.02, ReorderDelay: 60 * units.Microsecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair, _, _ := impairedPair(t, 5, host.Optimized(9000),
+		netem.Fault{ReorderProb: 0.02, ReorderDelay: 60 * units.Microsecond}, netem.Fault{})
 	const count, payload = 4000, 8948
 	res, err := tools.NTTCP(pair, count, payload, 10*units.Minute)
 	if err != nil {
@@ -102,14 +123,8 @@ func TestImpairedReorderingCompletes(t *testing.T) {
 
 func TestImpairedExtraDelayStretchesRTT(t *testing.T) {
 	// Symmetric +500us per direction adds ~1ms to the measured RTT.
-	pair, _, _, err := BackToBackImpaired(7, PE2650, Optimized(9000),
-		Impairments{
-			AtoB: FaultConfig{ExtraDelay: 500 * units.Microsecond},
-			BtoA: FaultConfig{ExtraDelay: 500 * units.Microsecond},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	delay := netem.Fault{ExtraDelay: 500 * units.Microsecond}
+	pair, _, _ := impairedPair(t, 7, host.Optimized(9000), delay, delay)
 	if _, err := tools.NTTCP(pair, 2000, 8948, units.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +136,7 @@ func TestImpairedExtraDelayStretchesRTT(t *testing.T) {
 func TestImpairedAckLossTolerated(t *testing.T) {
 	// Pure ack loss (cumulative acks are redundant): the transfer completes
 	// with few or no retransmissions.
-	pair, _, toA, err := BackToBackImpaired(9, PE2650, Optimized(9000),
-		Impairments{BtoA: FaultConfig{LossProb: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair, _, toA := impairedPair(t, 9, host.Optimized(9000), netem.Fault{}, netem.Fault{LossProb: 0.05})
 	const count, payload = 4000, 8948
 	res, err := tools.NTTCP(pair, count, payload, 10*units.Minute)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/telemetry"
 	"tengig/internal/units"
 )
@@ -13,8 +14,8 @@ func metricsSweep(t *testing.T, workers int) *SweepResult {
 	t.Helper()
 	res, err := SweepConfig{
 		Seed:     11,
-		Profile:  PE2650,
-		Tuning:   Optimized(9000),
+		Profile:  host.PE2650,
+		Tuning:   host.Optimized(9000),
 		Payloads: []int{1024, 4096, 8948, 16384},
 		Count:    400,
 		Timeout:  5 * units.Second,
@@ -59,7 +60,7 @@ func TestSweepMetricsParallelMatchesSerial(t *testing.T) {
 // records for free — the disabled path costs nothing.
 func TestSweepMetricsDisabled(t *testing.T) {
 	res, err := SweepConfig{
-		Seed: 11, Profile: PE2650, Tuning: Optimized(9000),
+		Seed: 11, Profile: host.PE2650, Tuning: host.Optimized(9000),
 		Payloads: []int{1024}, Count: 100, Timeout: units.Second,
 	}.Run()
 	if err != nil {
@@ -79,7 +80,7 @@ func TestSweepMetricsDisabled(t *testing.T) {
 // A skipped failing point must stay out of the fleet metrics.
 func TestSweepMetricsSkipsFailedPoints(t *testing.T) {
 	res, err := SweepConfig{
-		Seed: 11, Profile: PE2650, Tuning: Optimized(9000),
+		Seed: 11, Profile: host.PE2650, Tuning: host.Optimized(9000),
 		Payloads: []int{1024, 4096, 8192}, Count: 100, Timeout: units.Second,
 		Metrics: true, SkipFailures: true,
 		PointHook: func(payload int) {
@@ -99,7 +100,7 @@ func TestSweepMetricsSkipsFailedPoints(t *testing.T) {
 func TestSweepProgressHook(t *testing.T) {
 	var seen []int
 	_, err := SweepConfig{
-		Seed: 11, Profile: PE2650, Tuning: Optimized(9000),
+		Seed: 11, Profile: host.PE2650, Tuning: host.Optimized(9000),
 		Payloads: []int{1024, 2048, 4096}, Count: 100, Timeout: units.Second,
 		Workers: 2,
 		Progress: func(done, total int) {

@@ -4,16 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/ipv4"
 )
 
 func TestProfilesEnumerate(t *testing.T) {
-	ps := Profiles()
+	ps := host.Profiles()
 	if len(ps) != 5 {
 		t.Fatalf("profiles = %d", len(ps))
 	}
 	for _, p := range ps {
-		cfg := HostConfig(p, "h", ipv4.HostN(1))
+		cfg := host.ProfileConfig(p, "h", ipv4.HostN(1))
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("profile %s invalid: %v", p, err)
 		}
@@ -26,7 +27,7 @@ func TestUnknownProfilePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	HostConfig(Profile("vax11"), "h", ipv4.HostN(1))
+	host.ProfileConfig(host.Profile("vax11"), "h", ipv4.HostN(1))
 }
 
 func TestStockInvalidMTUPanics(t *testing.T) {
@@ -35,17 +36,17 @@ func TestStockInvalidMTUPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Stock(64)
+	host.Stock(64)
 }
 
 func TestTuningLabels(t *testing.T) {
-	l := Stock(9000).Label()
+	l := host.Stock(9000).Label()
 	for _, want := range []string{"9000MTU", "SMP", "512PCI", "85kbuf"} {
 		if !strings.Contains(l, want) {
 			t.Errorf("stock label %q missing %q", l, want)
 		}
 	}
-	l = Optimized(8160).WithoutTimestamps().WithoutCoalescing().WithNAPI().WithTSO().Label()
+	l = host.Optimized(8160).WithoutTimestamps().WithoutCoalescing().WithNAPI().WithTSO().Label()
 	for _, want := range []string{"8160MTU", "UP", "4096PCI", "256kbuf", "nots", "nocoal", "napi", "tso"} {
 		if !strings.Contains(l, want) {
 			t.Errorf("label %q missing %q", l, want)
@@ -54,7 +55,7 @@ func TestTuningLabels(t *testing.T) {
 }
 
 func TestTuningBuilderChain(t *testing.T) {
-	tun := Stock(9000).
+	tun := host.Stock(9000).
 		WithMMRBC(2048).
 		WithUP().
 		WithSockBuf(128 * 1024).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/telemetry"
 	"tengig/internal/units"
 )
@@ -18,8 +19,8 @@ import (
 func TestSerialParallelEquivalence(t *testing.T) {
 	base := SweepConfig{
 		Seed:     11,
-		Profile:  PE2650,
-		Tuning:   Optimized(9000),
+		Profile:  host.PE2650,
+		Tuning:   host.Optimized(9000),
 		Payloads: []int{512, 1448, 8192, 8948, 16384},
 		Count:    400,
 		Timeout:  10 * units.Minute,

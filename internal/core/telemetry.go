@@ -6,30 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 
-	"tengig/internal/tcp"
+	"tengig/internal/host"
+	"tengig/internal/netem"
+	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
-
-// AttachTelemetry instruments both endpoints of a connected pair with
-// Web100-style recorders and starts their periodic samplers. Call after
-// Connect and before driving traffic; finish with CapturePairEngine once
-// the run is over.
-func AttachTelemetry(p *tools.Pair, name string, seed int64, opt telemetry.Options) *telemetry.Bundle {
-	b := telemetry.NewBundle(name, seed, opt)
-	for _, conn := range []*tcp.Conn{p.Src.Conn, p.Dst.Conn} {
-		rec := b.Conn(conn.Name())
-		conn.SetTelemetry(rec)
-		conn.StartTelemetrySampler(opt.Interval())
-	}
-	return b
-}
-
-// CapturePairEngine copies the pair's engine counters into the bundle.
-func CapturePairEngine(b *telemetry.Bundle, p *tools.Pair) {
-	b.CaptureEngine(p.Eng.Executed, p.Eng.HighWater)
-}
 
 // SanitizeName maps a tuning label (or any free-form run name) onto a
 // filesystem-safe export stem: [A-Za-z0-9._-] survive, everything else
@@ -62,18 +46,18 @@ func WriteBundle(dir string, b *telemetry.Bundle) error {
 	return os.WriteFile(stem+".csv", b.ExportCSV(), 0o644)
 }
 
-// ProbeConfig describes one tcpprobe run: a single instrumented transfer,
-// optionally through netem-style impairments.
+// ProbeConfig describes one tcpprobe run: a single instrumented transfer
+// on the Figure 2(a) testbed, optionally through netem fault scripts.
 type ProbeConfig struct {
 	Name    string // export stem; derived from the tuning when empty
 	Seed    int64
-	Profile Profile
-	Tuning  Tuning
+	Profile host.Profile
+	Tuning  host.Tuning
 	// Count writes of Payload bytes each (NTTCP semantics).
 	Count, Payload int
-	// Impair injects faults on the crossover link; the zero value runs the
-	// clean Figure 2(a) topology.
-	Impair Impairments
+	// Data scripts faults on the sender→receiver direction of the crossover
+	// cable, Ack on the reverse; empty scripts leave the cable clean.
+	Data, Ack netem.Script
 	// Telemetry bounds and cadence; Enabled is implied.
 	Telemetry telemetry.Options
 	// Timeout bounds the simulated transfer (default 10 simulated minutes).
@@ -103,24 +87,22 @@ func ProbeRun(cfg ProbeConfig) (*ProbeResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("probe_%s_p%d", SanitizeName(cfg.Tuning.Label()), cfg.Payload)
 	}
-	var (
-		pair *tools.Pair
-		err  error
-	)
-	if cfg.Impair == (Impairments{}) {
-		pair, err = BackToBack(cfg.Seed, cfg.Profile, cfg.Tuning)
-	} else {
-		pair, _, _, err = BackToBackImpaired(cfg.Seed, cfg.Profile, cfg.Tuning, cfg.Impair)
+	spec := topo.BackToBack(cfg.Profile, cfg.Tuning)
+	if len(cfg.Data) > 0 || len(cfg.Ack) > 0 {
+		spec.Links[0].Faults = &topo.LinkFaults{AtoB: cfg.Data, BtoA: cfg.Ack}
 	}
+	eng := sim.NewEngine(cfg.Seed)
+	net, err := topo.Compile(eng, spec, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	bundle := AttachTelemetry(pair, cfg.Name, cfg.Seed, cfg.Telemetry)
+	pair := net.Pairs[0]
+	bundle := net.AttachTelemetry(cfg.Name, cfg.Seed, cfg.Telemetry)
 	res, err := tools.NTTCP(pair, cfg.Count, cfg.Payload, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	CapturePairEngine(bundle, pair)
+	bundle.CaptureEngine(eng.Executed, eng.HighWater)
 	return &ProbeResult{
 		Bundle:     bundle,
 		Transfer:   res,

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"testing"
 
+	"tengig/internal/host"
+	"tengig/internal/netem"
 	"tengig/internal/runner"
+	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/trace"
 	"tengig/internal/units"
 )
@@ -19,11 +23,11 @@ import (
 func TestProbeRecoveryEpisode(t *testing.T) {
 	res, err := ProbeRun(ProbeConfig{
 		Seed:    1,
-		Profile: PE2650,
-		Tuning:  Optimized(9000),
+		Profile: host.PE2650,
+		Tuning:  host.Optimized(9000),
 		Count:   1500,
 		Payload: 8948,
-		Impair:  Impairments{AtoB: FaultConfig{DropNth: 600}},
+		Data:    netem.Script{{Fault: netem.Fault{DropNth: 600}}},
 		Telemetry: telemetry.Options{
 			Enabled:        true,
 			SampleInterval: 10 * units.Microsecond,
@@ -125,7 +129,7 @@ func TestProbeRecoveryEpisode(t *testing.T) {
 func TestSweepTelemetryDeterminism(t *testing.T) {
 	run := func(workers int) *SweepResult {
 		res, err := SweepConfig{
-			Seed: 7, Profile: PE2650, Tuning: Optimized(9000),
+			Seed: 7, Profile: host.PE2650, Tuning: host.Optimized(9000),
 			Payloads: []int{4096, 8948}, Count: 400, Workers: workers,
 			Telemetry: telemetry.Options{Enabled: true},
 		}.Run()
@@ -167,19 +171,21 @@ func TestParallelInstrumentationIsolation(t *testing.T) {
 		paths   int
 	}
 	out, _, errs := runner.Map(seeds, runner.Options[struct{}]{Workers: 4}, func(_ struct{}, i int, seed int64) (probe, error) {
-		pair, err := BackToBack(seed, PE2650, Optimized(9000))
+		eng := sim.NewEngine(seed)
+		net, err := topo.Compile(eng, topo.BackToBack(host.PE2650, host.Optimized(9000)), seed)
 		if err != nil {
 			return probe{}, err
 		}
+		pair := net.Pairs[0]
 		tr := trace.New(2, 16)
 		pair.SrcHost.SetTracer(tr)
 		pair.DstHost.SetTracer(tr)
-		b := AttachTelemetry(pair, fmt.Sprintf("iso%d", i), seed,
+		b := net.AttachTelemetry(fmt.Sprintf("iso%d", i), seed,
 			telemetry.Options{Enabled: true})
 		if _, err := tools.NTTCP(pair, 200, 4096, units.Minute); err != nil {
 			return probe{}, err
 		}
-		CapturePairEngine(b, pair)
+		b.CaptureEngine(eng.Executed, eng.HighWater)
 		return probe{
 			samples: len(b.Conns[0].Samples()),
 			paths:   len(tr.PathCounts()),

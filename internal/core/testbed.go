@@ -6,155 +6,13 @@ import (
 	"tengig/internal/fabric"
 	"tengig/internal/host"
 	"tengig/internal/ipv4"
-	"tengig/internal/nic"
-	"tengig/internal/phys"
 	"tengig/internal/sim"
 	"tengig/internal/tools"
 	"tengig/internal/units"
 )
 
-// crossoverProp is the propagation delay of the back-to-back fiber.
-const crossoverProp = 50 * units.Nanosecond
-
 // hostLinkProp is the host-to-switch fiber delay.
 const hostLinkProp = 100 * units.Nanosecond
-
-// BuildHost constructs a host from a profile and tuning, with one 10GbE
-// adapter at address ipv4.HostN(n). It is the single host-construction
-// path shared by the hand-wired testbeds here and the declarative topology
-// compiler (internal/topo), so both produce byte-identical hosts.
-func BuildHost(eng *sim.Engine, p Profile, t Tuning, name string, n int) *host.Host {
-	cfg := HostConfig(p, name, ipv4.HostN(n))
-	cfg.Kernel.Uniprocessor = t.Uniprocessor
-	cfg.Kernel.Timestamps = t.Timestamps
-	cfg.Kernel.NAPI = t.NAPI
-	cfg.Kernel.IRQRoundRobin = t.IRQRoundRobin
-	cfg.Kernel.TxQueueLen = t.TxQueueLen
-	cfg.PCI.MMRBC = t.MMRBC
-	h := host.New(eng, cfg)
-	h.AddNIC(TunedNIC(t, false))
-	return h
-}
-
-// BuildHostGbE is BuildHost with an e1000-class Gigabit Ethernet adapter —
-// the sender class of the paper's aggregation experiments and the node
-// class of Beowulf-style cluster topologies.
-func BuildHostGbE(eng *sim.Engine, p Profile, t Tuning, name string, n int) *host.Host {
-	cfg := HostConfig(p, name, ipv4.HostN(n))
-	cfg.Kernel.Uniprocessor = t.Uniprocessor
-	cfg.Kernel.Timestamps = t.Timestamps
-	cfg.Kernel.NAPI = t.NAPI
-	cfg.Kernel.IRQRoundRobin = t.IRQRoundRobin
-	cfg.Kernel.TxQueueLen = t.TxQueueLen
-	cfg.PCI.MMRBC = t.MMRBC
-	h := host.New(eng, cfg)
-	h.AddNIC(TunedNIC(t, true))
-	return h
-}
-
-// TunedNIC derives an adapter configuration from the tuning: the paper's
-// Intel PRO/10GbE (or, for gbe, an e1000) with the tuning's MTU, interrupt
-// coalescing delay, and (10GbE only) TSO setting applied.
-func TunedNIC(t Tuning, gbe bool) nic.Config {
-	if gbe {
-		ncfg := nic.GbE(t.MTU)
-		ncfg.CoalesceDelay = t.CoalesceDelay
-		return ncfg
-	}
-	ncfg := nic.TenGbE(t.MTU)
-	ncfg.CoalesceDelay = t.CoalesceDelay
-	ncfg.TSO = t.TSO
-	return ncfg
-}
-
-// buildHost is the package-internal spelling of BuildHost.
-func buildHost(eng *sim.Engine, p Profile, t Tuning, name string, n int) *host.Host {
-	return BuildHost(eng, p, t, name, n)
-}
-
-// BackToBack builds the Figure 2(a) topology: two hosts joined by a
-// crossover cable, with a connected measurement pair on flow 1.
-func BackToBack(seed int64, p Profile, t Tuning) (*tools.Pair, error) {
-	return BackToBackOn(sim.NewEngine(seed), p, t)
-}
-
-// BackToBackOn is BackToBack on a caller-supplied engine — typically one a
-// sweep worker has just Reset, so construction reuses the engine's warmed
-// pools instead of allocating a kernel per run.
-func BackToBackOn(eng *sim.Engine, p Profile, t Tuning) (*tools.Pair, error) {
-	a := buildHost(eng, p, t, "send", 1)
-	b := buildHost(eng, p, t, "recv", 2)
-	link := phys.NewLink(eng, "crossover", 10*units.GbitPerSecond, crossoverProp, phys.EthernetFraming{})
-	link.Connect(a.NIC(0).Adapter, b.NIC(0).Adapter)
-	a.NIC(0).Adapter.AttachPort(link.AtoB)
-	b.NIC(0).Adapter.AttachPort(link.BtoA)
-	return connectPair(eng, a, b, t)
-}
-
-// GbEBackToBack builds a Gigabit Ethernet pair from the same host profile —
-// the §3.5.3 baseline ("our extensive experience with GbE chipsets allows
-// us to achieve near line-speed performance with a 1500-byte MTU").
-func GbEBackToBack(seed int64, p Profile, t Tuning) (*tools.Pair, error) {
-	return GbEBackToBackOn(sim.NewEngine(seed), p, t)
-}
-
-// GbEBackToBackOn is GbEBackToBack on a caller-supplied engine.
-func GbEBackToBackOn(eng *sim.Engine, p Profile, t Tuning) (*tools.Pair, error) {
-	mk := func(name string, n int) *host.Host {
-		cfg := HostConfig(p, name, ipv4.HostN(n))
-		cfg.Kernel.Uniprocessor = t.Uniprocessor
-		cfg.Kernel.Timestamps = t.Timestamps
-		cfg.Kernel.TxQueueLen = t.TxQueueLen
-		cfg.PCI.MMRBC = t.MMRBC
-		h := host.New(eng, cfg)
-		ncfg := nic.GbE(t.MTU)
-		h.AddNIC(ncfg)
-		return h
-	}
-	a, b := mk("send", 1), mk("recv", 2)
-	link := phys.NewLink(eng, "crossover", units.GbitPerSecond, crossoverProp, phys.EthernetFraming{})
-	link.Connect(a.NIC(0).Adapter, b.NIC(0).Adapter)
-	a.NIC(0).Adapter.AttachPort(link.AtoB)
-	b.NIC(0).Adapter.AttachPort(link.BtoA)
-	return connectPair(eng, a, b, t)
-}
-
-// ThroughSwitch builds the Figure 2(b) topology: two hosts through the
-// FastIron 1500.
-func ThroughSwitch(seed int64, p Profile, t Tuning) (*tools.Pair, error) {
-	return ThroughSwitchOn(sim.NewEngine(seed), p, t)
-}
-
-// ThroughSwitchOn is ThroughSwitch on a caller-supplied engine.
-func ThroughSwitchOn(eng *sim.Engine, p Profile, t Tuning) (*tools.Pair, error) {
-	a := buildHost(eng, p, t, "send", 1)
-	b := buildHost(eng, p, t, "recv", 2)
-	sw := fabric.FastIron(eng, "fastiron1500")
-	attA := fabric.AttachDevice(eng, sw, a.NIC(0).Adapter, "a-sw",
-		10*units.GbitPerSecond, hostLinkProp, 4*units.MB)
-	a.NIC(0).Adapter.AttachPort(attA.ToSwitch)
-	attB := fabric.AttachDevice(eng, sw, b.NIC(0).Adapter, "b-sw",
-		10*units.GbitPerSecond, hostLinkProp, 4*units.MB)
-	b.NIC(0).Adapter.AttachPort(attB.ToSwitch)
-	if err := sw.Route(a.Addr(), attA.PortIdx); err != nil {
-		return nil, err
-	}
-	if err := sw.Route(b.Addr(), attB.PortIdx); err != nil {
-		return nil, err
-	}
-	return connectPair(eng, a, b, t)
-}
-
-func connectPair(eng *sim.Engine, a, b *host.Host, t Tuning) (*tools.Pair, error) {
-	cfg := t.TCPConfig()
-	sa := a.OpenSocket(1, b.Addr(), cfg, 0)
-	sb := b.OpenSocket(1, a.Addr(), cfg, 0)
-	p := &tools.Pair{Eng: eng, SrcHost: a, DstHost: b, Src: sa, Dst: sb}
-	if err := p.Connect(units.Second); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
 
 // MultiFlow is the Figure 2(c) topology: n sender hosts aggregated through
 // the FastIron into one sink host, one flow per sender.
@@ -181,30 +39,27 @@ const (
 // NewMultiFlow builds the aggregation testbed. reverse=false aggregates
 // senders→sink (receive-path stress at the sink); reverse=true makes the
 // sink transmit to all senders (transmit-path stress).
-func NewMultiFlow(seed int64, sinkProfile Profile, t Tuning, n int, kind SenderKind, reverse bool) (*MultiFlow, error) {
+func NewMultiFlow(seed int64, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool) (*MultiFlow, error) {
 	return NewMultiFlowNICs(seed, sinkProfile, t, n, kind, reverse, 1)
 }
 
 // NewMultiFlowNICs is NewMultiFlow with sinkNICs adapters in the sink, each
 // on its own PCI-X bus, with flows spread round-robin across them — the
 // §3.5.2 two-adapter experiment that rules the bus out as the bottleneck.
-func NewMultiFlowNICs(seed int64, sinkProfile Profile, t Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
+func NewMultiFlowNICs(seed int64, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
 	return NewMultiFlowNICsOn(sim.NewEngine(seed), sinkProfile, t, n, kind, reverse, sinkNICs)
 }
 
 // NewMultiFlowNICsOn is NewMultiFlowNICs on a caller-supplied engine.
-func NewMultiFlowNICsOn(eng *sim.Engine, sinkProfile Profile, t Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
+func NewMultiFlowNICsOn(eng *sim.Engine, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
 	if sinkNICs < 1 {
 		return nil, fmt.Errorf("core: sinkNICs %d", sinkNICs)
 	}
 	m := &MultiFlow{Eng: eng}
 	m.Switch = fabric.FastIron(eng, "fastiron1500")
-	m.Sink = buildHost(eng, sinkProfile, t, "sink", 1)
+	m.Sink = host.Build(eng, sinkProfile, t, host.TenGbE, "sink", 1)
 	for extra := 1; extra < sinkNICs; extra++ {
-		ncfg := nic.TenGbE(t.MTU)
-		ncfg.CoalesceDelay = t.CoalesceDelay
-		ncfg.TSO = t.TSO
-		m.Sink.AddNIC(ncfg)
+		m.Sink.AddNIC(t.NIC(host.TenGbE))
 	}
 	// Each sink adapter gets its own interface address so the switch can
 	// steer flows to a specific adapter (as multi-homed hosts do).
@@ -231,9 +86,10 @@ func NewMultiFlowNICsOn(eng *sim.Engine, sinkProfile Profile, t Tuning, n int, k
 				st.MTU = 9000
 			}
 		}
-		sender := buildSender(eng, t, st, i, kind)
+		// Senders are PE2650-class clients in the paper's aggregation tests.
+		sender := host.Build(eng, host.PE2650, st, kind.nic(), fmt.Sprintf("sender%d", i), 10+i)
 		satt := fabric.AttachDevice(eng, m.Switch, sender.NIC(0).Adapter,
-			fmt.Sprintf("s%d-sw", i), senderRate(kind), hostLinkProp, 4*units.MB)
+			fmt.Sprintf("s%d-sw", i), sender.NIC(0).Adapter.Config().LineRate, hostLinkProp, 4*units.MB)
 		sender.NIC(0).Adapter.AttachPort(satt.ToSwitch)
 		if err := m.Switch.Route(sender.Addr(), satt.PortIdx); err != nil {
 			return nil, err
@@ -261,29 +117,10 @@ func NewMultiFlowNICsOn(eng *sim.Engine, sinkProfile Profile, t Tuning, n int, k
 	return m, nil
 }
 
-func senderRate(kind SenderKind) units.Bandwidth {
-	if kind == GbESenders {
-		return units.GbitPerSecond
+// nic returns the adapter class a sender of this kind carries.
+func (k SenderKind) nic() host.NICKind {
+	if k == GbESenders {
+		return host.GbE
 	}
-	return 10 * units.GbitPerSecond
-}
-
-// buildSender makes sender host i with the right adapter kind. Senders are
-// PE2650-class GbE clients in the paper's aggregation tests.
-func buildSender(eng *sim.Engine, sinkT, t Tuning, i int, kind SenderKind) *host.Host {
-	cfg := HostConfig(PE2650, fmt.Sprintf("sender%d", i), ipv4.HostN(10+i))
-	cfg.Kernel.Uniprocessor = t.Uniprocessor
-	cfg.Kernel.Timestamps = t.Timestamps
-	cfg.Kernel.TxQueueLen = t.TxQueueLen
-	cfg.PCI.MMRBC = t.MMRBC
-	h := host.New(eng, cfg)
-	var ncfg nic.Config
-	if kind == GbESenders {
-		ncfg = nic.GbE(t.MTU)
-	} else {
-		ncfg = nic.TenGbE(t.MTU)
-	}
-	ncfg.CoalesceDelay = t.CoalesceDelay
-	h.AddNIC(ncfg)
-	return h
+	return host.TenGbE
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"tengig/internal/host"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 	"tengig/internal/wan"
 )
@@ -87,7 +89,7 @@ func TestWANOversizedBufferLoses(t *testing.T) {
 
 func TestMultiFlowAggregation(t *testing.T) {
 	// §3.5.2: GbE flows aggregated through the switch into one 10GbE host.
-	m, err := NewMultiFlow(1, PE2650, Optimized(9000), 6, GbESenders, false)
+	m, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 6, GbESenders, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +113,12 @@ func TestMultiFlowAggregation(t *testing.T) {
 func TestMultiFlowTransmitEqualsReceive(t *testing.T) {
 	// §3.5.2's unexpected result: the transmit and receive paths are of
 	// statistically equal performance.
-	rx, err := NewMultiFlow(1, PE2650, Optimized(9000), 6, GbESenders, false)
+	rx, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 6, GbESenders, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rxRes := RunMultiFlow(rx, 100*units.Millisecond)
-	tx, err := NewMultiFlow(1, PE2650, Optimized(9000), 6, GbESenders, true)
+	tx, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 6, GbESenders, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestMultiFlowTransmitEqualsReceive(t *testing.T) {
 
 func TestMultiFlowItanium(t *testing.T) {
 	// §3.4: the quad Itanium-II sinks 7.2 Gb/s of aggregated traffic.
-	m, err := NewMultiFlow(1, ItaniumII, Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, GbESenders, false)
+	m, err := NewMultiFlow(1, host.ItaniumII, host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, GbESenders, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestMultiFlowReceiveBenefitsFromCoalescing(t *testing.T) {
 	// receive path to benefit from interrupt coalescing." The aggregated
 	// sink should batch more packets per interrupt than a single-flow
 	// receiver at comparable load.
-	m, err := NewMultiFlow(1, PE2650, Optimized(9000), 6, GbESenders, false)
+	m, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 6, GbESenders, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestMultiFlowReceiveBenefitsFromCoalescing(t *testing.T) {
 	}
 	multi := float64(sinkStats.RxPackets) / float64(sinkStats.Interrupts)
 
-	pair, err := BackToBack(1, PE2650, Optimized(9000))
+	pair, err := compilePair(topo.BackToBack(host.PE2650, host.Optimized(9000)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tengig/internal/ethernet"
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/tcp"
 	"tengig/internal/tools"
@@ -80,11 +81,11 @@ func RunWAN(c WANConfig) (WANResult, error) {
 	}
 	eng := sim.NewEngine(c.Seed)
 
-	t := Stock(c.MTU)
+	t := host.Stock(c.MTU)
 	t.TxQueueLen = 10000 // the record run's txqueuelen
 	t.MMRBC = 4096
-	west := buildHost(eng, WANXeon, t, "sunnyvale", 1)
-	east := buildHost(eng, WANXeon, t, "geneva", 2)
+	west := host.Build(eng, host.WANXeon, t, host.TenGbE, "sunnyvale", 1)
+	east := host.Build(eng, host.WANXeon, t, host.TenGbE, "geneva", 2)
 	path := wan.Build(eng, west, east, 0, 0, c.Path)
 
 	buf := c.SockBuf

@@ -157,9 +157,6 @@ func (n *Node) AddPort(out *phys.Port, queueCap units.ByteSize) int {
 // Port returns port i.
 func (n *Node) Port(i int) *Port { return n.ports[i] }
 
-// NumPorts returns the number of installed output ports.
-func (n *Node) NumPorts() int { return len(n.ports) }
-
 // PortStats snapshots every port's counters in port-index order.
 func (n *Node) PortStats() []PortStats {
 	out := make([]PortStats, len(n.ports))

@@ -472,9 +472,6 @@ func (h *Host) deliverUDP(pk *packet.Packet) {
 	pk.Release()
 }
 
-// CPUBusy returns the accumulated busy time of CPU i (diagnostics).
-func (h *Host) CPUBusy(i int) units.Time { return h.cpus[i].BusyTime() }
-
 // PacketPool exposes the host's packet free list so the invariant auditor
 // can verify every drawn packet was released exactly once.
 func (h *Host) PacketPool() *packet.Pool { return h.pktPool }

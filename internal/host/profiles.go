@@ -1,18 +1,12 @@
-// Package core is the public face of the library: calibrated host profiles
-// for the paper's testbeds, topology builders (back-to-back, through-switch,
-// multi-flow aggregation, the transatlantic WAN), the tuning-option ladder
-// of §3.3, and experiment runners that regenerate every figure and table of
-// the paper. See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results.
-package core
+package host
 
 import (
 	"fmt"
 
-	"tengig/internal/host"
 	"tengig/internal/ipv4"
 	"tengig/internal/mem"
 	"tengig/internal/pci"
+	"tengig/internal/sim"
 	"tengig/internal/units"
 )
 
@@ -45,16 +39,16 @@ func Profiles() []Profile {
 	return []Profile{PE2650, PE4600, IntelE7505, ItaniumII, WANXeon}
 }
 
-// HostConfig returns the calibrated host configuration for a profile. The
-// constants below are this reproduction's calibration table: they are
+// ProfileConfig returns the calibrated host configuration for a profile.
+// The constants below are this reproduction's calibration table: they are
 // chosen so that the simulated experiments land on the paper's anchors
 // (DESIGN.md §3) and are pinned by internal/core calibration tests.
-func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
-	cfg := host.Config{
+func ProfileConfig(p Profile, name string, addr ipv4.Addr) Config {
+	cfg := Config{
 		Name: name,
 		Addr: addr,
 		CPUs: 2,
-		Kernel: host.KernelConfig{
+		Kernel: KernelConfig{
 			Uniprocessor: false,
 			Timestamps:   true,
 			TxQueueLen:   1000,
@@ -63,7 +57,7 @@ func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
 	}
 	switch p {
 	case PE2650:
-		cfg.Costs = host.CostConfig{
+		cfg.Costs = CostConfig{
 			Syscall:       1100 * units.Nanosecond,
 			TCPTxSegment:  1600 * units.Nanosecond,
 			TCPRxSegment:  1350 * units.Nanosecond,
@@ -92,7 +86,7 @@ func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
 	case PE4600:
 		// Faster memory (GC-HE, interleaved) but a 100 MHz PCI-X slot and a
 		// weaker chipset DMA read path: STREAM improves ~50%, TCP does not.
-		cfg.Costs = HostConfig(PE2650, name, addr).Costs
+		cfg.Costs = ProfileConfig(PE2650, name, addr).Costs
 		cfg.Mem = mem.Config{
 			BusBW:         units.FromGbps(19),
 			CPUCopyBW:     units.FromGbps(6.4),
@@ -109,7 +103,7 @@ func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
 		// memory bandwidth, supplies the extra 13% of TCP throughput. Its
 		// one measured oddity: TCP timestamps cost ~10% of throughput, so
 		// the paper's out-of-box number was taken with timestamps off.
-		cfg.Costs = HostConfig(PE2650, name, addr).Costs
+		cfg.Costs = ProfileConfig(PE2650, name, addr).Costs
 		cfg.Costs.TCPTxSegment = 1150 * units.Nanosecond
 		cfg.Costs.TCPRxSegment = 1100 * units.Nanosecond
 		cfg.Costs.Timestamp = 2000 * units.Nanosecond
@@ -127,7 +121,7 @@ func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
 		}
 	case ItaniumII:
 		cfg.CPUs = 4
-		cfg.Costs = host.CostConfig{
+		cfg.Costs = CostConfig{
 			Syscall:       700 * units.Nanosecond,
 			TCPTxSegment:  1000 * units.Nanosecond,
 			TCPRxSegment:  1000 * units.Nanosecond,
@@ -156,12 +150,41 @@ func HostConfig(p Profile, name string, addr ipv4.Addr) host.Config {
 	case WANXeon:
 		// Dual 2.4 GHz Xeon, 2 GB: comfortably sustains the OC-48's
 		// 2.38 Gb/s with jumbo frames.
-		cfg.Costs = HostConfig(PE2650, name, addr).Costs
-		cfg.Mem = HostConfig(PE2650, name, addr).Mem
+		cfg.Costs = ProfileConfig(PE2650, name, addr).Costs
+		cfg.Mem = ProfileConfig(PE2650, name, addr).Mem
 		cfg.Mem.CPUCopyBW = units.FromGbps(6.3)
 		cfg.Kernel.TxQueueLen = 10000
 	default:
-		panic(fmt.Sprintf("core: unknown profile %q", p))
+		panic(fmt.Sprintf("host: unknown profile %q", p))
 	}
 	return cfg
+}
+
+// NICKind names the adapter class a built host carries.
+type NICKind string
+
+// Adapter classes.
+const (
+	// TenGbE is the paper's Intel PRO/10GbE.
+	TenGbE NICKind = "10g"
+	// GbE is an e1000-class Gigabit Ethernet adapter: the sender class of
+	// the aggregation experiments and the node class of Beowulf clusters.
+	GbE NICKind = "1g"
+)
+
+// Build constructs a host from a calibrated profile and a tuning, with one
+// adapter of the given kind at address ipv4.HostN(n). It is the one path
+// from a profile and a tuning to a host, shared by the topology compiler,
+// the aggregation testbed and the WAN run.
+func Build(eng *sim.Engine, p Profile, t Tuning, kind NICKind, name string, n int) *Host {
+	cfg := ProfileConfig(p, name, ipv4.HostN(n))
+	cfg.Kernel.Uniprocessor = t.Uniprocessor
+	cfg.Kernel.Timestamps = t.Timestamps
+	cfg.Kernel.NAPI = t.NAPI
+	cfg.Kernel.IRQRoundRobin = t.IRQRoundRobin
+	cfg.Kernel.TxQueueLen = t.TxQueueLen
+	cfg.PCI.MMRBC = t.MMRBC
+	h := New(eng, cfg)
+	h.AddNIC(t.NIC(kind))
+	return h
 }

@@ -1,9 +1,10 @@
-package core
+package host
 
 import (
 	"fmt"
 
 	"tengig/internal/ethernet"
+	"tengig/internal/nic"
 	"tengig/internal/pci"
 	"tengig/internal/tcp"
 	"tengig/internal/units"
@@ -54,7 +55,7 @@ type Tuning struct {
 // interrupt coalescing.
 func Stock(mtu int) Tuning {
 	if !ethernet.ValidMTU(mtu) {
-		panic(fmt.Sprintf("core: invalid MTU %d", mtu))
+		panic(fmt.Sprintf("host: invalid MTU %d", mtu))
 	}
 	return Tuning{
 		MTU:           mtu,
@@ -158,5 +159,18 @@ func (t Tuning) TCPConfig() tcp.Config {
 	if t.RcvMSSOwn {
 		cfg.RcvMSS = tcp.RcvMSSOwn
 	}
+	return cfg
+}
+
+// NIC derives an adapter configuration from the tuning: the kind's adapter
+// at the tuning's MTU, with the tuning's interrupt coalescing delay and TSO
+// setting applied.
+func (t Tuning) NIC(kind NICKind) nic.Config {
+	cfg := nic.TenGbE(t.MTU)
+	if kind == GbE {
+		cfg = nic.GbE(t.MTU)
+	}
+	cfg.CoalesceDelay = t.CoalesceDelay
+	cfg.TSO = t.TSO
 	return cfg
 }

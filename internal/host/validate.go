@@ -1,4 +1,4 @@
-package core
+package host
 
 import (
 	"fmt"
@@ -8,7 +8,7 @@ import (
 
 // This file is the boundary between user input and the panicking
 // constructors: command-line tools validate here and report errors with a
-// non-zero exit, while programmer errors deeper in (HostConfig on an
+// non-zero exit, while programmer errors deeper in (ProfileConfig on an
 // unknown profile, Stock/Optimized on an impossible MTU) stay panics.
 
 // ParseProfile resolves a user-supplied profile name against the

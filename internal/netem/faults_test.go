@@ -267,7 +267,9 @@ func TestScriptApply(t *testing.T) {
 		{At: 10 * units.Microsecond}, // heal (listed out of order on purpose)
 		{At: 5 * units.Microsecond, Fault: Fault{LossProb: 1.0}},
 	}
-	script.Apply(eng, im)
+	if err := im.SetScript(script); err != nil {
+		t.Fatal(err)
+	}
 	for _, at := range []units.Time{0, 6 * units.Microsecond, 12 * units.Microsecond} {
 		at := at
 		eng.Schedule(at, func() { im.Receive(&packet.Packet{ID: uint64(at)}) })
@@ -278,6 +280,32 @@ func TestScriptApply(t *testing.T) {
 	}
 	if len(c.got) != 2 || c.got[0].ID != 0 || c.got[1].ID != uint64(12*units.Microsecond) {
 		t.Fatalf("delivered %v", c.got)
+	}
+}
+
+// TestScriptDropNth pins the scripted single loss: a step at t=0 with
+// drop_nth 3 drops exactly the third packet the stage sees, and a negative
+// drop_nth is rejected.
+func TestScriptDropNth(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := &collector{eng: eng}
+	im := New(eng, c, 1)
+	if err := im.SetScript(Script{{Fault: Fault{DropNth: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 6; i++ {
+		im.Receive(&packet.Packet{ID: uint64(i)})
+	}
+	if im.Seen() != 6 || im.Dropped() != 1 {
+		t.Fatalf("seen=%d dropped=%d; want exactly one drop", im.Seen(), im.Dropped())
+	}
+	for _, pk := range c.got {
+		if pk.ID == 3 {
+			t.Fatal("packet 3 was delivered")
+		}
+	}
+	if err := (Script{{Fault: Fault{DropNth: -1}}}).Validate(); err == nil {
+		t.Error("negative drop_nth accepted")
 	}
 }
 

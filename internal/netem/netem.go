@@ -161,7 +161,7 @@ func (im *Impair) LinkDown() bool { return im.linkDown }
 
 // Receive implements phys.Receiver.
 //
-// Impairments draw from the rng only when their knob is enabled, in a fixed
+// Each impairment draws from the rng only when its knob is enabled, in a fixed
 // order (GE transition+loss, LossProb, CorruptProb, ReorderProb, DupProb), so
 // enabling a new fault class never perturbs the draw sequence — and thus the
 // simulated outcome — of a configuration that does not use it.

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"sort"
 
-	"tengig/internal/sim"
 	"tengig/internal/units"
 )
 
 // Fault is one declarative impairment setting: the full set of
 // script-controllable knobs an Impair exposes, in a plain JSON-serializable
 // struct so fault scripts can ride inside crash bundles and fuzz corpora.
-// DropNth and DropFn are deliberately absent — they are one-shot test
-// instruments, not time-varying link conditions — and SetFault leaves them
-// untouched.
+// DropFn is deliberately absent — a function is a test instrument, not a
+// link condition — and SetFault leaves it untouched.
 type Fault struct {
-	LossProb     float64    `json:"loss_prob,omitempty"`
+	LossProb float64 `json:"loss_prob,omitempty"`
+	// DropNth drops exactly the nth packet the stage sees (1-based, counted
+	// from the stage's first packet, not from the step); 0 disables.
+	DropNth      int64      `json:"drop_nth,omitempty"`
 	GE           GEConfig   `json:"ge,omitempty"`
 	CorruptProb  float64    `json:"corrupt_prob,omitempty"`
 	DupProb      float64    `json:"dup_prob,omitempty"`
@@ -36,7 +37,7 @@ type Step struct {
 type Script []Step
 
 // Validate rejects scripts no link could exhibit: probabilities outside
-// [0, 1], negative delays, or negative step times.
+// [0, 1], negative delays, a negative drop_nth, or negative step times.
 func (s Script) Validate() error {
 	for i, st := range s {
 		if st.At < 0 {
@@ -63,16 +64,19 @@ func (s Script) Validate() error {
 		if f.ExtraDelay < 0 || f.ReorderDelay < 0 {
 			return fmt.Errorf("netem: step %d: negative delay", i)
 		}
+		if f.DropNth < 0 {
+			return fmt.Errorf("netem: step %d: negative drop_nth %d", i, f.DropNth)
+		}
 	}
 	return nil
 }
 
-// SetFault switches every script-controllable knob to f at once. One-shot
-// instruments (DropNth, DropFn) and the Gilbert-Elliott state survive, so a
-// script step that re-enables GE resumes the burst process rather than
-// restarting it.
+// SetFault switches every script-controllable knob to f at once. DropFn
+// and the Gilbert-Elliott state survive, so a script step that re-enables
+// GE resumes the burst process rather than restarting it.
 func (im *Impair) SetFault(f Fault) {
 	im.LossProb = f.LossProb
+	im.DropNth = f.DropNth
 	im.GE = f.GE
 	im.CorruptProb = f.CorruptProb
 	im.DupProb = f.DupProb
@@ -106,15 +110,4 @@ func (im *Impair) SetScript(s Script) error {
 	im.script = ordered
 	im.scriptIdx = 0
 	return nil
-}
-
-// Apply installs the script on im (see SetScript): steps are applied in
-// time order regardless of slice order, lazily as packets arrive. The eng
-// parameter is retained for call-site compatibility; lazy application
-// needs no scheduler. Apply panics on an invalid script — validate
-// untrusted scripts first.
-func (s Script) Apply(eng *sim.Engine, im *Impair) {
-	if err := im.SetScript(s); err != nil {
-		panic(err.Error())
-	}
 }

@@ -233,9 +233,6 @@ func (a *Adapter) wireTime(pk *packet.Packet) units.Time {
 	return units.TimeToSend(ethernet.WireBytes(pk.IPLen()), a.cfg.LineRate)
 }
 
-// TxBacklog returns the transmit DMA backlog (time until drained).
-func (a *Adapter) TxBacklog() units.Time { return a.txDMA.Backlog() }
-
 // Receive implements phys.Receiver: a packet arrives from the wire, is
 // DMA-written to host memory, and then joins the interrupt-coalescing
 // window.

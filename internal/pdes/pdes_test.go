@@ -473,3 +473,21 @@ func TestRunnerReuse(t *testing.T) {
 		t.Errorf("rerun executed %d events, first run %d", second.Events, first.Events)
 	}
 }
+
+// TestCrossoverRejected: a Figure 2(a) crossover has no switch to partition
+// along, so New refuses it at any shard count with a typed error naming the
+// link, instead of a partition-coverage error.
+func TestCrossoverRejected(t *testing.T) {
+	spec, err := topo.Parse([]byte(`{"name":"xo","hosts":[{"name":"a"},{"name":"b"}],
+		"links":[{"name":"cable","a":"a","b":"b"}],"flows":[{"src":"a","dst":"b"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		_, err := New(spec, Options{Shards: shards, Seed: 1})
+		var xe *topo.CrossoverError
+		if !errors.As(err, &xe) || xe.Link != "cable" {
+			t.Errorf("shards=%d: err = %v, want a CrossoverError naming link cable", shards, err)
+		}
+	}
+}

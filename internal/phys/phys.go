@@ -78,7 +78,6 @@ type Port struct {
 	prop    units.Time
 	dst     Receiver
 	packets int64
-	ipBytes int64
 
 	// Per-packet callbacks bound once so Send builds no closures: the packet
 	// rides the event argument through serialization and propagation.
@@ -153,9 +152,6 @@ func (p *Port) Utilization() float64 { return p.wire.Utilization() }
 // Packets returns the number of packets sent.
 func (p *Port) Packets() int64 { return p.packets }
 
-// IPBytes returns the IP-datagram bytes sent (excluding framing).
-func (p *Port) IPBytes() int64 { return p.ipBytes }
-
 // Send serializes the packet onto the wire; it is delivered to the receiver
 // after serialization plus propagation. Panics if no receiver is attached.
 func (p *Port) Send(pk *packet.Packet) {
@@ -163,7 +159,6 @@ func (p *Port) Send(pk *packet.Packet) {
 		panic("phys: send on unattached port " + p.name)
 	}
 	p.packets++
-	p.ipBytes += int64(pk.IPLen())
 	wb := p.framing.WireBytes(pk.IPLen())
 	p.wire.SendCall(wb, p.wireDoneCb, pk)
 }

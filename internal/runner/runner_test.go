@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -98,13 +99,14 @@ func TestWorkersActuallyOverlap(t *testing.T) {
 
 // engineTrace drives a seeded random-timer simulation on eng and summarizes
 // its end state.
-func engineTrace(eng *sim.Engine, steps, spread int) string {
+func engineTrace(eng *sim.Engine, seed int64, steps, spread int) string {
+	rng := rand.New(rand.NewSource(seed))
 	var log []units.Time
 	var step func()
 	step = func() {
 		log = append(log, eng.Now())
 		if len(log) < steps {
-			eng.After(units.Time(eng.Rand().Intn(spread)+1), step)
+			eng.After(units.Time(rng.Intn(spread)+1), step)
 		}
 	}
 	eng.After(1, step)
@@ -122,7 +124,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	run := func(workers int) []string {
 		out, _, errs := Map(seeds, pool(workers), func(_ struct{}, _ int, seed int64) (string, error) {
-			return engineTrace(sim.NewEngine(seed), 200, 50), nil
+			return engineTrace(sim.NewEngine(seed), seed, 200, 50), nil
 		})
 		if err := FirstErr(errs); err != nil {
 			t.Fatal(err)
@@ -196,7 +198,7 @@ func TestMapEngineReuseDeterminism(t *testing.T) {
 	seeds := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	fresh := make([]string, len(seeds))
 	for i, seed := range seeds {
-		fresh[i] = engineTrace(sim.NewEngine(seed), 150, 70)
+		fresh[i] = engineTrace(sim.NewEngine(seed), seed, 150, 70)
 	}
 	for _, workers := range []int{1, 3, 0} {
 		reused, _, errs := Map(seeds, Options[*sim.Engine]{
@@ -204,7 +206,7 @@ func TestMapEngineReuseDeterminism(t *testing.T) {
 			NewState: func(int) *sim.Engine { return sim.NewEngine(0) },
 		}, func(eng *sim.Engine, _ int, seed int64) (string, error) {
 			eng.Reset(seed)
-			return engineTrace(eng, 150, 70), nil
+			return engineTrace(eng, seed, 150, 70), nil
 		})
 		if err := FirstErr(errs); err != nil {
 			t.Fatal(err)

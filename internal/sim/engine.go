@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // substrate in this repository: an event scheduler with deterministic
-// ordering, FIFO queueing resources, and a seeded random source.
+// ordering and FIFO queueing resources. The engine draws no randomness;
+// components that need it (netem) own seeded per-link streams.
 //
 // All simulated components share one *Engine. Components schedule callbacks
 // at absolute or relative simulated times; Run drains the event queue in
@@ -29,7 +30,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tengig/internal/units"
 )
@@ -142,7 +142,6 @@ type Engine struct {
 	budgetHit bool        // the budget stopped the run (EventBudgetExceeded)
 	ledger    *LiveLedger // optional liveness ledger for parallel-DES HighWater reconstruction
 	injecting bool        // InjectCall in progress: suppress the ledger's creation delta
-	rng       *rand.Rand
 	// Executed counts events run; useful for progress assertions in tests.
 	Executed uint64
 	// HighWater is the deepest the live-event population has been — a
@@ -151,17 +150,19 @@ type Engine struct {
 	HighWater int
 }
 
-// NewEngine returns an engine whose clock starts at zero, with a
-// deterministic random source derived from seed.
+// NewEngine returns an engine whose clock starts at zero. The engine draws
+// no randomness, so seed only labels the run: every random stream in a
+// simulation belongs to a component (netem.StreamSeed), which keeps streams
+// exact when a topology is split across parallel-DES shards.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{}
 	e.sched = newWheel(e)
 	e.recycleFn = e.recycle
 	return e
 }
 
 // Reset returns the engine to the state NewEngine(seed) would give —
-// clock at zero, empty queue, reseeded RNG, zeroed counters — while
+// clock at zero, empty queue, zeroed counters — while
 // retaining warmed allocations: the event free list (trimmed to
 // maxFreeEvents) and the scheduler's bucket storage. Sweeps reuse one
 // engine per worker across runs instead of reallocating; results are
@@ -181,7 +182,6 @@ func (e *Engine) Reset(seed int64) {
 	e.HighWater = 0
 	e.ledger = nil
 	e.injecting = false
-	e.rng.Seed(seed)
 }
 
 // SetLedger attaches (or, with nil, detaches) a liveness ledger. While
@@ -209,9 +209,6 @@ func (e *Engine) EventBudgetExceeded() bool { return e.budgetHit }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
-
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // newEvent takes an event from the free list (or allocates one), stamps it
 // with the next sequence number, and hands it to the scheduler.

@@ -134,12 +134,13 @@ func TestRunUntil(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []units.Time {
 		e := NewEngine(42)
+		rng := rand.New(rand.NewSource(42))
 		var log []units.Time
 		var step func()
 		step = func() {
 			log = append(log, e.Now())
 			if len(log) < 50 {
-				e.After(units.Time(e.Rand().Intn(100)+1), step)
+				e.After(units.Time(rng.Intn(100)+1), step)
 			}
 		}
 		e.After(1, step)
@@ -444,6 +445,7 @@ func TestTimerRearmInsideCallback(t *testing.T) {
 func TestEngineIsolationUnderRunner(t *testing.T) {
 	trace := func(seed int64) string {
 		e := NewEngine(seed)
+		rng := rand.New(rand.NewSource(seed))
 		out := ""
 		var step func()
 		n := 0
@@ -451,7 +453,7 @@ func TestEngineIsolationUnderRunner(t *testing.T) {
 			out += e.Now().String() + ";"
 			n++
 			if n < 40 {
-				e.After(units.Time(e.Rand().Intn(500)+1), step)
+				e.After(units.Time(rng.Intn(500)+1), step)
 			}
 		}
 		e.After(1, step)

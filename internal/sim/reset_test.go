@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"tengig/internal/units"
@@ -11,6 +12,7 @@ import (
 // execution trace plus the final clock — enough observables to prove two
 // engines behaved identically.
 func traceRun(e *Engine, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
 	out := ""
 	var step func()
 	n := 0
@@ -18,12 +20,12 @@ func traceRun(e *Engine, seed int64) string {
 		out += e.Now().String() + ";"
 		n++
 		if n < 60 {
-			d := units.Time(e.Rand().Intn(2000) + 1)
+			d := units.Time(rng.Intn(2000) + 1)
 			tm := e.After(d, step)
-			if e.Rand().Intn(4) == 0 {
+			if rng.Intn(4) == 0 {
 				tm.Reschedule(e.Now() + d/2 + 1)
 			}
-			if e.Rand().Intn(5) == 0 {
+			if rng.Intn(5) == 0 {
 				// Arm-and-cancel churn alongside the live chain.
 				dead := e.After(d*3+1, func() { out += "DEAD;" })
 				dead.Stop()

@@ -65,11 +65,6 @@ func (s *Server) SubmitCall(cost units.Time, fn func(any), arg any) units.Time {
 	return s.freeAt
 }
 
-// Delay adds cost service time without a completion callback. It returns the
-// completion time. Use it to account for load on a resource (e.g. competing
-// memory traffic) when nothing needs to be notified.
-func (s *Server) Delay(cost units.Time) units.Time { return s.Submit(cost, nil) }
-
 // FreeAt returns the time at which all currently queued work completes.
 func (s *Server) FreeAt() units.Time { return s.freeAt }
 

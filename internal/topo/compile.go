@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 
-	"tengig/internal/core"
 	"tengig/internal/fabric"
 	"tengig/internal/host"
 	"tengig/internal/ipv4"
@@ -24,7 +23,7 @@ type Network struct {
 
 	hosts    map[string]*host.Host
 	switches map[string]*fabric.Node
-	tunings  map[string]core.Tuning
+	tunings  map[string]host.Tuning
 
 	// Pairs holds the connected measurement flows, one per Spec.Flows entry.
 	Pairs []*tools.Pair
@@ -55,11 +54,10 @@ type LinkEnds struct {
 // Compile builds the spec on eng. seed feeds the per-link netem stages (only
 // links with fault scripts get one); it is conventionally the engine's seed.
 //
-// The compiler makes exactly the construction calls the hand-wired testbeds
-// in internal/core make, in the same order — hosts in declaration order,
-// then switches, then links, then routes, then one connect per flow — so a
-// file transcribing core.ThroughSwitchOn produces a byte-identical
-// simulation.
+// Construction runs in a fixed order — hosts in declaration order, then
+// switches, then links, then routes, then one connect per flow — so a spec
+// always compiles to the same simulation; TestCompiledBaselineByteIdentical
+// pins the Figure 2(b) testbed's digest.
 func Compile(eng *sim.Engine, s *Spec, seed int64) (*Network, error) {
 	return compileNetwork(eng, s, seed, nil, nil)
 }
@@ -94,13 +92,12 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 		Spec:     s,
 		hosts:    make(map[string]*host.Host, len(s.Hosts)),
 		switches: make(map[string]*fabric.Node, len(s.Switches)),
-		tunings:  make(map[string]core.Tuning, len(s.Hosts)),
+		tunings:  make(map[string]host.Tuning, len(s.Hosts)),
 	}
 
-	// Hosts, in declaration order, through the same construction path the
-	// hand-wired testbeds use. Subset compiles skip absent hosts but keep the
-	// positional address assignment, so present hosts get the same addresses
-	// a full compile gives them.
+	// Hosts, in declaration order, through host.Build. Subset compiles skip
+	// absent hosts but keep the positional address assignment, so present
+	// hosts get the same addresses a full compile gives them.
 	for i, hs := range s.Hosts {
 		if sub != nil && !sub.Nodes[hs.Name] {
 			continue
@@ -113,9 +110,9 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 		if err != nil {
 			return nil, fmt.Errorf("topo %s: host %s: %w", s.Name, hs.Name, err)
 		}
-		profile := core.PE2650
+		profile := host.PE2650
 		if hs.Profile != "" {
-			if profile, err = core.ParseProfile(hs.Profile); err != nil {
+			if profile, err = host.ParseProfile(hs.Profile); err != nil {
 				return nil, err
 			}
 		}
@@ -123,12 +120,7 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 		if hs.Addr != 0 {
 			addr = hs.Addr
 		}
-		var h *host.Host
-		if hs.NIC == NIC1G {
-			h = core.BuildHostGbE(eng, profile, t, hs.Name, addr)
-		} else {
-			h = core.BuildHost(eng, profile, t, hs.Name, addr)
-		}
+		h := host.Build(eng, profile, t, host.NICKind(hs.NIC), hs.Name, addr)
 		n.hosts[hs.Name] = h
 		n.tunings[hs.Name] = t
 	}
@@ -311,31 +303,59 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 	return n, nil
 }
 
-// wireLink realizes spec link li: a switch-port attachment for a host link,
-// a trunk for an inter-switch link. Fault scripts, when present, splice a
-// netem stage into the affected direction; clean links get none.
+// wireLink realizes spec link li: a crossover cable between two hosts, a
+// switch-port attachment for a host link, a trunk for an inter-switch link.
+// Fault scripts, when present, splice a netem stage into the affected
+// direction; clean links get none.
 func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) error {
 	s := n.Spec
 	l := &s.Links[li]
 	name := l.EffectiveName()
 	hostA, isHostA := n.hosts[l.A]
 	hostB, isHostB := n.hosts[l.B]
+	var faults LinkFaults
+	if l.Faults != nil {
+		faults = *l.Faults
+	}
+	// Each direction's rng stream is seeded from (seed, link name, spec
+	// direction) — never from link index or compile order — so a subset
+	// compile that skips other links hands every Impair the exact stream a
+	// full compile would (netem.StreamSeed).
 	switch {
+	case isHostA && isHostB:
+		// Crossover cable, as in Figure 2(a). Its direction keys are the
+		// port suffixes "a>b" and "b>a".
+		nicKind := s.nicOf(l.A)
+		if nicKind != NIC1G {
+			nicKind = s.nicOf(l.B)
+		}
+		a, b := hostA.NIC(0).Adapter, hostB.NIC(0).Adapter
+		link := phys.NewLink(n.Eng, name, l.rate(nicKind), l.prop(), phys.EthernetFraming{})
+		link.Connect(a, b)
+		if err := n.impair(link.AtoB, b, faults.AtoB, seed, name, "a>b", name+"/a>b"); err != nil {
+			return err
+		}
+		if err := n.impair(link.BtoA, a, faults.BtoA, seed, name, "b>a", name+"/b>a"); err != nil {
+			return err
+		}
+		a.AttachPort(link.AtoB)
+		b.AttachPort(link.BtoA)
+		n.links = append(n.links, LinkEnds{
+			Name: name, A: l.A, B: l.B, AtoB: link.AtoB, BtoA: link.BtoA, Prop: l.prop(),
+		})
 	case isHostA || isHostB:
 		// Host-switch attachment. Normalize to (host h, switch swName).
-		h, swName := hostA, l.B
-		if isHostB {
-			h, swName = hostB, l.A
-		}
-		var hostNIC string
-		for _, hs := range s.Hosts {
-			if (isHostA && hs.Name == l.A) || (isHostB && hs.Name == l.B) {
-				hostNIC = hs.NIC
-			}
+		h, hostName, swName := hostA, l.A, l.B
+		up, down := faults.AtoB, faults.BtoA
+		dirUp, dirDown := l.A+">"+l.B, l.B+">"+l.A
+		if isHostB { // spec A is the switch: a_to_b is switch-to-host
+			h, hostName, swName = hostB, l.B, l.A
+			up, down = down, up
+			dirUp, dirDown = dirDown, dirUp
 		}
 		sw := n.switches[swName]
 		att := fabric.AttachDevice(n.Eng, sw, h.NIC(0).Adapter, name,
-			l.rate(hostNIC), l.prop(), l.queueCap())
+			l.rate(s.nicOf(hostName)), l.prop(), l.queueCap())
 		h.NIC(0).Adapter.AttachPort(att.ToSwitch)
 		portOn[swName][li] = att.PortIdx
 		ends := LinkEnds{Name: name, A: l.A, B: l.B, Prop: l.prop()}
@@ -345,33 +365,11 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 			ends.AtoB, ends.BtoA = att.ToDevice, att.ToSwitch
 		}
 		n.links = append(n.links, ends)
-		if l.Faults != nil {
-			// Seed each direction's rng stream from (seed, link name, spec
-			// direction) — never from link index or compile order — so a
-			// subset compile that skips other links hands this Impair
-			// the exact stream a full compile would (netem.StreamSeed).
-			up, down := l.Faults.AtoB, l.Faults.BtoA
-			dirUp, dirDown := l.A+">"+l.B, l.B+">"+l.A
-			if isHostB { // spec A is the switch: a_to_b is switch-to-host
-				up, down = l.Faults.BtoA, l.Faults.AtoB
-				dirUp, dirDown = dirDown, dirUp
-			}
-			if len(up) > 0 {
-				im := netem.New(n.Eng, sw.In(), netem.StreamSeed(seed, name, dirUp))
-				if err := im.SetScript(up); err != nil {
-					return fmt.Errorf("link %s: %w", name, err)
-				}
-				att.ToSwitch.SetDst(im)
-				n.addImpair(name+"/up", im)
-			}
-			if len(down) > 0 {
-				im := netem.New(n.Eng, h.NIC(0).Adapter, netem.StreamSeed(seed, name, dirDown))
-				if err := im.SetScript(down); err != nil {
-					return fmt.Errorf("link %s: %w", name, err)
-				}
-				att.ToDevice.SetDst(im)
-				n.addImpair(name+"/down", im)
-			}
+		if err := n.impair(att.ToSwitch, sw.In(), up, seed, name, dirUp, name+"/up"); err != nil {
+			return err
+		}
+		if err := n.impair(att.ToDevice, h.NIC(0).Adapter, down, seed, name, dirDown, name+"/down"); err != nil {
+			return err
 		}
 	default:
 		// Switch-switch trunk.
@@ -382,31 +380,32 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 		n.links = append(n.links, LinkEnds{
 			Name: name, A: l.A, B: l.B, AtoB: tr.AtoB, BtoA: tr.BtoA, Prop: l.prop(),
 		})
-		if l.Faults != nil {
-			if len(l.Faults.AtoB) > 0 {
-				im := netem.New(n.Eng, swB.In(), netem.StreamSeed(seed, name, l.A+">"+l.B))
-				if err := im.SetScript(l.Faults.AtoB); err != nil {
-					return fmt.Errorf("link %s: %w", name, err)
-				}
-				tr.AtoB.SetDst(im)
-				n.addImpair(name+"/"+l.A+">"+l.B, im)
-			}
-			if len(l.Faults.BtoA) > 0 {
-				im := netem.New(n.Eng, swA.In(), netem.StreamSeed(seed, name, l.B+">"+l.A))
-				if err := im.SetScript(l.Faults.BtoA); err != nil {
-					return fmt.Errorf("link %s: %w", name, err)
-				}
-				tr.BtoA.SetDst(im)
-				n.addImpair(name+"/"+l.B+">"+l.A, im)
-			}
+		ab, ba := l.A+">"+l.B, l.B+">"+l.A
+		if err := n.impair(tr.AtoB, swB.In(), faults.AtoB, seed, name, ab, name+"/"+ab); err != nil {
+			return err
+		}
+		if err := n.impair(tr.BtoA, swA.In(), faults.BtoA, seed, name, ba, name+"/"+ba); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (n *Network) addImpair(name string, im *netem.Impair) {
+// impair splices a netem stage running script between port and its
+// receiver dst, seeded from (seed, link, dir) and listed under label. An
+// empty script splices nothing.
+func (n *Network) impair(port *phys.Port, dst phys.Receiver, script netem.Script, seed int64, link, dir, label string) error {
+	if len(script) == 0 {
+		return nil
+	}
+	im := netem.New(n.Eng, dst, netem.StreamSeed(seed, link, dir))
+	if err := im.SetScript(script); err != nil {
+		return fmt.Errorf("link %s: %w", link, err)
+	}
+	port.SetDst(im)
 	n.impairs = append(n.impairs, im)
-	n.impairNames = append(n.impairNames, name)
+	n.impairNames = append(n.impairNames, label)
+	return nil
 }
 
 // Links returns the physical ends of every spec link, in declaration order.
@@ -421,7 +420,7 @@ func (n *Network) Host(name string) *host.Host { return n.hosts[name] }
 func (n *Network) Switch(name string) *fabric.Node { return n.switches[name] }
 
 // Tuning returns the named host's resolved tuning.
-func (n *Network) Tuning(name string) core.Tuning { return n.tunings[name] }
+func (n *Network) Tuning(name string) host.Tuning { return n.tunings[name] }
 
 // Impairs returns the netem stages created for fault-scripted links, with
 // their directional names, in link declaration order.
@@ -468,8 +467,9 @@ func (n *Network) CaptureFabric(b *telemetry.Bundle) {
 	}
 }
 
-// AttachTelemetry instruments every flow's endpoints and starts their
-// samplers, like core.AttachTelemetry does for a single pair.
+// AttachTelemetry instruments every flow's endpoints with Web100-style
+// recorders and starts their samplers. Call after Compile and before
+// driving traffic; finish with Bundle.CaptureEngine once the run is over.
 func (n *Network) AttachTelemetry(name string, seed int64, opt telemetry.Options) *telemetry.Bundle {
 	b := telemetry.NewBundle(name, seed, opt)
 	for _, p := range n.Pairs {

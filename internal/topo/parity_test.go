@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/tools"
@@ -13,64 +13,50 @@ import (
 	"tengig/internal/units"
 )
 
-// TestCompiledBaselineByteIdentical proves the compiler is a pure front end:
-// the shipped paper-baseline topology file — two PE2650 hosts through the
-// FastIron 1500, fully tuned — must produce a telemetry export that is
-// byte-identical (same SHA-256) to the hand-wired core.ThroughSwitchOn
-// construction under the same seed and transfer. Any divergence in host
-// construction order, link parameters, tuning resolution, or route
-// installation shows up here as a digest mismatch.
+// TestCompiledBaselineByteIdentical pins the Figure 2(b) testbed: the
+// shipped paper-baseline topology file and topo.ThroughSwitch — two PE2650
+// hosts through the FastIron 1500, fully tuned — must both export the
+// telemetry digest the retired hand-wired construction produced under the
+// same seed and transfer. Any divergence in host construction order, link
+// parameters, tuning resolution, or route installation shows up here as a
+// digest mismatch.
 func TestCompiledBaselineByteIdentical(t *testing.T) {
 	const (
 		seed    = 7
 		count   = 1500
 		payload = 8948
+		want    = "97cdd0f9455ac4e717ca1208828a2a564df05fad2517653bcf0f4eba10c56319"
 	)
-	opt := telemetry.Options{Enabled: true}
-
-	// Hand-wired reference.
-	eng1 := sim.NewEngine(seed)
-	ref, err := core.ThroughSwitchOn(eng1, core.PE2650, core.Optimized(9000))
-	if err != nil {
-		t.Fatalf("hand-wired build: %v", err)
-	}
-	b1 := core.AttachTelemetry(ref, "baseline", seed, opt)
-	res1, err := tools.NTTCP(ref, count, payload, 10*units.Minute)
-	if err != nil {
-		t.Fatalf("hand-wired transfer: %v", err)
-	}
-	core.CapturePairEngine(b1, ref)
-	d1 := sha256.Sum256(b1.ExportJSONL())
-
-	// Compiled from the declarative description.
-	spec, err := topo.Load("../../examples/topologies/paper-baseline.json")
+	file, err := topo.Load("../../examples/topologies/paper-baseline.json")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	eng2 := sim.NewEngine(seed)
-	net, err := topo.Compile(eng2, spec, seed)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if len(net.Pairs) != 1 {
-		t.Fatalf("compiled %d flows, want 1", len(net.Pairs))
-	}
-	pair := net.Pairs[0]
-	b2 := core.AttachTelemetry(pair, "baseline", seed, opt)
-	res2, err := tools.NTTCP(pair, count, payload, 10*units.Minute)
-	if err != nil {
-		t.Fatalf("compiled transfer: %v", err)
-	}
-	core.CapturePairEngine(b2, pair)
-	d2 := sha256.Sum256(b2.ExportJSONL())
-
-	if d1 != d2 {
-		t.Errorf("telemetry digests diverge:\n  hand-wired %s (%.3f Gb/s, %d events)\n  compiled   %s (%.3f Gb/s, %d events)",
-			hex.EncodeToString(d1[:]), res1.Throughput.Gbps(), eng1.Executed,
-			hex.EncodeToString(d2[:]), res2.Throughput.Gbps(), eng2.Executed)
-	}
-	if res1.Throughput != res2.Throughput || res1.Elapsed != res2.Elapsed {
-		t.Errorf("transfer results diverge: hand-wired %+v, compiled %+v", res1, res2)
+	for _, tc := range []struct {
+		name string
+		spec *topo.Spec
+	}{
+		{"paper-baseline.json", file},
+		{"ThroughSwitch", topo.ThroughSwitch(host.PE2650, host.Optimized(9000))},
+	} {
+		eng := sim.NewEngine(seed)
+		net, err := topo.Compile(eng, tc.spec, seed)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		if len(net.Pairs) != 1 {
+			t.Fatalf("%s: compiled %d flows, want 1", tc.name, len(net.Pairs))
+		}
+		b := net.AttachTelemetry("baseline", seed, telemetry.Options{Enabled: true})
+		res, err := tools.NTTCP(net.Pairs[0], count, payload, 10*units.Minute)
+		if err != nil {
+			t.Fatalf("%s: transfer: %v", tc.name, err)
+		}
+		b.CaptureEngine(eng.Executed, eng.HighWater)
+		d := sha256.Sum256(b.ExportJSONL())
+		if got := hex.EncodeToString(d[:]); got != want {
+			t.Errorf("%s: telemetry digest %s (%.3f Gb/s, %d events), want %s",
+				tc.name, got, res.Throughput.Gbps(), eng.Executed, want)
+		}
 	}
 }
 

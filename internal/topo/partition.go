@@ -31,6 +31,17 @@ type PartitionPlan struct {
 	Lookahead units.Time
 }
 
+// CrossoverError reports a host-to-host link in a spec handed to the
+// partitioner, which lays nodes out along the switch graph and so cannot
+// place a crossover pair.
+type CrossoverError struct {
+	Topo, Link string
+}
+
+func (e *CrossoverError) Error() string {
+	return fmt.Sprintf("topo %s: link %s joins two hosts; parallel DES partitions along switches and cannot shard a crossover", e.Topo, e.Link)
+}
+
 // Partition splits the topology into shards balanced by event weight.
 //
 // The partitioner lays the nodes on a line — a BFS over the switch graph
@@ -57,6 +68,11 @@ func Partition(s *Spec, shards int) (*PartitionPlan, error) {
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, sw := range s.Switches {
 		isSwitch[sw.Name] = true
+	}
+	for _, l := range s.Links {
+		if !isSwitch[l.A] && !isSwitch[l.B] {
+			return nil, &CrossoverError{Topo: s.Name, Link: l.EffectiveName()}
+		}
 	}
 	for _, l := range s.Links {
 		switch {
@@ -97,8 +113,9 @@ func Partition(s *Spec, shards int) (*PartitionPlan, error) {
 			}
 		}
 	}
-	// Switchless topologies cannot exist (every host needs a switch link),
-	// but guard the invariant anyway.
+	// With crossovers rejected above, every host hangs off exactly one
+	// switch and rides with it, so the order covers every node; guard the
+	// invariant anyway.
 	if len(order) != nodes {
 		return nil, fmt.Errorf("topo %s: partition order covers %d of %d nodes", s.Name, len(order), nodes)
 	}

@@ -1,11 +1,10 @@
 // Package topo compiles declarative topology descriptions — JSON files
 // naming hosts, switches, links, and flows — into live simulations: hosts
-// built from the calibrated platform profiles, fabric.Node switches joined
-// by trunks, per-destination FIBs filled by shortest-path precompute, and
-// connected measurement flows. The compiler is a front end over exactly the
-// same construction calls the hand-wired testbeds in internal/core make, so
-// a topology file describing the paper's two-host-through-FastIron testbed
-// produces a byte-identical simulation (telemetry digests and all).
+// built from the calibrated platform profiles (host.Build), crossover
+// cables, fabric.Node switches joined by trunks, per-destination FIBs filled
+// by shortest-path precompute, and connected measurement flows. The paper's
+// Figure 2(a) and 2(b) testbeds are specs too (BackToBack, ThroughSwitch),
+// so every two-host experiment is built by this one compiler.
 package topo
 
 import (
@@ -14,15 +13,15 @@ import (
 	"math"
 	"os"
 
-	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/netem"
 	"tengig/internal/units"
 )
 
 // NIC kind names accepted by HostSpec.NIC.
 const (
-	NIC10G = "10g" // Intel PRO/10GbE, the paper's adapter
-	NIC1G  = "1g"  // e1000-class GbE (Beowulf node / aggregation sender)
+	NIC10G = string(host.TenGbE) // Intel PRO/10GbE, the paper's adapter
+	NIC1G  = string(host.GbE)    // e1000-class GbE (Beowulf node / aggregation sender)
 )
 
 // Switch presets accepted by SwitchSpec.Preset.
@@ -36,7 +35,7 @@ type Spec struct {
 	// Name labels the topology (export stems, diagnostics).
 	Name string `json:"name"`
 	// Tuning is the default host tuning; per-host overrides nest in
-	// HostSpec. Nil means core.Stock at each host's MTU (default 9000).
+	// HostSpec. Nil means host.Stock at each host's MTU (default 9000).
 	Tuning *TuningSpec `json:"tuning,omitempty"`
 
 	Hosts    []HostSpec   `json:"hosts"`
@@ -57,43 +56,48 @@ type Spec struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// TuningSpec is the JSON form of core.Tuning: zero-valued fields inherit the
-// core.Stock defaults at the spec's MTU, so a file states only the knobs it
+// TuningSpec is the JSON form of host.Tuning: zero-valued fields inherit the
+// host.Stock defaults at the spec's MTU, so a file states only the knobs it
 // turns — exactly how the paper reports its optimization ladder. Fields
 // whose stock value is truthy (timestamps, window scaling) or zero-meaningful
 // (coalescing) are pointers so "absent" and "off" stay distinguishable.
+// TuningOf is the inverse of Resolve.
 type TuningSpec struct {
-	MTU          int      `json:"mtu,omitempty"`
-	MMRBC        int      `json:"mmrbc,omitempty"`
-	Uniprocessor bool     `json:"uniprocessor,omitempty"`
-	SockBuf      int      `json:"sockbuf,omitempty"`
-	Timestamps   *bool    `json:"timestamps,omitempty"`
-	WindowScale  *bool    `json:"window_scale,omitempty"`
-	CoalesceUS   *float64 `json:"coalesce_us,omitempty"`
-	NAPI         bool     `json:"napi,omitempty"`
-	TSO          bool     `json:"tso,omitempty"`
-	TxQueueLen   int      `json:"txqueuelen,omitempty"`
+	MTU               int      `json:"mtu,omitempty"`
+	MMRBC             int      `json:"mmrbc,omitempty"`
+	Uniprocessor      bool     `json:"uniprocessor,omitempty"`
+	SockBuf           int      `json:"sockbuf,omitempty"`
+	Timestamps        *bool    `json:"timestamps,omitempty"`
+	WindowScale       *bool    `json:"window_scale,omitempty"`
+	CoalesceUS        *float64 `json:"coalesce_us,omitempty"`
+	NAPI              bool     `json:"napi,omitempty"`
+	TSO               bool     `json:"tso,omitempty"`
+	TxQueueLen        int      `json:"txqueuelen,omitempty"`
+	NoSACK            bool     `json:"no_sack,omitempty"`
+	FractionalWindows bool     `json:"fractional_windows,omitempty"`
+	RcvMSSOwn         bool     `json:"rcv_mss_own,omitempty"`
+	IRQRoundRobin     bool     `json:"irq_round_robin,omitempty"`
 }
 
 // DefaultMTU is assumed when neither the spec nor a host names one: the
 // paper's standard jumbo-frame configuration.
 const DefaultMTU = 9000
 
-// Resolve merges the spec over core.Stock at its MTU.
-func (ts *TuningSpec) Resolve() (core.Tuning, error) {
+// Resolve merges the spec over host.Stock at its MTU.
+func (ts *TuningSpec) Resolve() (host.Tuning, error) {
 	mtu := DefaultMTU
 	if ts != nil && ts.MTU != 0 {
 		mtu = ts.MTU
 	}
-	if err := core.ValidateMTU(mtu); err != nil {
-		return core.Tuning{}, err
+	if err := host.ValidateMTU(mtu); err != nil {
+		return host.Tuning{}, err
 	}
-	t := core.Stock(mtu)
+	t := host.Stock(mtu)
 	if ts == nil {
 		return t, nil
 	}
 	if ts.MMRBC < 0 || ts.SockBuf < 0 || ts.TxQueueLen < 0 {
-		return core.Tuning{}, fmt.Errorf("negative mmrbc, sockbuf, or txqueuelen")
+		return host.Tuning{}, fmt.Errorf("negative mmrbc, sockbuf, or txqueuelen")
 	}
 	if ts.MMRBC != 0 {
 		t.MMRBC = ts.MMRBC
@@ -113,10 +117,10 @@ func (ts *TuningSpec) Resolve() (core.Tuning, error) {
 	if ts.CoalesceUS != nil {
 		us := *ts.CoalesceUS
 		if us < 0 {
-			return core.Tuning{}, fmt.Errorf("negative coalesce_us %g", us)
+			return host.Tuning{}, fmt.Errorf("negative coalesce_us %g", us)
 		}
 		if err := checkDelay("coalesce_us", us, units.Microsecond); err != nil {
-			return core.Tuning{}, err
+			return host.Tuning{}, err
 		}
 		t.CoalesceDelay = units.Time(us * float64(units.Microsecond))
 	}
@@ -129,7 +133,35 @@ func (ts *TuningSpec) Resolve() (core.Tuning, error) {
 	if ts.TxQueueLen != 0 {
 		t.TxQueueLen = ts.TxQueueLen
 	}
+	t.NoSACK = ts.NoSACK
+	t.FractionalWindows = ts.FractionalWindows
+	t.RcvMSSOwn = ts.RcvMSSOwn
+	t.IRQRoundRobin = ts.IRQRoundRobin
 	return t, nil
+}
+
+// TuningOf returns the spec that resolves to t, every knob stated.
+// Resolve(TuningOf(t)) == t for every tuning with a valid MTU and a
+// positive MMRBC, socket buffer and queue length (a zero there means
+// "inherit stock").
+func TuningOf(t host.Tuning) *TuningSpec {
+	coalesce := float64(t.CoalesceDelay) / float64(units.Microsecond)
+	return &TuningSpec{
+		MTU:               t.MTU,
+		MMRBC:             t.MMRBC,
+		Uniprocessor:      t.Uniprocessor,
+		SockBuf:           t.SockBuf,
+		Timestamps:        &t.Timestamps,
+		WindowScale:       &t.WindowScale,
+		CoalesceUS:        &coalesce,
+		NAPI:              t.NAPI,
+		TSO:               t.TSO,
+		TxQueueLen:        t.TxQueueLen,
+		NoSACK:            t.NoSACK,
+		FractionalWindows: t.FractionalWindows,
+		RcvMSSOwn:         t.RcvMSSOwn,
+		IRQRoundRobin:     t.IRQRoundRobin,
+	}
 }
 
 // HostSpec declares one host.
@@ -174,7 +206,8 @@ type LinkFaults struct {
 }
 
 // LinkSpec declares a full-duplex link between two named nodes. Host-switch
-// links become switch-port attachments; switch-switch links become trunks.
+// links become switch-port attachments, switch-switch links become trunks,
+// and a host-host link is a crossover cable between the two adapters.
 type LinkSpec struct {
 	// Name is the link name (default "<a>-<b>"); directions are suffixed by
 	// the fabric layer.
@@ -182,13 +215,14 @@ type LinkSpec struct {
 	A    string `json:"a"`
 	B    string `json:"b"`
 	// RateGbps is the line rate (default 10; a host link defaults to its
-	// NIC speed).
+	// NIC speed, a crossover to 1 when either host is "1g").
 	RateGbps float64 `json:"rate_gbps,omitempty"`
 	// PropNS is the one-way propagation delay (default 100, the testbed
 	// fiber).
 	PropNS float64 `json:"prop_ns,omitempty"`
 	// QueueKB bounds each switch output queue on this link (default 4096,
-	// the hand-wired testbed's 4 MB; -1 = unlimited).
+	// the Figure 2(b) testbed's 4 MB; -1 = unlimited). A crossover has no
+	// switch queue.
 	QueueKB int `json:"queue_kb,omitempty"`
 	// Faults optionally scripts impairments onto the link.
 	Faults *LinkFaults `json:"faults,omitempty"`
@@ -264,7 +298,7 @@ func (s *Spec) Validate() error {
 		}
 		names[h.Name] = "host"
 		if h.Profile != "" {
-			if _, err := core.ParseProfile(h.Profile); err != nil {
+			if _, err := host.ParseProfile(h.Profile); err != nil {
 				return fmt.Errorf("topo %s: host %s: %w", s.Name, h.Name, err)
 			}
 		}
@@ -337,10 +371,6 @@ func (s *Spec) Validate() error {
 		if l.A == l.B {
 			return fmt.Errorf("topo %s: link %s: both ends are %q", s.Name, name, l.A)
 		}
-		if names[l.A] == "host" && names[l.B] == "host" {
-			return fmt.Errorf("topo %s: link %s: host-to-host links are not supported; put a switch between %q and %q",
-				s.Name, name, l.A, l.B)
-		}
 		if l.RateGbps < 0 || l.PropNS < 0 {
 			return fmt.Errorf("topo %s: link %s: negative rate or propagation", s.Name, name)
 		}
@@ -410,7 +440,7 @@ func (s *Spec) Validate() error {
 		if payload == 0 {
 			payload = DefaultFlowPayload
 		}
-		if err := core.ValidateTransfer(count, payload); err != nil {
+		if err := host.ValidateTransfer(count, payload); err != nil {
 			return fmt.Errorf("topo %s: flow %d: %w", s.Name, i, err)
 		}
 	}
@@ -455,8 +485,8 @@ func (l *LinkSpec) EffectiveName() string {
 	return l.A + "-" + l.B
 }
 
-// rate returns the link's line rate, defaulting by the attached host's NIC
-// kind (10 Gb/s for trunks and 10g hosts, 1 Gb/s for 1g hosts).
+// rate returns the link's line rate, defaulting by the attached hosts' NIC
+// kind (1 Gb/s when hostNIC is 1g, 10 Gb/s otherwise).
 func (l *LinkSpec) rate(hostNIC string) units.Bandwidth {
 	if l.RateGbps != 0 {
 		return units.Bandwidth(l.RateGbps * float64(units.GbitPerSecond))
@@ -465,6 +495,16 @@ func (l *LinkSpec) rate(hostNIC string) units.Bandwidth {
 		return units.GbitPerSecond
 	}
 	return 10 * units.GbitPerSecond
+}
+
+// nicOf returns the NIC kind declared for the named host ("" for a switch).
+func (s *Spec) nicOf(name string) string {
+	for _, hs := range s.Hosts {
+		if hs.Name == name {
+			return hs.NIC
+		}
+	}
+	return ""
 }
 
 // prop returns the link's one-way propagation delay (default 100 ns, the

@@ -8,8 +8,9 @@ import (
 	"testing"
 
 	"tengig/internal/audit"
-	"tengig/internal/core"
+	"tengig/internal/host"
 	"tengig/internal/netem"
+	"tengig/internal/phys"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
 	"tengig/internal/topo"
@@ -23,7 +24,7 @@ func TestTuningResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != core.Stock(9000) {
+	if got != host.Stock(9000) {
 		t.Errorf("nil tuning = %+v, want Stock(9000)", got)
 	}
 	// The paper-baseline file's knobs reproduce Optimized(9000) exactly.
@@ -32,8 +33,8 @@ func TestTuningResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != core.Optimized(9000) {
-		t.Errorf("resolved = %+v, want Optimized(9000) = %+v", got, core.Optimized(9000))
+	if got != host.Optimized(9000) {
+		t.Errorf("resolved = %+v, want Optimized(9000) = %+v", got, host.Optimized(9000))
 	}
 	// Pointer knobs distinguish absent from off.
 	off := false
@@ -43,13 +44,54 @@ func TestTuningResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Stock(1500).WithoutTimestamps().WithoutCoalescing()
+	want := host.Stock(1500).WithoutTimestamps().WithoutCoalescing()
 	if got != want {
 		t.Errorf("resolved = %+v, want %+v", got, want)
 	}
 	// Bad MTU surfaces as an error, not a panic.
 	if _, err := (&topo.TuningSpec{MTU: 17}).Resolve(); err == nil {
 		t.Error("MTU 17 accepted")
+	}
+}
+
+// TestTuningOfInverse: every tuning the §3.3 ladder can reach survives the
+// round trip through its spec, so a spec can carry any Tuning.
+func TestTuningOfInverse(t *testing.T) {
+	rungs := []struct {
+		name string
+		f    func(host.Tuning) host.Tuning
+	}{
+		{"as-is", func(t host.Tuning) host.Tuning { return t }},
+		{"WithMMRBC", func(t host.Tuning) host.Tuning { return t.WithMMRBC(2048) }},
+		{"WithUP", host.Tuning.WithUP},
+		{"WithSockBuf", func(t host.Tuning) host.Tuning { return t.WithSockBuf(128 * 1024) }},
+		{"WithMTU", func(t host.Tuning) host.Tuning { return t.WithMTU(8160) }},
+		{"WithoutTimestamps", host.Tuning.WithoutTimestamps},
+		{"WithoutCoalescing", host.Tuning.WithoutCoalescing},
+		{"WithWindowScale", func(t host.Tuning) host.Tuning { return t.WithWindowScale(32 << 20) }},
+		{"WithNAPI", host.Tuning.WithNAPI},
+		{"WithoutSACK", host.Tuning.WithoutSACK},
+		{"WithFractionalWindows", host.Tuning.WithFractionalWindows},
+		{"WithRcvMSSOwn", host.Tuning.WithRcvMSSOwn},
+		{"WithIRQRoundRobin", host.Tuning.WithIRQRoundRobin},
+		{"WithTSO", host.Tuning.WithTSO},
+	}
+	for _, base := range []struct {
+		name string
+		f    func(int) host.Tuning
+	}{{"Stock", host.Stock}, {"Optimized", host.Optimized}} {
+		for _, mtu := range []int{1500, 8160, 9000, 16000} {
+			for _, r := range rungs {
+				want := r.f(base.f(mtu))
+				got, err := topo.TuningOf(want).Resolve()
+				if err != nil {
+					t.Fatalf("%s(%d).%s: %v", base.name, mtu, r.name, err)
+				}
+				if got != want {
+					t.Errorf("%s(%d).%s: Resolve(TuningOf(t)) = %+v, want %+v", base.name, mtu, r.name, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -76,8 +118,14 @@ func TestValidation(t *testing.T) {
 		{"dup-node", `{"name":"x","hosts":[{"name":"a"},{"name":"a"}]}`, "duplicate node"},
 		{"bad-profile", `{"name":"x","hosts":[{"name":"a","profile":"cray"}]}`, "unknown profile"},
 		{"bad-nic", `{"name":"x","hosts":[{"name":"a","nic":"100g"}]}`, "unknown NIC"},
+		// A host-host link is a crossover cable (Figure 2(a)).
 		{"host-host-link", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
-			"links":[{"a":"a","b":"b"}]}`, "host-to-host"},
+			"links":[{"a":"a","b":"b"}],"flows":[{"src":"a","dst":"b"}]}`, ""},
+		{"crossover-1g-default", `{"name":"x","hosts":[{"name":"a","nic":"1g"},{"name":"b"}],
+			"links":[{"a":"a","b":"b"}],"flows":[{"src":"b","dst":"a"}]}`, ""},
+		{"host-two-links", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
+			"switches":[{"name":"sw","preset":"fastiron1500"}],
+			"links":[{"a":"a","b":"b"},{"a":"a","b":"sw"}]}`, "has 2 links"},
 		{"unknown-endpoint", `{"name":"x","hosts":[{"name":"a"}],
 			"links":[{"a":"a","b":"ghost"}]}`, "unknown endpoint"},
 		{"unlinked-host", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
@@ -103,12 +151,27 @@ func TestValidation(t *testing.T) {
 		{"negative-sockbuf", `{"name":"x","hosts":[{"name":"a","tuning":{"sockbuf":-5}}]}`, "negative mmrbc, sockbuf"},
 		{"coalesce-overflow", `{"name":"x","tuning":{"coalesce_us":9e12},"hosts":[{"name":"a"}]}`, "coalesce_us"},
 	}
+	// Valid cases must compile; these also pin their first link's default
+	// line rate in Gb/s.
+	rates := map[string]float64{"host-host-link": 10, "crossover-1g-default": 1}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := topo.Parse([]byte(tc.json))
+			spec, err := topo.Parse([]byte(tc.json))
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid spec rejected: %v", err)
+				}
+				eng := sim.NewEngine(1)
+				net, err := topo.Compile(eng, spec, 1)
+				if err != nil {
+					t.Fatalf("valid spec does not compile: %v", err)
+				}
+				if gbps := rates[tc.name]; gbps != 0 {
+					rate := units.Bandwidth(gbps * float64(units.GbitPerSecond))
+					want := phys.NewPort(eng, "ref", rate, 0, phys.EthernetFraming{}).Rate()
+					if got := net.Links()[0].AtoB.Rate(); got != want {
+						t.Errorf("link rate %v, want %v", got, want)
+					}
 				}
 				return
 			}
@@ -409,6 +472,12 @@ func FuzzParseCompile(f *testing.F) {
 	for _, c := range unitOverflowCases {
 		f.Add(unitOverflowSpec(c.link, c.node))
 	}
+	// A faulted crossover: both directions scripted, one with drop_nth.
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a"},{"name":"b","nic":"1g"}],
+		"links":[{"a":"a","b":"b","faults":{
+			"a_to_b":[{"at":0,"fault":{"drop_nth":3,"loss_prob":0.01}}],
+			"b_to_a":[{"at":1000,"fault":{"dup_prob":0.5}},{"at":2000000,"fault":{}}]}}],
+		"flows":[{"src":"a","dst":"b","count":4,"payload":1000}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := topo.Parse(data)
 		if err != nil {
