@@ -109,8 +109,9 @@ type kernelBenchResult struct {
 
 // TestWriteKernelBenchJSON runs the kernel benchmarks and writes their
 // results to the path in BENCH_KERNEL_JSON (skipped when unset). The
-// committed BENCH_kernel.json pairs a run of this from the pre-pooling
-// commit ("before") with one from the current tree ("after").
+// committed BENCH_kernel.json pairs a run of this on the commit before the
+// latest kernel change ("before") with one on the current tree ("after"),
+// both on the host its description names.
 func TestWriteKernelBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_KERNEL_JSON")
 	if path == "" {

@@ -23,7 +23,7 @@ type actKind uint8
 
 const (
 	actWindow actKind = iota
-	actProbe  // every in-horizon report empty but events exist beyond: need exact next-event times
+	actProbe          // every in-horizon report empty but events exist beyond: need exact next-event times
 	actDone
 	actStalled
 	actTimeout

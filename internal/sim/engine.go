@@ -11,9 +11,11 @@
 // # Event queue
 //
 // The event queue is a hierarchical timing wheel (wheel.go) with O(1)
-// amortized schedule, cancel, and reschedule. A binary min-heap lives in the
-// package tests as its oracle: the two pop events in the identical total
-// (time, seq) order, which lockstep property tests pin.
+// amortized schedule, cancel, and reschedule; its level 0 is about a
+// microsecond wide, so an event is filed about twice on the way to running
+// (Engine.Filed counts filings). A binary min-heap lives in the package
+// tests as its oracle: the two pop events in the identical total
+// (time, creation time, seq) order, which lockstep property tests pin.
 //
 // # Allocation discipline
 //
@@ -144,6 +146,12 @@ type Engine struct {
 	injecting bool        // InjectCall in progress: suppress the ledger's creation delta
 	// Executed counts events run; useful for progress assertions in tests.
 	Executed uint64
+	// Filed counts the scheduler's placements of events: every filing on
+	// a timing-wheel slot or on its ready list, including the re-filings
+	// of a cascade and the one a Reschedule makes. Filed/Executed is the
+	// queue's work per event. Like Executed it is reset by Reset, and it
+	// is not part of any telemetry export.
+	Filed uint64
 	// HighWater is the deepest the live-event population has been — a
 	// telemetry counter for spotting runs whose pending-event population
 	// explodes.
@@ -179,6 +187,7 @@ func (e *Engine) Reset(seed int64) {
 	e.maxEvents = 0
 	e.budgetHit = false
 	e.Executed = 0
+	e.Filed = 0
 	e.HighWater = 0
 	e.ledger = nil
 	e.injecting = false

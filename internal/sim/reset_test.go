@@ -34,7 +34,7 @@ func traceRun(e *Engine, seed int64) string {
 	}
 	e.After(1, step)
 	e.Run()
-	return fmt.Sprintf("%s now=%v executed=%d highwater=%d", out, e.Now(), e.Executed, e.HighWater)
+	return fmt.Sprintf("%s now=%v executed=%d filed=%d highwater=%d", out, e.Now(), e.Executed, e.Filed, e.HighWater)
 }
 
 // TestEngineReset proves a reset engine is observationally a fresh engine:

@@ -43,7 +43,11 @@ type scheduler interface {
 	// peek returns the earliest event if its time is <= limit, nil
 	// otherwise (or when empty). peek may reorganize internal storage up
 	// to limit (the wheel advances and cascades), but must not advance
-	// past the earliest event and must never run callbacks.
+	// past the earliest event and must never run callbacks. The wheel's
+	// storage is coarser than its clock: a bounded peek may drain a
+	// level-0 slot that straddles limit, leaving events due after limit
+	// on the ready list, where a later peek or pop still finds them in
+	// order.
 	peek(limit units.Time) *event
 	// pop removes and returns the earliest event, nil when empty.
 	pop() *event

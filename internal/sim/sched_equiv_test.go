@@ -10,11 +10,11 @@ import (
 )
 
 // Wheel-vs-heap equivalence: the two schedulers must be observationally
-// identical — same pop order (time, seq), same Pending accounting, same
-// Timer semantics — over arbitrary interleavings of Schedule, After, Stop,
-// Reschedule, Step, Run, and RunUntil. A lockstep driver applies one op
-// stream to two engines that differ only in their scheduler and diffs every
-// observable after every op.
+// identical — same pop order (at, ct, seq), same Pending accounting, same
+// Timer semantics — over arbitrary interleavings of Schedule, After,
+// InjectCall, Stop, Reschedule, Step, Run, and RunUntil. A lockstep driver
+// applies one op stream to two engines that differ only in their scheduler
+// and diffs every observable after every op.
 
 // schedPair drives a wheel engine and a heap engine in lockstep.
 type schedPair struct {
@@ -60,24 +60,44 @@ func (p *schedPair) check() error {
 	return nil
 }
 
+// record returns the callback that logs event id's execution on eng.
+func record(eng *Engine, log *[]string, id int) func() {
+	return func() { *log = append(*log, fmt.Sprintf("t=%v id=%d", eng.Now(), id)) }
+}
+
+// slotEdge returns a tick within two picoseconds of the start of the
+// level-0 slot k slots past now's, never before now. k = 64 lands on the
+// edge of level 0's span, where events move up to level 1.
+func slotEdge(now units.Time, k int64, off int64) units.Time {
+	at := (now>>wheelGrain+units.Time(k))<<wheelGrain + units.Time(off) - 2
+	if at < now {
+		at = now
+	}
+	return at
+}
+
+// slotEdges are the slot offsets slotEdge targets: the next slots, and the
+// last slots of level 0's span and the first beyond it.
+var slotEdges = [...]int64{1, 2, 63, 64, 65}
+
 // apply executes one op, encoded as an opcode plus argument, on both
 // engines identically. Delays mix near ticks with multi-level spans so
-// events cross wheel level boundaries and collide on identical instants.
+// events cross wheel level boundaries and collide on identical instants;
+// ops 7 and 8 aim at the edges of level-0 slots, where a slot's first
+// picosecond meets a bounded peek's limit.
 func (p *schedPair) apply(op uint8, arg uint32) error {
 	a := int64(arg)
-	switch op % 6 {
+	switch op % 9 {
 	case 0: // schedule a closure event
 		d := units.Time(a % 5000)
 		id := len(p.wt)
-		we, he := p.wheel, p.heap
-		p.wt = append(p.wt, we.After(d, func() { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }))
-		p.ht = append(p.ht, he.After(d, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
+		p.wt = append(p.wt, p.wheel.After(d, record(p.wheel, &p.wlog, id)))
+		p.ht = append(p.ht, p.heap.After(d, record(p.heap, &p.hlog, id)))
 	case 1: // schedule a far-future event (upper wheel levels)
 		d := units.Time(a%7)*137*units.Millisecond + units.Time(a%911)
 		id := len(p.wt)
-		we, he := p.wheel, p.heap
-		p.wt = append(p.wt, we.After(d, func() { p.wlog = append(p.wlog, fmt.Sprintf("t=%v id=%d", we.Now(), id)) }))
-		p.ht = append(p.ht, he.After(d, func() { p.hlog = append(p.hlog, fmt.Sprintf("t=%v id=%d", he.Now(), id)) }))
+		p.wt = append(p.wt, p.wheel.After(d, record(p.wheel, &p.wlog, id)))
+		p.ht = append(p.ht, p.heap.After(d, record(p.heap, &p.hlog, id)))
 	case 2: // stop a random timer
 		if len(p.wt) == 0 {
 			return nil
@@ -106,6 +126,27 @@ func (p *schedPair) apply(op uint8, arg uint32) error {
 		if ws != hs {
 			return fmt.Errorf("Step diverged: wheel %v, heap %v", ws, hs)
 		}
+	case 6: // inject with a creation time at or before now, as a pdes shard does
+		now := p.wheel.Now()
+		ct := now - units.Time(a%3)*units.Time(a%4001)
+		if ct < 0 {
+			ct = 0
+		}
+		at := now + 1 + units.Time(a%7)*units.Time(a%300007)
+		id := len(p.wt)
+		wf, hf := record(p.wheel, &p.wlog, id), record(p.heap, &p.hlog, id)
+		call := func(f any) { f.(func())() }
+		p.wt = append(p.wt, p.wheel.InjectCall(at, ct, call, wf))
+		p.ht = append(p.ht, p.heap.InjectCall(at, ct, call, hf))
+	case 7: // schedule at a level-0 slot edge
+		at := slotEdge(p.wheel.Now(), slotEdges[a%5], a/5%5)
+		id := len(p.wt)
+		p.wt = append(p.wt, p.wheel.Schedule(at, record(p.wheel, &p.wlog, id)))
+		p.ht = append(p.ht, p.heap.Schedule(at, record(p.heap, &p.hlog, id)))
+	case 8: // run until a level-0 slot edge (a peek limit beside a slot start)
+		at := slotEdge(p.wheel.Now(), slotEdges[a%5], a/5%5)
+		p.wheel.RunUntil(at)
+		p.heap.RunUntil(at)
 	}
 	return p.check()
 }
@@ -168,6 +209,19 @@ func FuzzSchedEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x10, 0x42, 0x81, 0xc3, 0x24, 0x65, 0xa6})
 	f.Add(int64(42), []byte{0x01, 0xff, 0x02, 0x03, 0x04, 0x05, 0x00, 0x00, 0xfe, 0x11})
 	f.Add(int64(7), []byte{0x05, 0x05, 0x05, 0x00, 0x01, 0x02, 0x03, 0x04})
+	// Injections behind now, edge schedules and edge deadlines (ops 6-8).
+	f.Add(int64(9), []byte{
+		0x07, 0x03, 0x00, 0x00, 0x00, 0x07, 0x08, 0x00, 0x00, 0x00,
+		0x06, 0x11, 0x22, 0x03, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+		0x07, 0x13, 0x00, 0x00, 0x00, 0x08, 0x03, 0x00, 0x00, 0x00,
+		0x06, 0x7d, 0x01, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00,
+	})
+	f.Add(int64(11), []byte{
+		0x06, 0x2b, 0x49, 0x00, 0x00, 0x07, 0x02, 0x00, 0x00, 0x00,
+		0x07, 0x0e, 0x00, 0x00, 0x00, 0x08, 0x02, 0x00, 0x00, 0x00,
+		0x03, 0x01, 0x00, 0x00, 0x00, 0x06, 0x05, 0x30, 0x00, 0x00,
+		0x08, 0x0c, 0x00, 0x00, 0x00, 0x02, 0x04, 0x00, 0x00, 0x00,
+	})
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		p := newSchedPair(seed)
 		for i := 0; i+4 < len(raw); i += 5 {

@@ -78,8 +78,12 @@ func (c *Conn) instrumentSnapshot() telemetry.Sample {
 }
 
 // telemEvent records one discrete stack event with the current congestion
-// state attached.
+// state attached. With telemetry off it returns before reading the clock
+// through Env or calling into the recorder.
 func (c *Conn) telemEvent(kind telemetry.EventKind, seq int64, aux int64) {
+	if c.telem == nil {
+		return
+	}
 	c.telem.RecordEvent(c.env.Now(), kind, seq, c.cwnd, c.ssthresh, aux)
 }
 

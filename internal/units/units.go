@@ -10,6 +10,7 @@ package units
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in simulated time, in picoseconds since the start of the
@@ -118,12 +119,17 @@ func TimeToSend(n int, b Bandwidth) Time {
 	if n <= 0 {
 		return 0
 	}
-	bits := int64(n) * 8
+	nbits := int64(n) * 8
 	// time_ps = bits * 1e12 / b. Split into whole seconds (exact integer
 	// math) plus a sub-second remainder (remainder < b, so the float path
 	// stays well inside 53-bit precision for any realistic bandwidth).
-	q := bits / int64(b)
-	r := bits % int64(b)
+	// Every packet is far below a second of line rate, where the whole
+	// seconds are 0 and the remainder is bits itself: skip the division.
+	if nbits < int64(b) {
+		return Time(float64(nbits)*float64(Second)/float64(b)) + 1
+	}
+	q := nbits / int64(b)
+	r := nbits % int64(b)
 	return Time(q)*Second + Time(float64(r)*float64(Second)/float64(b)) + 1
 }
 
@@ -179,9 +185,8 @@ func NextPow2(n int64) int64 {
 	if n > 1<<62 {
 		panic("units: NextPow2 overflow")
 	}
-	p := int64(1)
-	for p < n {
-		p <<= 1
+	if n <= 1 {
+		return 1
 	}
-	return p
+	return 1 << bits.Len64(uint64(n-1))
 }

@@ -197,3 +197,59 @@ func TestStringNoExponent(t *testing.T) {
 		}
 	}
 }
+
+// The fast paths in TimeToSend and NextPow2 must return exactly what the
+// formulas they replace returned, bit for bit: simulated timestamps, and so
+// every golden digest, are built from them. The references below are those
+// formulas, verbatim.
+
+func timeToSendRef(n int, b Bandwidth) Time {
+	if n <= 0 {
+		return 0
+	}
+	nbits := int64(n) * 8
+	q := nbits / int64(b)
+	r := nbits % int64(b)
+	return Time(q)*Second + Time(float64(r)*float64(Second)/float64(b)) + 1
+}
+
+func nextPow2Ref(n int64) int64 {
+	p := int64(1)
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+func TestFastPathsMatchReferenceFormulas(t *testing.T) {
+	const maxN = 1 << 20
+	// Line rates the simulator uses, odd rates, and rates at or below 8n for
+	// part of the range (8000 b/s at n = 1000, 8*2^20 b/s at n = 2^20), so
+	// both the division-free path and the general one are compared.
+	rates := []Bandwidth{
+		1, 7, 8000, 12345, 8 * maxN,
+		FromGbps(2.38), GbitPerSecond, 10 * GbitPerSecond, 40 * GbitPerSecond,
+	}
+	for _, b := range rates {
+		for n := 0; n <= maxN; n++ {
+			if got, want := TimeToSend(n, b), timeToSendRef(n, b); got != want {
+				t.Fatalf("TimeToSend(%d, %d) = %d, reference %d", n, int64(b), int64(got), int64(want))
+			}
+		}
+	}
+	for n := int64(0); n <= maxN; n++ {
+		if got, want := NextPow2(n), nextPow2Ref(n); got != want {
+			t.Fatalf("NextPow2(%d) = %d, reference %d", n, got, want)
+		}
+	}
+	for sh := 20; sh <= 62; sh++ {
+		for _, n := range []int64{1<<sh - 1, 1 << sh, 1<<sh + 1} {
+			if n > 1<<62 {
+				continue
+			}
+			if got, want := NextPow2(n), nextPow2Ref(n); got != want {
+				t.Fatalf("NextPow2(%d) = %d, reference %d", n, got, want)
+			}
+		}
+	}
+}
