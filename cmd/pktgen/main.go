@@ -1,6 +1,6 @@
 // Command pktgen runs the kernel packet generator between two simulated
 // hosts: single-copy transmission that bypasses the TCP/IP stack,
-// establishing the host's raw data-movement ceiling (§3.5.2's 5.5 Gb/s).
+// establishing the host's raw data-movement ceiling (§3.5.2).
 //
 // Usage:
 //
@@ -14,6 +14,7 @@ import (
 
 	"tengig/internal/core"
 	"tengig/internal/host"
+	"tengig/internal/paper"
 )
 
 func main() {
@@ -43,5 +44,6 @@ func main() {
 	pps := float64(res.Sent) / res.Elapsed.Seconds()
 	fmt.Printf("sent:       %d packets of %d bytes in %v\n", res.Sent, *size, res.Elapsed)
 	fmt.Printf("rate:       %v (%.0f packets/s)\n", res.PayloadRate(*size), pps)
-	fmt.Printf("paper:      5.5 Gb/s at ~88,400 packets/s (PE2650, 8160-byte packets)\n")
+	fmt.Printf("paper:      %s at %s (PE2650, 8160-byte packets)\n",
+		paper.Quote("multiflow.pktgen"), paper.Quote("multiflow.pktgen-rate"))
 }

@@ -10,12 +10,15 @@
 //	sweep -fig 7          # Figure 7: latency without coalescing
 //	sweep -fig 8          # Figure 8: window audit
 //	sweep -table 1        # Table 1: AIMD recovery times
-//	sweep -exp ladder     # §3.3 optimization ladder summary
+//	sweep -exp ladder     # §3.3 optimization ladder summary (9000 MTU)
+//	sweep -exp ladder1500 # §3.3 optimization ladder at 1500 MTU
 //	sweep -exp wan        # §4 record run
-//	sweep -exp multiflow  # §3.5.2 aggregation experiments
+//	sweep -exp multiflow  # §3.5.2 aggregation experiments and pktgen
 //	sweep -exp compare    # §3.5.3 interconnect comparison
-//	sweep -exp anecdotes  # §3.4 E7505 / Itanium results
+//	sweep -exp anecdotes  # §3.4 E7505 / Itanium results, §3.5.2 PE4600
 //	sweep -exp mtu        # extension: MTU sweep (allocator-block sawtooth)
+//	sweep -exp tools      # §3.2 Iperf vs NTTCP
+//	sweep -exp ablations  # extensions: NAPI, TSO, MMRBC, coalescing, SACK...
 //	sweep -all            # everything
 //	sweep -full ...       # paper-resolution payload grid (slower)
 //	sweep -json ...       # also write BENCH_sweep.json (figure id, points, peak, wall)
@@ -23,6 +26,10 @@
 //	sweep -chaos 500      # randomized fault-injection soak with the invariant auditor
 //	sweep -replay F.json  # replay a crash bundle and report reproduction
 //	sweep -topology F.json # compile a declarative topology file and run its flows
+//
+// After each experiment's data rows, sweep prints the paper's claims that
+// the experiment measures (internal/paper): the paper's value, the
+// measured one, the accepted band and the verdict.
 package main
 
 import (
@@ -31,18 +38,16 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"tengig/internal/bench"
-	"tengig/internal/compare"
 	"tengig/internal/core"
 	"tengig/internal/host"
+	"tengig/internal/paper"
 	"tengig/internal/prof"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
-	"tengig/internal/tools"
 	"tengig/internal/topo"
 	"tengig/internal/units"
 )
@@ -50,14 +55,13 @@ import (
 var (
 	fig      = flag.Int("fig", 0, "figure number to regenerate (3-8)")
 	table    = flag.Int("table", 0, "table number to regenerate (1)")
-	exp      = flag.String("exp", "", "named experiment: ladder|wan|multiflow|compare|anecdotes|mtu")
+	exp      = flag.String("exp", "", "named experiment: ladder|ladder1500|wan|multiflow|compare|anecdotes|mtu|tools|ablations")
 	all      = flag.Bool("all", false, "run everything")
 	full     = flag.Bool("full", false, "paper-resolution sweep (32768 writes, fine payload grid)")
 	csv      = flag.Bool("csv", false, "emit CSV rows instead of aligned tables (for plotting)")
 	seed     = flag.Int64("seed", 1, "simulation seed")
 	parallel = flag.Bool("parallel", false, "fan independent simulation points across one worker per CPU (identical rows, less wall-clock)")
 	nworkers = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-	verify   = flag.Bool("verify-determinism", false, "run a sampled sweep subset twice — serial and parallel — and diff the result rows")
 	jsonOut  = flag.Bool("json", false, "write BENCH_sweep.json: per-sweep figure id, points, peak, wall time")
 	telemDir = flag.String("telemetry", "", "directory for per-run telemetry bundles (JSONL + CSV); enables instrument sampling on every sweep point")
 	chaos    = flag.Int("chaos", 0, "run N randomized fault-injection campaigns with the invariant auditor attached; non-zero exit on any violation")
@@ -97,10 +101,6 @@ func main() {
 	flag.Parse()
 	stopProfiles := prof.Start(*cpuProf, *memProf)
 	defer stopProfiles()
-	if *verify {
-		verifyDeterminism()
-		return
-	}
 	if *replay != "" {
 		replayBundle(*replay)
 		return
@@ -123,26 +123,18 @@ func main() {
 	}
 	openCampaignCheckpoint()
 	ran := false
-	run := func(cond bool, figureID string, f func()) {
-		if cond || *all {
-			benchFigure = figureID
-			f()
-			ran = true
+	measured := paper.Measured{}
+	for _, e := range paper.Experiments {
+		if !*all && e.ID != *exp && e.ID != fmt.Sprintf("fig%d", *fig) && e.ID != fmt.Sprintf("table%d", *table) {
+			continue
 		}
+		benchFigure = e.ID
+		if err := e.Run(settings(), measured); err != nil {
+			log.Fatalf("%s: %v", e.ID, err)
+		}
+		paper.PrintClaims(os.Stdout, e.ID, measured)
+		ran = true
 	}
-	run(*fig == 3, "fig3", figure3)
-	run(*fig == 4, "fig4", figure4)
-	run(*fig == 5, "fig5", figure5)
-	run(*fig == 6, "fig6", figure6)
-	run(*fig == 7, "fig7", figure7)
-	run(*fig == 8, "fig8", figure8)
-	run(*table == 1, "table1", table1)
-	run(*exp == "ladder", "ladder", ladder)
-	run(*exp == "wan", "wan", wanRecord)
-	run(*exp == "multiflow", "multiflow", multiflow)
-	run(*exp == "compare", "compare", comparison)
-	run(*exp == "anecdotes", "anecdotes", anecdotes)
-	run(*exp == "mtu", "mtu", mtuSweep)
 	// A pure gate run (kernel/pdes baselines) needs no figure selection.
 	if !ran && *baseline == "" {
 		flag.Usage()
@@ -202,7 +194,7 @@ func openCampaignCheckpoint() {
 		return
 	}
 	fp, err := core.CheckpointFingerprint(checkpointIdentity{
-		Seed: *seed, Count: count(), Full: *full,
+		Seed: *seed, Count: settings().Count(), Full: *full,
 		Fig: *fig, Table: *table, Exp: *exp, All: *all,
 	})
 	if err != nil {
@@ -433,7 +425,7 @@ func currentSweepFile() *bench.SweepFile {
 	return &bench.SweepFile{
 		Meta: &bench.Meta{
 			Seed:     *seed,
-			Count:    count(),
+			Count:    settings().Count(),
 			Full:     *full,
 			Workers:  *nworkers,
 			Topology: *topoFile,
@@ -454,23 +446,12 @@ func writeBench() {
 	fmt.Printf("wrote BENCH_sweep.json (%d sweeps)\n", len(benchSweeps))
 }
 
-func payloads() []int {
-	if !*full {
-		return core.DefaultPayloads()
+// settings are the experiment settings the flags select.
+func settings() paper.Settings {
+	return paper.Settings{
+		Seed: *seed, Full: *full, Workers: workers(), CSV: *csv,
+		Out: os.Stdout, Sweep: sweep,
 	}
-	// Paper resolution: 128 B to 16 KB in fine steps.
-	var out []int
-	for p := 128; p <= 16384; p += 128 {
-		out = append(out, p)
-	}
-	return out
-}
-
-func count() int {
-	if *full {
-		return 32768
-	}
-	return 3000
 }
 
 // campaignMetrics aggregates fleet metrics across every sweep of the
@@ -478,22 +459,21 @@ func count() int {
 // call order, which is fixed by the figure functions — deterministic.
 var campaignMetrics = telemetry.NewMetricsAccumulator()
 
-func sweep(p host.Profile, t host.Tuning) *core.SweepResult {
-	cfg := core.SweepConfig{
-		Seed: *seed, Profile: p, Tuning: t,
-		Payloads: payloads(), Count: count(), Workers: workers(),
-		Metrics:      *metricsF,
-		Checkpoint:   campaignCheckpoint,
-		EventBudget:  *limitEvF,
-		SkipFailures: *skipF,
-		Retries:      *retriesF,
-		CrashDir:     *crashDir,
-	}
+// sweep runs one figure sweep with the campaign's options: checkpoint,
+// event budget, contained failures, telemetry, fleet metrics, progress and
+// BENCH recording.
+func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
+	cfg.Metrics = *metricsF
+	cfg.Checkpoint = campaignCheckpoint
+	cfg.EventBudget = *limitEvF
+	cfg.SkipFailures = *skipF
+	cfg.Retries = *retriesF
+	cfg.CrashDir = *crashDir
 	if *telemDir != "" {
 		cfg.Telemetry = telemetry.Options{Enabled: true}
 	}
 	if *progress {
-		cfg.Progress = progressLine(t.Label())
+		cfg.Progress = progressLine(cfg.Tuning.Label())
 	}
 	start := time.Now()
 	res, err := cfg.Run()
@@ -521,14 +501,14 @@ func sweep(p host.Profile, t host.Tuning) *core.SweepResult {
 		}
 	}
 	if benchRecording() {
-		recordBench(res, p, wall)
+		recordBench(res, cfg.Profile, wall)
 	}
 	if *metricsF {
 		if err := campaignMetrics.Merge(res.Metrics); err != nil {
 			log.Fatalf("metrics: %v", err)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // progressLine returns a SweepConfig.Progress hook that repaints one stderr
@@ -569,293 +549,4 @@ func printFleet(title string, f *telemetry.FleetMetrics) {
 			f.Fabric.TTLDrops, f.Fabric.PortDrops, f.Fabric.MaxQueued, f.Fabric.MaxQueuedLink)
 	}
 	fmt.Println()
-}
-
-// rowsString renders a sweep's result rows in a canonical form for the
-// determinism cross-check: any divergence between a serial and a parallel
-// run shows up as a byte difference.
-func rowsString(res *core.SweepResult) string {
-	var b strings.Builder
-	for _, pt := range res.Points {
-		fmt.Fprintf(&b, "%s,%d,%.9f,%.6f,%.6f\n",
-			res.Label, pt.Payload, pt.Throughput.Gbps(), pt.SenderLoad, pt.ReceiverLoad)
-	}
-	return b.String()
-}
-
-// verifyDeterminism runs a sampled subset of the Figure 3/4 sweeps twice —
-// once serial, once across the worker pool — and diffs the result rows.
-// Identical rows prove that parallel scheduling cannot leak into simulation
-// results (every point owns a private, seed-deterministic engine).
-func verifyDeterminism() {
-	samples := []struct {
-		name string
-		p    host.Profile
-		t    host.Tuning
-	}{
-		{"fig3-stock-1500", host.PE2650, host.Stock(1500)},
-		{"fig3-stock-9000", host.PE2650, host.Stock(9000)},
-		{"fig4-optimized-9000", host.PE2650, host.Optimized(9000)},
-	}
-	grid := []int{1024, 4096, 8148, 16384}
-	const verifyCount = 600
-	failed := false
-	for _, s := range samples {
-		runOnce := func(w int) string {
-			res, err := core.SweepConfig{
-				Seed: *seed, Profile: s.p, Tuning: s.t,
-				Payloads: grid, Count: verifyCount, Workers: w,
-			}.Run()
-			if err != nil {
-				log.Fatalf("verify-determinism %s: %v", s.name, err)
-			}
-			return rowsString(res)
-		}
-		// Pin the pool to several workers even on a single-core machine so
-		// the concurrent dispatch path is always the one under test.
-		poolWorkers := runtime.GOMAXPROCS(0)
-		if poolWorkers < 4 {
-			poolWorkers = 4
-		}
-		serial := runOnce(1)
-		fanned := runOnce(poolWorkers)
-		if serial == fanned {
-			fmt.Printf("ok   %-22s %d rows identical serial vs %d workers\n",
-				s.name, len(grid), poolWorkers)
-			continue
-		}
-		failed = true
-		fmt.Printf("FAIL %s: serial and parallel rows differ\n", s.name)
-		fmt.Printf("--- serial\n%s--- parallel\n%s", serial, fanned)
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Println("determinism verified: parallel rows are byte-identical to serial rows")
-}
-
-func printSeries(res *core.SweepResult) {
-	if *csv {
-		fmt.Printf("# %s\nconfig,payload,gbps,snd_load,rcv_load\n", res.Label)
-		for _, pt := range res.Points {
-			fmt.Printf("%s,%d,%.4f,%.3f,%.3f\n",
-				res.Label, pt.Payload, pt.Throughput.Gbps(), pt.SenderLoad, pt.ReceiverLoad)
-		}
-		fmt.Println()
-		return
-	}
-	fmt.Printf("# %s\n", res.Label)
-	fmt.Printf("%-10s %-12s %-10s %-10s\n", "payload", "Gb/s", "snd-load", "rcv-load")
-	for _, pt := range res.Points {
-		fmt.Printf("%-10d %-12.3f %-10.2f %-10.2f\n",
-			pt.Payload, pt.Throughput.Gbps(), pt.SenderLoad, pt.ReceiverLoad)
-	}
-	_, peak := res.Peak()
-	fmt.Printf("peak %.3f Gb/s, mean %.3f Gb/s\n\n", peak.Gbps(), res.Mean().Gbps())
-}
-
-func figure3() {
-	fmt.Println("== Figure 3: Throughput of Stock TCP: 1500- vs 9000-byte MTU ==")
-	fmt.Println("paper: peaks 1.8 Gb/s (1500) and 2.7 Gb/s (9000)")
-	printSeries(sweep(host.PE2650, host.Stock(1500)))
-	printSeries(sweep(host.PE2650, host.Stock(9000)))
-}
-
-func figure4() {
-	fmt.Println("== Figure 4: Oversized windows + PCI-X burst + UP kernel ==")
-	fmt.Println("paper: peaks 2.47 Gb/s (1500) and 3.9 Gb/s (9000)")
-	printSeries(sweep(host.PE2650, host.Optimized(1500)))
-	printSeries(sweep(host.PE2650, host.Optimized(9000)))
-}
-
-func figure5() {
-	fmt.Println("== Figure 5: Cumulative optimizations with non-standard MTUs ==")
-	fmt.Println("paper: peaks 4.11 Gb/s (8160) and 4.09 Gb/s (16000)")
-	fmt.Printf("reference lines: GbE 1.0, Myrinet 2.0, QsNet 3.2, 10GbE(PCI-X) %.1f Gb/s\n\n",
-		compare.TenGbETheoretical.Gbps())
-	printSeries(sweep(host.PE2650, host.Optimized(8160)))
-	printSeries(sweep(host.PE2650, host.Optimized(16000)))
-}
-
-func latency(t host.Tuning, via bool, label string) {
-	pts, err := core.LatencyConfig{
-		Seed: *seed, Profile: host.PE2650, Tuning: t,
-		Payloads: core.DefaultLatencyPayloads(), Reps: 20, ViaSwitch: via,
-	}.Run()
-	if err != nil {
-		log.Fatalf("latency: %v", err)
-	}
-	if *csv {
-		fmt.Printf("# %s\npayload,one_way_us\n", label)
-		for _, pt := range pts {
-			fmt.Printf("%d,%.3f\n", pt.Payload, pt.OneWay.Micros())
-		}
-		fmt.Println()
-		return
-	}
-	fmt.Printf("# %s\n%-10s %s\n", label, "payload", "one-way")
-	for _, pt := range pts {
-		fmt.Printf("%-10d %v\n", pt.Payload, pt.OneWay)
-	}
-	fmt.Println()
-}
-
-func figure6() {
-	fmt.Println("== Figure 6: End-to-end latency (5 us interrupt coalescing) ==")
-	fmt.Println("paper: 19 us back-to-back / 25 us via switch at 1 B; 23/28 us at 1 KB")
-	latency(host.Optimized(9000), false, "back-to-back")
-	latency(host.Optimized(9000), true, "through FastIron 1500")
-}
-
-func figure7() {
-	fmt.Println("== Figure 7: End-to-end latency without interrupt coalescing ==")
-	fmt.Println("paper: 14 us back-to-back at 1 B")
-	latency(host.Optimized(9000).WithoutCoalescing(), false, "back-to-back, coalescing off")
-}
-
-func figure8() {
-	fmt.Println("== Figure 8: Ideal vs MSS-allowed window ==")
-	fmt.Printf("%-55s %-10s %-8s %-10s %s\n", "case", "window", "MSS", "usable", "lost")
-	for _, r := range core.WindowAudit() {
-		fmt.Printf("%-55s %-10d %-8d %-10d %.0f%%\n",
-			r.Description, r.Ideal, r.MSS, r.Usable, r.LossPct)
-	}
-	fmt.Println()
-}
-
-func table1() {
-	fmt.Println("== Table 1: Time to recover from a single packet loss ==")
-	fmt.Printf("%-20s %-12s %-8s %-8s %s\n", "path", "bandwidth", "RTT", "MSS", "recovery")
-	for _, r := range core.Table1() {
-		fmt.Printf("%-20s %-12v %-8v %-8d %v\n", r.Path, r.BW, r.RTT, r.MSS, r.Recovery)
-	}
-	fmt.Println()
-}
-
-func ladder() {
-	fmt.Println("== §3.3 optimization ladder (9000-byte MTU) ==")
-	fmt.Println("paper peaks: stock 2.7 -> +MMRBC 3.6 -> +UP ~3.6 -> +256K 3.9 Gb/s")
-	steps, err := core.RunLadder(*seed, host.PE2650, 9000, payloads(), count(), workers())
-	if err != nil {
-		log.Fatalf("ladder: %v", err)
-	}
-	fmt.Printf("%-18s %-34s %-10s %s\n", "rung", "config", "peak", "mean")
-	for _, s := range steps {
-		_, peak := s.Result.Peak()
-		fmt.Printf("%-18s %-34s %-10.3f %.3f\n",
-			s.Name, s.Tuning.Label(), peak.Gbps(), s.Result.Mean().Gbps())
-	}
-	fmt.Println()
-}
-
-func wanRecord() {
-	fmt.Println("== §4: Sunnyvale -> Geneva record run ==")
-	fmt.Println("paper: 2.38 Gb/s sustained, ~99% payload efficiency, 1 TB < 1 hour")
-	res, err := core.RunWAN(core.WANConfig{Seed: *seed, Duration: 15 * units.Second})
-	if err != nil {
-		log.Fatalf("wan: %v", err)
-	}
-	fmt.Printf("sustained:   %v (ceiling %v, efficiency %.1f%%)\n",
-		res.Throughput, res.PayloadCeiling, res.Efficiency*100)
-	fmt.Printf("RTT:         %v   drops: %d   retransmits: %d\n",
-		res.RTT, res.BottleneckDrops, res.Retransmits)
-	fmt.Printf("terabyte in: %v\n\n", res.TimeToTerabyte)
-
-	fmt.Println("-- counterfactual: 3x-BDP socket buffers --")
-	over, err := core.RunWAN(core.WANConfig{
-		Seed: *seed, Duration: 15 * units.Second, SockBuf: 3 * 54 * 1024 * 1024})
-	if err != nil {
-		log.Fatalf("wan: %v", err)
-	}
-	fmt.Printf("sustained:   %v   drops: %d   retransmits: %d   timeouts: %d\n\n",
-		over.Throughput, over.BottleneckDrops, over.Retransmits, over.Timeouts)
-}
-
-func multiflow() {
-	fmt.Println("== §3.5.2: multi-flow aggregation through the FastIron 1500 ==")
-	spec := func(label string, reverse bool, nics int) core.MultiFlowSpec {
-		return core.MultiFlowSpec{
-			Label: label, Seed: *seed, Profile: host.PE2650,
-			Tuning: host.Optimized(9000), Senders: 6, Kind: core.GbESenders,
-			Reverse: reverse, SinkNICs: nics, Duration: 200 * units.Millisecond,
-		}
-	}
-	results, err := core.RunMultiFlows([]core.MultiFlowSpec{
-		spec("rx", false, 1), spec("tx", true, 1), spec("two-nics", false, 2),
-	}, workers())
-	if err != nil {
-		log.Fatalf("multiflow: %v", err)
-	}
-	rx, tx, two := results[0], results[1], results[2]
-	fmt.Printf("6 GbE senders -> one 10GbE PE2650:   %v\n", rx.Aggregate)
-	fmt.Printf("one 10GbE PE2650 -> 6 GbE receivers: %v  (tx/rx %.2f; paper: equal)\n",
-		tx.Aggregate, tx.Aggregate.Gbps()/rx.Aggregate.Gbps())
-	fmt.Printf("same flows over two adapters:        %v  (ratio %.2f; paper: identical)\n\n",
-		two.Aggregate, two.Aggregate.Gbps()/rx.Aggregate.Gbps())
-}
-
-func comparison() {
-	fmt.Println("== §3.5.3: interconnect comparison ==")
-	res := sweep(host.PE2650, host.Optimized(8160))
-	_, peak := res.Peak()
-	pts, err := core.LatencyConfig{Seed: *seed, Profile: host.PE2650,
-		Tuning: host.Optimized(9000), Payloads: []int{1}, Reps: 20}.Run()
-	if err != nil {
-		log.Fatalf("compare: %v", err)
-	}
-	lat := pts[0].OneWay
-	fmt.Printf("%-10s %-8s %-12s %-10s %s\n", "network", "API", "throughput", "latency", "source")
-	fmt.Printf("%-10s %-8s %-12v %-10v %s\n", "10GbE", "TCP/IP", peak, lat, "this reproduction")
-	for _, r := range compare.Published() {
-		fmt.Printf("%-10s %-8s %-12v %-10v %s\n", r.Name, r.API, r.Throughput, r.Latency, r.Source)
-	}
-	fmt.Println()
-	for _, c := range compare.EvaluateClaims(peak, lat) {
-		mark := "HOLDS"
-		if !c.Holds {
-			mark = "FAILS"
-		}
-		fmt.Printf("[%s] %s (%s)\n", mark, c.Description, c.Detail)
-	}
-	fmt.Println()
-}
-
-func mtuSweep() {
-	fmt.Println("== MTU sweep (extension): the allocator-block sawtooth ==")
-	fmt.Println("throughput climbs with MTU, then dips past each power-of-2 block boundary")
-	mtus := []int{1500, 3000, 4000, 4200, 6000, 8000, 8160, 8400, 9000, 12000, 16000}
-	pts, err := core.MTUSweep(*seed, host.PE2650, mtus, 16384, count(), workers())
-	if err != nil {
-		log.Fatalf("mtu: %v", err)
-	}
-	fmt.Printf("%-8s %-10s %-10s %s\n", "MTU", "block", "peak", "mean")
-	for _, p := range pts {
-		fmt.Printf("%-8d %-10d %-10.3f %.3f\n", p.MTU, p.BlockSize, p.Peak.Gbps(), p.Mean.Gbps())
-	}
-	fmt.Println()
-}
-
-func anecdotes() {
-	fmt.Println("== §3.4 anecdotal results ==")
-	nots := sweep(host.IntelE7505, host.Stock(9000).WithoutTimestamps())
-	_, pn := nots.Peak()
-	ts := sweep(host.IntelE7505, host.Stock(9000))
-	_, pt := ts.Peak()
-	fmt.Printf("E7505 out-of-box (no timestamps): %v  (paper: 4.64 Gb/s)\n", pn)
-	fmt.Printf("E7505 with timestamps:            %v  (paper: ~10%% lower; got %.1f%%)\n",
-		pt, (1-pt.Gbps()/pn.Gbps())*100)
-	m, err := core.NewMultiFlow(*seed, host.ItaniumII,
-		host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, core.GbESenders, false)
-	if err != nil {
-		log.Fatalf("anecdotes: %v", err)
-	}
-	res := core.RunMultiFlow(m, 200*units.Millisecond)
-	fmt.Printf("Itanium-II aggregated receive:    %v  (paper: 7.2 Gb/s)\n", res.Aggregate)
-	// STREAM context for the §3.5.2 memory-bandwidth discussion.
-	net, err := topo.Compile(sim.NewEngine(*seed), topo.BackToBack(host.PE4600, host.Optimized(9000)), *seed)
-	if err != nil {
-		log.Fatalf("anecdotes: %v", err)
-	}
-	fmt.Printf("PE4600 STREAM:                    %v  (paper: 12.8 Gb/s, yet no TCP gain)\n\n",
-		tools.Stream(net.Pairs[0].SrcHost))
 }

@@ -11,13 +11,12 @@
 // measurement tools, and the calibrated experiment harness
 // (internal/fabric, internal/wan, internal/tools, internal/core).
 //
-// The benchmark files in this directory regenerate every figure and table
-// of the paper's evaluation:
+// internal/paper holds every experiment of the paper's evaluation and one
+// table of the paper's claims. The cmd/sweep binary runs the experiments
+// and prints each one's data and claims:
 //
-//	go test -bench=. -benchtime=1x .
+//	go run ./cmd/sweep -all
 //
-// Each benchmark reports the simulated result via testing.B metrics
-// alongside the paper's published value (suffix _paper). The cmd/sweep
-// binary prints the same results as full tables; EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// TestClaims in internal/core checks every claim and regenerates the tables
+// of EXPERIMENTS.md, which records paper-vs-measured for every experiment.
 package tengig

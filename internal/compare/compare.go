@@ -6,7 +6,7 @@
 package compare
 
 import (
-	"fmt"
+	"strings"
 
 	"tengig/internal/units"
 )
@@ -24,6 +24,12 @@ type Interconnect struct {
 	TheoreticalMax units.Bandwidth
 	// Source describes provenance.
 	Source string
+}
+
+// Key names the row in the quantities the paper's claims read: name and
+// API in lower case, without slashes ("myrinet-gm", "qsnet-tcpip").
+func (r Interconnect) Key() string {
+	return strings.ToLower(r.Name + "-" + strings.ReplaceAll(r.API, "/", ""))
 }
 
 // Published returns the reference rows the paper quotes (its §3.5.3 and
@@ -73,61 +79,3 @@ func Published() []Interconnect {
 // TenGbETheoretical is Figure 5's 10GbE reference: the PCI-X bus cap, since
 // the optics exceed what the host can move.
 const TenGbETheoretical = units.Bandwidth(8_512_000_000)
-
-// Claim is one of the paper's comparative statements, checkable against a
-// measured 10GbE result.
-type Claim struct {
-	Description string
-	Holds       bool
-	Detail      string
-}
-
-// EvaluateClaims checks the paper's §3.5.3 percentage claims against a
-// measured 10GbE throughput and latency (the paper's: 4.11 Gb/s, 19 us).
-func EvaluateClaims(tenGbE units.Bandwidth, latency units.Time) []Claim {
-	rows := Published()
-	byKey := func(name, api string) Interconnect {
-		for _, r := range rows {
-			if r.Name == name && r.API == api {
-				return r
-			}
-		}
-		panic("compare: missing row " + name + "/" + api)
-	}
-	gbe := byKey("GbE", "TCP/IP")
-	myriIP := byKey("Myrinet", "TCP/IP")
-	qsIP := byKey("QsNet", "TCP/IP")
-
-	pct := func(a, b units.Bandwidth) float64 { return (float64(a)/float64(b) - 1) * 100 }
-	claims := []Claim{
-		{
-			Description: "10GbE TCP/IP throughput is over 300% better than GbE",
-			Holds:       pct(tenGbE, gbe.Throughput) > 300,
-			Detail:      fmt.Sprintf("+%.0f%%", pct(tenGbE, gbe.Throughput)),
-		},
-		{
-			Description: "over 120% better than Myrinet TCP/IP",
-			Holds:       pct(tenGbE, myriIP.Throughput) > 120,
-			Detail:      fmt.Sprintf("+%.0f%%", pct(tenGbE, myriIP.Throughput)),
-		},
-		{
-			Description: "over 80% better than QsNet TCP/IP",
-			Holds:       pct(tenGbE, qsIP.Throughput) > 80,
-			Detail:      fmt.Sprintf("+%.0f%%", pct(tenGbE, qsIP.Throughput)),
-		},
-		{
-			Description: "latency roughly 40% better than GbE",
-			Holds:       float64(latency) < 0.7*float64(gbe.Latency),
-			Detail:      fmt.Sprintf("%v vs %v", latency, gbe.Latency),
-		},
-		{
-			// The paper's conclusion states this for the 12 us best case;
-			// at the PE2650's 19 us the ratios relax to ~3x and ~1.6x.
-			Description: "latency within ~3x of Myrinet/GM and clearly faster than Myrinet/IP",
-			Holds: float64(latency) < 3.1*float64(byKey("Myrinet", "GM").Latency) &&
-				float64(latency) < float64(myriIP.Latency),
-			Detail: fmt.Sprintf("%v vs GM %v / IP %v", latency, byKey("Myrinet", "GM").Latency, myriIP.Latency),
-		},
-	}
-	return claims
-}

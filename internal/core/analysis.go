@@ -59,13 +59,6 @@ func WindowAudit() []WindowAuditRow {
 	return rows
 }
 
-// LadderStep is one rung of the §3.3 optimization ladder.
-type LadderStep struct {
-	Name   string
-	Tuning host.Tuning
-	Result *SweepResult
-}
-
 // LadderRungs returns the paper's §3.3 sequence of cumulative
 // optimizations at the given MTU.
 func LadderRungs(mtu int) []struct {
@@ -82,24 +75,6 @@ func LadderRungs(mtu int) []struct {
 		{"+UP kernel", stock.WithMMRBC(4096).WithUP()},
 		{"+256KB windows", stock.WithMMRBC(4096).WithUP().WithSockBuf(256 * 1024)},
 	}
-}
-
-// RunLadder executes the full ladder, one sweep per rung. workers fans
-// each rung's payload points across the pool (0 or 1 = serial, negative =
-// one per CPU); rungs themselves run in order.
-func RunLadder(seed int64, p host.Profile, mtu int, payloads []int, count, workers int) ([]LadderStep, error) {
-	var steps []LadderStep
-	for _, rung := range LadderRungs(mtu) {
-		res, err := SweepConfig{
-			Seed: seed, Profile: p, Tuning: rung.Tuning,
-			Payloads: payloads, Count: count, Workers: workers,
-		}.Run()
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, LadderStep{Name: rung.Name, Tuning: rung.Tuning, Result: res})
-	}
-	return steps, nil
 }
 
 // MTUPoint is one measurement of an MTU sweep.

@@ -18,9 +18,10 @@ import (
 // all int64/float64 fields, so the JSON round trip is exact and a resumed
 // campaign's outputs are byte-identical to an uninterrupted run's.
 type CheckpointEntry struct {
-	// Sweep is the owning sweep's label (Tuning.Label()); together with
-	// Payload it keys the entry. Duplicate keys are legal — a campaign that
-	// runs the same configuration twice journals it once and restores both.
+	// Sweep names the owning sweep's configuration, "profile/label" (the
+	// host profile and Tuning.Label()); together with Payload it keys the
+	// entry. Duplicate keys are legal — a campaign that runs the same
+	// configuration twice journals it once and restores both.
 	Sweep   string                 `json:"sweep"`
 	Payload int                    `json:"payload"`
 	Result  tools.ThroughputResult `json:"result"`

@@ -177,6 +177,34 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestSweepCheckpointKeysProfile: two sweeps with the same tuning on
+// different host profiles share one journal without restoring each
+// other's points.
+func TestSweepCheckpointKeysProfile(t *testing.T) {
+	cfg := SweepConfig{Seed: 1, Tuning: host.Stock(9000), Payloads: []int{8948}, Count: 200}
+	run := func(p host.Profile, cp *Checkpoint) float64 {
+		c := cfg
+		c.Profile, c.Checkpoint = p, cp
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Points[0].Throughput.Gbps()
+	}
+	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "cp.jsonl"), "fp", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe2650 := run(host.PE2650, cp)
+	if got, want := run(host.IntelE7505, cp), run(host.IntelE7505, nil); got != want || got == pe2650 {
+		t.Errorf("E7505 after a PE2650 sweep in one journal: %.3f Gb/s, want its own %.3f (PE2650 %.3f)",
+			got, want, pe2650)
+	}
+	if cp.Len() != 2 {
+		t.Errorf("journal holds %d points, want one per profile", cp.Len())
+	}
+}
+
 // TestCheckpointRecordSurvivesKill: the on-disk journal after every Record
 // is a complete, parseable file — simulated here by reading it back between
 // records — so a kill at any instant loses at most the in-flight point.

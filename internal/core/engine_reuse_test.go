@@ -107,7 +107,7 @@ func TestMultiFlowEngineReuseMatchesFresh(t *testing.T) {
 	}
 	fresh := make([]MultiFlowResult, len(specs))
 	for i, s := range specs {
-		m, err := NewMultiFlowNICs(s.Seed, s.Profile, s.Tuning, s.Senders, s.Kind, s.Reverse, 1)
+		m, err := NewMultiFlow(s.Seed, s.Profile, s.Tuning, s.Senders, s.Kind, s.Reverse)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,10 +153,13 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 		c.Timeout = 30 * units.Second
 	}
 	label := c.Tuning.Label()
+	// The journal keys a point by host profile and tuning, so only a sweep
+	// of the same configuration restores it.
+	journalKey := string(c.Profile) + "/" + label
 	spec := testbed(c.Profile, c.Tuning, c.ViaSwitch)
 	runPoint := func(eng *sim.Engine, _ int, payload int) (Point, error) {
 		if c.Checkpoint != nil {
-			if e, ok := c.Checkpoint.Lookup(label, payload); ok {
+			if e, ok := c.Checkpoint.Lookup(journalKey, payload); ok {
 				return Point{Payload: payload, ThroughputResult: e.Result}, nil
 			}
 		}
@@ -189,7 +192,7 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 			// Journal after the point fully completes (telemetry captured):
 			// a kill between the run and the Record just re-runs the point.
 			err := c.Checkpoint.Record(CheckpointEntry{
-				Sweep: label, Payload: payload, Result: r,
+				Sweep: journalKey, Payload: payload, Result: r,
 				WallMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 			})
 			if err != nil {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tengig/internal/host"
@@ -112,4 +115,84 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Logf("structured failure: %v", cr.Err)
 		}
 	})
+}
+
+// FuzzOpenCheckpoint resumes arbitrary journal bytes: OpenCheckpoint must
+// return a journal or an error, never panic, and a journal it returns must
+// take the next Record.
+func FuzzOpenCheckpoint(f *testing.F) {
+	const fingerprint = "fuzz"
+	header := `{"version":1,"fingerprint":"fuzz"}` + "\n"
+	f.Add([]byte(header + `{"sweep":"9000MTU,UP,4096PCI,256kbuf","payload":512,"result":{"Bytes":1536000,"Elapsed":3000000000,"Throughput":4096000000},"wall_ms":1.5}` + "\n"))
+	f.Add([]byte(header + `{"sweep":"a","payload":1}` + "\n" + `{"sweep":"a","payload":1}` + "\n"))
+	f.Add([]byte(header + "{"))
+	f.Add([]byte(`{"version":2,"fingerprint":"fuzz"}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "cp.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := OpenCheckpoint(path, fingerprint, true)
+		if err != nil {
+			return
+		}
+		if err := cp.Record(CheckpointEntry{Sweep: "fuzz", Payload: 1}); err != nil {
+			t.Fatalf("Record after a successful resume: %v", err)
+		}
+	})
+}
+
+// FuzzCrashBundle reads arbitrary bundle bytes and replays what it reads:
+// ReadCrashBundle must return a bundle or an error, and Replay must report
+// an outcome, never panic. Bundles that record a large simulation are
+// skipped so every input replays in milliseconds.
+func FuzzCrashBundle(f *testing.F) {
+	tun := host.Optimized(1500)
+	for _, b := range []*CrashBundle{
+		{Kind: "sweep-point", Seed: 7, Profile: host.PE2650, Tuning: &tun, Payload: 512, Count: 20, Panic: "boom"},
+		{Kind: "chaos-campaign", Seed: 3, Campaign: &CampaignSpec{Seed: 3, Profile: host.PE2650, Tuning: tun,
+			Count: 20, Payload: 512, Timeout: units.Second, EventBudget: 100_000,
+			Data: netem.Script{{At: units.Millisecond, Fault: netem.Fault{LossProb: 0.5}}, {At: 2 * units.Millisecond}}}},
+		{Kind: "sweep-point", Seed: 1},
+		{Kind: "no-such-kind"},
+	} {
+		data, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"kind":"sweep-point","tuning":{"MTU":-1},"count":1,"payload":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "bundle.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadCrashBundle(path)
+		if err != nil {
+			return
+		}
+		if !smallReplay(b) {
+			t.Skip("bundle records a large simulation")
+		}
+		b.Replay(nil)
+	})
+}
+
+// smallReplay reports whether replaying b simulates at most a short
+// transfer: 64 KB of payload in frames of at most 16 KB, and for a chaos
+// campaign a bounded event budget.
+func smallReplay(b *CrashBundle) bool {
+	small := func(t host.Tuning, count, payload int) bool {
+		return count >= 0 && payload >= 0 && int64(count)*int64(payload) <= 64<<10 && t.MTU <= 16384
+	}
+	switch b.Kind {
+	case "sweep-point":
+		return b.Tuning == nil || small(*b.Tuning, b.Count, b.Payload)
+	case "chaos-campaign":
+		c := b.Campaign
+		return c == nil || small(c.Tuning, c.Count, c.Payload) && c.EventBudget > 0 && c.EventBudget <= 2_000_000
+	}
+	return true
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // TestProbeMatrix prints the calibration matrix when run with -v. It never
-// fails; the pinned assertions live in calibrate_test.go. Keep it for
-// recalibration after model changes:
+// fails; the pinned assertions are the claims of internal/paper, which
+// `sweep -all` prints. Keep it for recalibration after model changes:
 //
-//	go test ./internal/core -run TestProbeMatrix -v -probe
+//	go test ./internal/core -run TestProbeMatrix -v
 func TestProbeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe")

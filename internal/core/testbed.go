@@ -40,17 +40,13 @@ const (
 // senders→sink (receive-path stress at the sink); reverse=true makes the
 // sink transmit to all senders (transmit-path stress).
 func NewMultiFlow(seed int64, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool) (*MultiFlow, error) {
-	return NewMultiFlowNICs(seed, sinkProfile, t, n, kind, reverse, 1)
+	return NewMultiFlowNICsOn(sim.NewEngine(seed), sinkProfile, t, n, kind, reverse, 1)
 }
 
-// NewMultiFlowNICs is NewMultiFlow with sinkNICs adapters in the sink, each
-// on its own PCI-X bus, with flows spread round-robin across them — the
-// §3.5.2 two-adapter experiment that rules the bus out as the bottleneck.
-func NewMultiFlowNICs(seed int64, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
-	return NewMultiFlowNICsOn(sim.NewEngine(seed), sinkProfile, t, n, kind, reverse, sinkNICs)
-}
-
-// NewMultiFlowNICsOn is NewMultiFlowNICs on a caller-supplied engine.
+// NewMultiFlowNICsOn is NewMultiFlow on a caller-supplied engine with
+// sinkNICs adapters in the sink, each on its own PCI-X bus, with flows
+// spread round-robin across them — the §3.5.2 two-adapter experiment that
+// rules the bus out as the bottleneck.
 func NewMultiFlowNICsOn(eng *sim.Engine, sinkProfile host.Profile, t host.Tuning, n int, kind SenderKind, reverse bool, sinkNICs int) (*MultiFlow, error) {
 	if sinkNICs < 1 {
 		return nil, fmt.Errorf("core: sinkNICs %d", sinkNICs)

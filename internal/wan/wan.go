@@ -9,7 +9,6 @@
 package wan
 
 import (
-	"tengig/internal/ethernet"
 	"tengig/internal/fabric"
 	"tengig/internal/host"
 	"tengig/internal/ipv4"
@@ -63,9 +62,6 @@ type Path struct {
 
 	cfg Config
 }
-
-// Config returns the path parameters.
-func (p *Path) Config() Config { return p.cfg }
 
 // OneWayDelay returns the path's propagation-only one-way delay.
 func (p *Path) OneWayDelay() units.Time {
@@ -151,24 +147,5 @@ func Build(eng *sim.Engine, west, east *host.Host, nicW, nicE int, cfg Config) *
 func mustRoute(n *fabric.Node, dst ipv4.Addr, port int) {
 	if err := n.Route(dst, port); err != nil {
 		panic(err.Error())
-	}
-}
-
-// RecordTuning returns the paper's §4.1 host tuning for the path: socket
-// buffers at approximately the bandwidth-delay product, jumbo frames, and a
-// long transmit queue ("/sbin/ifconfig eth1 txqueuelen 10000; mtu 9000").
-type Tuning struct {
-	MTU        int
-	SockBuf    int
-	TxQueueLen int
-}
-
-// RecordRunTuning computes the tuning used for the Internet2 Land Speed
-// Record run over this path.
-func (p *Path) RecordRunTuning() Tuning {
-	return Tuning{
-		MTU:        ethernet.MTUJumbo,
-		SockBuf:    p.BDP(ethernet.MTUJumbo),
-		TxQueueLen: 10000,
 	}
 }

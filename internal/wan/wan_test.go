@@ -3,7 +3,6 @@ package wan
 import (
 	"testing"
 
-	"tengig/internal/ethernet"
 	"tengig/internal/host"
 	"tengig/internal/ipv4"
 	"tengig/internal/mem"
@@ -109,20 +108,6 @@ func TestPingAcrossPath(t *testing.T) {
 	// SRTT reflects the 180 ms path.
 	if sw.Conn.SRTT() < 175*units.Millisecond || sw.Conn.SRTT() > 190*units.Millisecond {
 		t.Errorf("SRTT = %v", sw.Conn.SRTT())
-	}
-}
-
-func TestRecordRunTuning(t *testing.T) {
-	p := buildTestPath(t)
-	tun := p.RecordRunTuning()
-	if tun.MTU != ethernet.MTUJumbo {
-		t.Errorf("MTU = %d", tun.MTU)
-	}
-	if tun.TxQueueLen != 10000 {
-		t.Errorf("txqueuelen = %d", tun.TxQueueLen)
-	}
-	if tun.SockBuf != p.BDP(9000) {
-		t.Errorf("sockbuf = %d, want BDP %d", tun.SockBuf, p.BDP(9000))
 	}
 }
 
