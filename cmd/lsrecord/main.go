@@ -24,11 +24,14 @@ func main() {
 	var (
 		duration = flag.Int("duration", 30, "measured seconds (after slow-start warmup)")
 		buf      = flag.Int("buf", 0, "socket buffer bytes (0 = tuned to the BDP)")
-		queue    = flag.Int("queue", 32, "bottleneck router queue, MB")
+		queue    = flag.Int("queue", 32, "bottleneck router queue, MB (0 = unlimited)")
 		rate     = flag.Bool("rate", false, "print per-second throughput samples")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	if *duration <= 0 {
+		log.Fatalf("lsrecord: -duration %d: must be positive", *duration)
+	}
 
 	pathCfg := wan.DefaultConfig()
 	pathCfg.BottleneckQueue = units.ByteSize(*queue) * units.MB

@@ -15,14 +15,14 @@ import (
 
 	"tengig/internal/core"
 	"tengig/internal/host"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
 func spec(label string, reverse bool, nics int) core.MultiFlowSpec {
 	return core.MultiFlowSpec{
-		Label: label, Seed: 1, Profile: host.PE2650,
-		Tuning: host.Optimized(9000), Senders: 6, Kind: core.GbESenders,
-		Reverse: reverse, SinkNICs: nics, Duration: 200 * units.Millisecond,
+		Label: label, Seed: 1, Duration: 200 * units.Millisecond,
+		Spec: topo.Aggregation(host.PE2650, host.Optimized(9000), 6, reverse, nics),
 	}
 }
 

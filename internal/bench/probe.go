@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"tengig/internal/core"
 	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/topo"
@@ -70,18 +69,18 @@ var probes = map[string]probe{
 		}, nil
 	}},
 	"MultiFlow16PE2650": {iters: 64, setup: func() (func(), error) {
-		m, err := core.NewMultiFlow(1, host.PE2650, host.Optimized(9000),
-			16, core.GbESenders, false)
+		net, err := topo.Compile(sim.NewEngine(1),
+			topo.Aggregation(host.PE2650, host.Optimized(9000), 16, false, 1), 1)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range m.Pairs {
+		for _, p := range net.Pairs {
 			p.Dst.SetAutoRead(func(int64) {})
 			p.Src.Send(1<<50, 64*1024, false, nil)
 		}
-		m.Eng.RunUntil(m.Eng.Now() + 50*units.Millisecond)
+		net.Eng.RunUntil(net.Eng.Now() + 50*units.Millisecond)
 		return func() {
-			m.Eng.RunUntil(m.Eng.Now() + 100*units.Microsecond)
+			net.Eng.RunUntil(net.Eng.Now() + 100*units.Microsecond)
 		}, nil
 	}},
 }

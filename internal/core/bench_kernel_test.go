@@ -83,19 +83,20 @@ func BenchmarkSingleFlowSteadyState(b *testing.B) {
 }
 
 func BenchmarkMultiFlow16PE2650(b *testing.B) {
-	m, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 16, GbESenders, false)
+	net, err := topo.Compile(sim.NewEngine(1),
+		topo.Aggregation(host.PE2650, host.Optimized(9000), 16, false, 1), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, p := range m.Pairs {
+	for _, p := range net.Pairs {
 		p.Dst.SetAutoRead(func(int64) {})
 		p.Src.Send(1<<50, 64*1024, false, nil)
 	}
-	m.Eng.RunUntil(m.Eng.Now() + 10*units.Millisecond)
+	net.Eng.RunUntil(net.Eng.Now() + 10*units.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Eng.RunUntil(m.Eng.Now() + 100*units.Microsecond)
+		net.Eng.RunUntil(net.Eng.Now() + 100*units.Microsecond)
 	}
 }
 

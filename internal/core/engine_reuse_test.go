@@ -97,21 +97,26 @@ func TestEngineReuseMatchesFreshEngines(t *testing.T) {
 // TestMultiFlowEngineReuseMatchesFresh is the aggregation-path twin: the
 // reused-engine RunMultiFlows must match fresh-engine builds spec for spec.
 func TestMultiFlowEngineReuseMatchesFresh(t *testing.T) {
+	tun := host.Optimized(9000)
+	tenG := topo.Aggregation(host.PE2650, tun, 2, false, 1)
+	for i := 1; i < len(tenG.Hosts); i++ {
+		tenG.Hosts[i].NIC = topo.NIC10G // 10GbE senders
+	}
 	specs := []MultiFlowSpec{
-		{Label: "4xGbE", Seed: 5, Profile: host.PE2650, Tuning: host.Optimized(9000),
-			Senders: 4, Kind: GbESenders, Duration: 20 * units.Millisecond},
-		{Label: "2x10GbE", Seed: 6, Profile: host.PE2650, Tuning: host.Optimized(9000),
-			Senders: 2, Kind: TenGbESenders, Duration: 20 * units.Millisecond},
-		{Label: "4xGbE-rev", Seed: 5, Profile: host.PE2650, Tuning: host.Optimized(9000),
-			Senders: 4, Kind: GbESenders, Reverse: true, Duration: 20 * units.Millisecond},
+		{Label: "4xGbE", Seed: 5, Duration: 20 * units.Millisecond,
+			Spec: topo.Aggregation(host.PE2650, tun, 4, false, 1)},
+		{Label: "2x10GbE", Seed: 6, Duration: 20 * units.Millisecond,
+			Spec: tenG},
+		{Label: "4xGbE-rev", Seed: 5, Duration: 20 * units.Millisecond,
+			Spec: topo.Aggregation(host.PE2650, tun, 4, true, 1)},
 	}
 	fresh := make([]MultiFlowResult, len(specs))
 	for i, s := range specs {
-		m, err := NewMultiFlow(s.Seed, s.Profile, s.Tuning, s.Senders, s.Kind, s.Reverse)
+		net, err := topo.Compile(sim.NewEngine(s.Seed), s.Spec, s.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[i] = RunMultiFlow(m, s.Duration)
+		fresh[i] = RunMultiFlow(net, s.Duration)
 	}
 	for _, workers := range []int{1, 2} {
 		got, err := RunMultiFlows(specs, workers)

@@ -372,39 +372,30 @@ type MultiFlowResult struct {
 	Elapsed   units.Time
 }
 
-// MultiFlowSpec describes one aggregation run for RunMultiFlows.
+// MultiFlowSpec describes one aggregation run for RunMultiFlows: a
+// topology, typically topo.Aggregation, whose flows all run for Duration.
 type MultiFlowSpec struct {
 	Label    string
 	Seed     int64
-	Profile  host.Profile
-	Tuning   host.Tuning
-	Senders  int
-	Kind     SenderKind
-	Reverse  bool
-	SinkNICs int
+	Spec     *topo.Spec
 	Duration units.Time
 }
 
-// RunMultiFlows builds and drives each aggregation spec on a per-worker
-// reused engine (Reset to the spec's seed before each build), fanned across
-// the worker pool, returning results in input order (0 or 1 workers =
-// serial, negative = one per CPU).
+// RunMultiFlows compiles and drives each aggregation spec on a per-worker
+// reused engine (Reset to the spec's seed before each compile), fanned
+// across the worker pool, returning results in input order (0 or 1 workers
+// = serial, negative = one per CPU).
 func RunMultiFlows(specs []MultiFlowSpec, workers int) ([]MultiFlowResult, error) {
 	out, _, errs := runner.Map(specs, runner.Options[*sim.Engine]{
 		Workers:  NormalizeWorkers(workers),
 		NewState: newWorkerEngine,
 	}, func(eng *sim.Engine, _ int, s MultiFlowSpec) (MultiFlowResult, error) {
-		nics := s.SinkNICs
-		if nics == 0 {
-			nics = 1
-		}
 		eng.Reset(s.Seed)
-		m, err := NewMultiFlowNICsOn(eng, s.Profile, s.Tuning,
-			s.Senders, s.Kind, s.Reverse, nics)
+		net, err := topo.Compile(eng, s.Spec, s.Seed)
 		if err != nil {
 			return MultiFlowResult{}, fmt.Errorf("%s: %w", s.Label, err)
 		}
-		return RunMultiFlow(m, s.Duration), nil
+		return RunMultiFlow(net, s.Duration), nil
 	})
 	if err := runner.FirstErr(errs); err != nil {
 		return nil, err
@@ -412,18 +403,18 @@ func RunMultiFlows(specs []MultiFlowSpec, workers int) ([]MultiFlowResult, error
 	return out, nil
 }
 
-// RunMultiFlow drives every pair simultaneously for the duration and
-// reports the aggregate goodput at the receivers.
-func RunMultiFlow(m *MultiFlow, duration units.Time) MultiFlowResult {
-	received := make([]int64, len(m.Pairs))
-	for i, pair := range m.Pairs {
+// RunMultiFlow drives every flow of a compiled network simultaneously for
+// the duration and reports the aggregate goodput at the receivers.
+func RunMultiFlow(net *topo.Network, duration units.Time) MultiFlowResult {
+	received := make([]int64, len(net.Pairs))
+	for i, pair := range net.Pairs {
 		i := i
 		pair.Dst.SetAutoRead(func(n int64) { received[i] += n })
 		pair.Src.Send(1<<50, 64*1024, false, nil)
 	}
-	start := m.Eng.Now()
-	m.Eng.RunUntil(start + duration)
-	elapsed := m.Eng.Now() - start
+	start := net.Eng.Now()
+	net.Eng.RunUntil(start + duration)
+	elapsed := net.Eng.Now() - start
 	res := MultiFlowResult{Elapsed: elapsed}
 	var total int64
 	for _, n := range received {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tengig/internal/host"
+	"tengig/internal/sim"
 	"tengig/internal/topo"
 	"tengig/internal/units"
 	"tengig/internal/wan"
@@ -29,12 +30,13 @@ func TestMultiFlowReceiveBenefitsFromCoalescing(t *testing.T) {
 	// receive path to benefit from interrupt coalescing." The aggregated
 	// sink should batch more packets per interrupt than a single-flow
 	// receiver at comparable load.
-	m, err := NewMultiFlow(1, host.PE2650, host.Optimized(9000), 6, GbESenders, false)
+	net, err := topo.Compile(sim.NewEngine(1),
+		topo.Aggregation(host.PE2650, host.Optimized(9000), 6, false, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunMultiFlow(m, 100*units.Millisecond)
-	sinkStats := m.Sink.NIC(0).Adapter.Stats
+	RunMultiFlow(net, 100*units.Millisecond)
+	sinkStats := net.Host("sink").NIC(0).Adapter.Stats
 	if sinkStats.Interrupts == 0 {
 		t.Fatal("no interrupts at the sink")
 	}

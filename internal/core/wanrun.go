@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"tengig/internal/ethernet"
 	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/tcp"
-	"tengig/internal/tools"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 	"tengig/internal/wan"
 )
@@ -64,8 +62,8 @@ type WANResult struct {
 	StateTrace []tcp.StatePoint
 }
 
-// RunWAN executes a Sunnyvale→Geneva bulk transfer and reports the
-// sustained application goodput.
+// RunWAN compiles wan.Spec, executes its Sunnyvale→Geneva bulk transfer and
+// reports the sustained application goodput.
 func RunWAN(c WANConfig) (WANResult, error) {
 	if c.MTU == 0 {
 		c.MTU = ethernet.MTUJumbo
@@ -79,15 +77,9 @@ func RunWAN(c WANConfig) (WANResult, error) {
 	if c.Path == (wan.Config{}) {
 		c.Path = wan.DefaultConfig()
 	}
-	eng := sim.NewEngine(c.Seed)
-
 	t := host.Stock(c.MTU)
 	t.TxQueueLen = 10000 // the record run's txqueuelen
 	t.MMRBC = 4096
-	west := host.Build(eng, host.WANXeon, t, host.TenGbE, "sunnyvale", 1)
-	east := host.Build(eng, host.WANXeon, t, host.TenGbE, "geneva", 2)
-	path := wan.Build(eng, west, east, 0, 0, c.Path)
-
 	buf := c.SockBuf
 	if buf == 0 {
 		// "Optimized its buffer size to be approximately the bandwidth-delay
@@ -95,16 +87,15 @@ func RunWAN(c WANConfig) (WANResult, error) {
 		// the BDP — Linux advertises only 3/4 of the buffer
 		// (tcp_adv_win_scale), so the rmem/wmem values are set above the
 		// raw BDP, exactly as the paper's sysctl lines do.
-		buf = path.BDP(c.MTU) * 4 / 3
+		buf = c.Path.BDP(c.MTU) * 4 / 3
 		buf += buf / 10 // headroom for truesize accounting of queued data
 	}
-	tcpCfg := t.WithWindowScale(buf).TCPConfig()
-	src := west.OpenSocket(1, east.Addr(), tcpCfg, 0)
-	dst := east.OpenSocket(1, west.Addr(), tcpCfg, 0)
-	pair := &tools.Pair{Eng: eng, SrcHost: west, DstHost: east, Src: src, Dst: dst}
-	if err := pair.Connect(10 * units.Second); err != nil {
-		return WANResult{}, fmt.Errorf("wan handshake: %w", err)
+	eng := sim.NewEngine(c.Seed)
+	net, err := topo.Compile(eng, wan.Spec(c.Path, t.WithWindowScale(buf)), c.Seed)
+	if err != nil {
+		return WANResult{}, err
 	}
+	src, dst := net.Pairs[0].Src, net.Pairs[0].Dst
 	if c.TraceState {
 		src.Conn.EnableStateTrace(1 << 20)
 	}
@@ -142,7 +133,7 @@ func RunWAN(c WANConfig) (WANResult, error) {
 		Elapsed:         elapsed,
 		Throughput:      units.Throughput(received, elapsed),
 		PayloadCeiling:  wan.PayloadRate(c.MTU),
-		BottleneckDrops: path.BottleneckEast.Drops(),
+		BottleneckDrops: wan.BottleneckDrops(net),
 		Retransmits:     src.Conn.Stats.Retransmits,
 		Timeouts:        src.Conn.Stats.Timeouts,
 		RTT:             src.Conn.SRTT(),

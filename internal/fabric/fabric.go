@@ -79,9 +79,6 @@ type Port struct {
 	drainHead int
 }
 
-// Drops returns packets dropped at this port's queue.
-func (p *Port) Drops() int64 { return p.drops }
-
 // Queued returns the bytes currently held by the port.
 func (p *Port) Queued() int64 { return p.queued }
 

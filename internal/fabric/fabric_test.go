@@ -6,6 +6,7 @@ import (
 
 	"tengig/internal/ipv4"
 	"tengig/internal/packet"
+	"tengig/internal/phys"
 	"tengig/internal/sim"
 	"tengig/internal/units"
 )
@@ -127,10 +128,10 @@ func TestOutputQueueDropTail(t *testing.T) {
 	if int64(len(dst.got))+sw.Stats.Dropped != 100 {
 		t.Errorf("conservation: %d delivered + %d dropped != 100", len(dst.got), sw.Stats.Dropped)
 	}
-	if sw.Port(att.PortIdx).Drops() != sw.Stats.Dropped {
+	ps := sw.Port(att.PortIdx).Stats()
+	if ps.Drops != sw.Stats.Dropped {
 		t.Error("per-port drop count mismatch")
 	}
-	ps := sw.Port(att.PortIdx).Stats()
 	if ps.Forwarded != int64(len(dst.got)) {
 		t.Errorf("port forwarded = %d, delivered %d", ps.Forwarded, len(dst.got))
 	}
@@ -285,7 +286,7 @@ func TestDirectionalLinkNames(t *testing.T) {
 		t.Errorf("ToDevice name = %q, want h0-sw/down", got)
 	}
 	sw2 := FastIron(eng, "agg")
-	tr := AttachTrunk(eng, sw, sw2, "t0", 10*units.GbitPerSecond, 0, units.MB)
+	tr := AttachTrunk(eng, sw, sw2, "t0", 10*units.GbitPerSecond, 0, units.MB, phys.EthernetFraming{})
 	if got := tr.AtoB.Name(); got != "t0/fastiron>agg" {
 		t.Errorf("trunk AtoB name = %q", got)
 	}
@@ -304,7 +305,7 @@ func twoSwitch(t *testing.T, eng *sim.Engine) (*Node, *Node, Attachment, *collec
 	d1 := &collector{eng: eng}
 	a0 := AttachDevice(eng, sw0, d0, "d0", 10*units.GbitPerSecond, 50*units.Nanosecond, units.MB)
 	a1 := AttachDevice(eng, sw1, d1, "d1", 10*units.GbitPerSecond, 50*units.Nanosecond, units.MB)
-	tr := AttachTrunk(eng, sw0, sw1, "trunk", 10*units.GbitPerSecond, 100*units.Nanosecond, 4*units.MB)
+	tr := AttachTrunk(eng, sw0, sw1, "trunk", 10*units.GbitPerSecond, 100*units.Nanosecond, 4*units.MB, phys.EthernetFraming{})
 	mustRoute(t, sw0, ipv4.HostN(1), a0.PortIdx)
 	mustRoute(t, sw0, ipv4.HostN(2), tr.PortA)
 	mustRoute(t, sw1, ipv4.HostN(2), a1.PortIdx)
@@ -346,7 +347,7 @@ func TestHopLimitDropsLoopedPacket(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw0 := NewNode(eng, "a", 100*units.Nanosecond, 0)
 	sw1 := NewNode(eng, "b", 100*units.Nanosecond, 0)
-	tr := AttachTrunk(eng, sw0, sw1, "loop", 10*units.GbitPerSecond, 0, units.MB)
+	tr := AttachTrunk(eng, sw0, sw1, "loop", 10*units.GbitPerSecond, 0, units.MB, phys.EthernetFraming{})
 	mustRoute(t, sw0, ipv4.HostN(9), tr.PortA)
 	mustRoute(t, sw1, ipv4.HostN(9), tr.PortB)
 	sw0.SetHopLimit(8)

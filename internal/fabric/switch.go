@@ -57,13 +57,14 @@ type Trunk struct {
 }
 
 // AttachTrunk joins two forwarding nodes with a full-duplex inter-switch
-// link at rate and one-way propagation prop; queueCap bounds each
+// link at rate and one-way propagation prop, framed by f (Ethernet between
+// switches, POS between the WAN's routers); queueCap bounds each
 // direction's drop-tail output queue. Port names carry the traversal
 // direction (linkName/a>b, linkName/b>a by node name) for telemetry.
 func AttachTrunk(eng *sim.Engine, a, b *Node, linkName string,
-	rate units.Bandwidth, prop units.Time, queueCap units.ByteSize) Trunk {
-	ab := phys.NewPort(eng, linkName+"/"+a.name+">"+b.name, rate, prop, phys.EthernetFraming{})
-	ba := phys.NewPort(eng, linkName+"/"+b.name+">"+a.name, rate, prop, phys.EthernetFraming{})
+	rate units.Bandwidth, prop units.Time, queueCap units.ByteSize, f phys.Framing) Trunk {
+	ab := phys.NewPort(eng, linkName+"/"+a.name+">"+b.name, rate, prop, f)
+	ba := phys.NewPort(eng, linkName+"/"+b.name+">"+a.name, rate, prop, f)
 	ab.SetDst(b.In())
 	ba.SetDst(a.In())
 	pa := a.AddPort(ab, queueCap)

@@ -174,8 +174,8 @@ const (
 
 // Build constructs a host from a calibrated profile and a tuning, with one
 // adapter of the given kind at address ipv4.HostN(n). It is the one path
-// from a profile and a tuning to a host, shared by the topology compiler,
-// the aggregation testbed and the WAN run.
+// from a profile and a tuning to a host; the topology compiler, which
+// builds every simulated network, is its caller.
 func Build(eng *sim.Engine, p Profile, t Tuning, kind NICKind, name string, n int) *Host {
 	cfg := ProfileConfig(p, name, ipv4.HostN(n))
 	cfg.Kernel.Uniprocessor = t.Uniprocessor

@@ -142,9 +142,14 @@ func (e *env) config(p host.Profile, t host.Tuning) core.SweepConfig {
 	}
 }
 
-// pair compiles a two-host spec on a fresh engine and returns its pair.
+// compile compiles spec on a fresh engine seeded with the settings' seed.
+func (e *env) compile(spec *topo.Spec) (*topo.Network, error) {
+	return topo.Compile(sim.NewEngine(e.Seed), spec, e.Seed)
+}
+
+// pair compiles a two-host spec and returns its pair.
 func (e *env) pair(spec *topo.Spec) (*tools.Pair, error) {
-	net, err := topo.Compile(sim.NewEngine(e.Seed), spec, e.Seed)
+	net, err := e.compile(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -367,9 +372,8 @@ func wanRecord(e *env) error {
 func multiflow(e *env) error {
 	spec := func(label string, reverse bool, nics int) core.MultiFlowSpec {
 		return core.MultiFlowSpec{
-			Label: label, Seed: e.Seed, Profile: host.PE2650,
-			Tuning: host.Optimized(9000), Senders: 6, Kind: core.GbESenders,
-			Reverse: reverse, SinkNICs: nics, Duration: 200 * units.Millisecond,
+			Label: label, Seed: e.Seed, Duration: 200 * units.Millisecond,
+			Spec: topo.Aggregation(host.PE2650, host.Optimized(9000), 6, reverse, nics),
 		}
 	}
 	results, err := core.RunMultiFlows([]core.MultiFlowSpec{
@@ -466,12 +470,12 @@ func anecdotes(e *env) error {
 	e.set("pe2650.nots", peak(pe))
 
 	// §3.4: the Itanium-II sinking aggregated GbE traffic.
-	m, err := core.NewMultiFlow(e.Seed, host.ItaniumII,
-		host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, core.GbESenders, false)
+	net, err := e.compile(topo.Aggregation(host.ItaniumII,
+		host.Stock(9000).WithMMRBC(4096).WithSockBuf(256*1024), 10, false, 1))
 	if err != nil {
 		return err
 	}
-	e.set("itanium", core.RunMultiFlow(m, 200*units.Millisecond).Aggregate.Gbps())
+	e.set("itanium", core.RunMultiFlow(net, 200*units.Millisecond).Aggregate.Gbps())
 
 	// §3.5.2: STREAM on each host, and the PE4600's TCP peak against
 	// Figure 4's PE2650.

@@ -485,9 +485,9 @@ func TestCrossoverRejected(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2} {
 		_, err := New(spec, Options{Shards: shards, Seed: 1})
-		var xe *topo.CrossoverError
-		if !errors.As(err, &xe) || xe.Link != "cable" {
-			t.Errorf("shards=%d: err = %v, want a CrossoverError naming link cable", shards, err)
+		var xe *topo.PlacementError
+		if !errors.As(err, &xe) || !xe.Crossover || xe.Link != "cable" {
+			t.Errorf("shards=%d: err = %v, want a crossover PlacementError naming link cable", shards, err)
 		}
 	}
 }

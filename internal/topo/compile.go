@@ -2,11 +2,13 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"tengig/internal/fabric"
 	"tengig/internal/host"
 	"tengig/internal/ipv4"
 	"tengig/internal/netem"
+	"tengig/internal/nic"
 	"tengig/internal/phys"
 	"tengig/internal/sim"
 	"tengig/internal/telemetry"
@@ -24,6 +26,7 @@ type Network struct {
 	hosts    map[string]*host.Host
 	switches map[string]*fabric.Node
 	tunings  map[string]host.Tuning
+	ifaces   map[string][]int // per host, the link behind each NIC
 
 	// Pairs holds the connected measurement flows, one per Spec.Flows entry.
 	Pairs []*tools.Pair
@@ -93,11 +96,13 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 		hosts:    make(map[string]*host.Host, len(s.Hosts)),
 		switches: make(map[string]*fabric.Node, len(s.Switches)),
 		tunings:  make(map[string]host.Tuning, len(s.Hosts)),
+		ifaces:   s.ifaces(),
 	}
 
-	// Hosts, in declaration order, through host.Build. Subset compiles skip
-	// absent hosts but keep the positional address assignment, so present
-	// hosts get the same addresses a full compile gives them.
+	// Hosts, in declaration order, through host.Build, with one more NIC of
+	// the same kind, on its own PCI-X bus, per further link. Subset compiles
+	// skip absent hosts but keep the positional address assignment, so
+	// present hosts get the same addresses a full compile gives them.
 	for i, hs := range s.Hosts {
 		if sub != nil && !sub.Nodes[hs.Name] {
 			continue
@@ -116,11 +121,11 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 				return nil, err
 			}
 		}
-		addr := i + 1
-		if hs.Addr != 0 {
-			addr = hs.Addr
+		kind := host.NICKind(hs.NIC)
+		h := host.Build(eng, profile, t, kind, hs.Name, hs.number(i))
+		for range n.ifaces[hs.Name][1:] {
+			h.AddNIC(t.NIC(kind))
 		}
-		h := host.Build(eng, profile, t, host.NICKind(hs.NIC), hs.Name, addr)
 		n.hosts[hs.Name] = h
 		n.tunings[hs.Name] = t
 	}
@@ -166,27 +171,29 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 	// subset compile installs only entries whose switch, destination host,
 	// and egress link are all present; traffic the subset replicates never
 	// needs the missing ones.
-	tables := s.routeTables()
+	tables := s.routeTables(n.ifaces)
 	for _, ss := range s.Switches {
 		sw := n.switches[ss.Name]
 		if sw == nil {
 			continue
 		}
 		for _, hs := range s.Hosts {
-			li, ok := tables[ss.Name][hs.Name]
-			if !ok {
-				continue
-			}
 			h := n.hosts[hs.Name]
 			if h == nil {
 				continue
 			}
-			p, ok := portOn[ss.Name][li]
-			if !ok {
-				continue
-			}
-			if err := sw.Route(h.Addr(), p); err != nil {
-				return nil, fmt.Errorf("topo %s: %w", s.Name, err)
+			for k := range n.ifaces[hs.Name] {
+				li, ok := tables[ss.Name][iface{hs.Name, k}]
+				if !ok {
+					continue
+				}
+				p, ok := portOn[ss.Name][li]
+				if !ok {
+					continue
+				}
+				if err := sw.Route(ifaceAddr(h.Addr(), k), p); err != nil {
+					return nil, fmt.Errorf("topo %s: %w", s.Name, err)
+				}
 			}
 		}
 	}
@@ -234,14 +241,13 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 	}
 
 	// Flows: resolve defaults, verify reachability, open and connect each
-	// pair in order (flow IDs 1, 2, ... by position, as the hand-wired
-	// multi-flow testbed assigns them).
+	// pair in order (flow IDs 1, 2, ... by position).
 	adj := s.adjacency()
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, ss := range s.Switches {
 		isSwitch[ss.Name] = true
 	}
-	distTo := make(map[string]map[string]int)
+	distTo := make(map[iface]map[string]int)
 	for i, f := range s.Flows {
 		if f.Count == 0 {
 			f.Count = DefaultFlowCount
@@ -265,17 +271,22 @@ func compileNetwork(eng *sim.Engine, s *Spec, seed int64, sub *Subset, afterConn
 			n.flows = append(n.flows, f)
 			continue
 		}
-		if distTo[f.Dst] == nil {
-			distTo[f.Dst] = s.bfs(adj, isSwitch, f.Dst)
+		to, via := iface{f.Dst, f.DstNIC}, n.ifaces[f.Dst][f.DstNIC]
+		if distTo[to] == nil {
+			distTo[to] = s.bfs(adj, isSwitch, f.Dst, via)
 		}
-		if _, ok := distTo[f.Dst][f.Src]; !ok {
+		// The source sends from its first interface, so that link's far end
+		// must lead to the destination interface.
+		out := n.ifaces[f.Src][0]
+		next := s.Links[out].peer(f.Src)
+		if _, ok := distTo[to][next]; !ok || !isSwitch[next] && out != via {
 			return nil, fmt.Errorf("topo %s: flow %d: no path from %s to %s",
 				s.Name, i, f.Src, f.Dst)
 		}
 		src, dst := n.hosts[f.Src], n.hosts[f.Dst]
 		flowID := uint32(i + 1)
-		sa := src.OpenSocket(flowID, dst.Addr(), n.tunings[f.Src].TCPConfig(), 0)
-		sb := dst.OpenSocket(flowID, src.Addr(), n.tunings[f.Dst].TCPConfig(), 0)
+		sa := src.OpenSocket(flowID, ifaceAddr(dst.Addr(), f.DstNIC), n.tunings[f.Src].TCPConfig(), 0)
+		sb := dst.OpenSocket(flowID, src.Addr(), n.tunings[f.Dst].TCPConfig(), f.DstNIC)
 		pair := &tools.Pair{Eng: eng, SrcHost: src, DstHost: dst, Src: sa, Dst: sb}
 		if err := pair.Connect(units.Second); err != nil {
 			return nil, fmt.Errorf("topo %s: flow %d (%s -> %s): %w",
@@ -311,8 +322,8 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 	s := n.Spec
 	l := &s.Links[li]
 	name := l.EffectiveName()
-	hostA, isHostA := n.hosts[l.A]
-	hostB, isHostB := n.hosts[l.B]
+	_, isHostA := n.hosts[l.A]
+	_, isHostB := n.hosts[l.B]
 	var faults LinkFaults
 	if l.Faults != nil {
 		faults = *l.Faults
@@ -329,7 +340,7 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 		if nicKind != NIC1G {
 			nicKind = s.nicOf(l.B)
 		}
-		a, b := hostA.NIC(0).Adapter, hostB.NIC(0).Adapter
+		a, b := n.adapter(l.A, li), n.adapter(l.B, li)
 		link := phys.NewLink(n.Eng, name, l.rate(nicKind), l.prop(), phys.EthernetFraming{})
 		link.Connect(a, b)
 		if err := n.impair(link.AtoB, b, faults.AtoB, seed, name, "a>b", name+"/a>b"); err != nil {
@@ -344,19 +355,19 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 			Name: name, A: l.A, B: l.B, AtoB: link.AtoB, BtoA: link.BtoA, Prop: l.prop(),
 		})
 	case isHostA || isHostB:
-		// Host-switch attachment. Normalize to (host h, switch swName).
-		h, hostName, swName := hostA, l.A, l.B
+		// Host-switch attachment. Normalize to (host hostName, switch swName).
+		hostName, swName := l.A, l.B
 		up, down := faults.AtoB, faults.BtoA
 		dirUp, dirDown := l.A+">"+l.B, l.B+">"+l.A
 		if isHostB { // spec A is the switch: a_to_b is switch-to-host
-			h, hostName, swName = hostB, l.B, l.A
+			hostName, swName = l.B, l.A
 			up, down = down, up
 			dirUp, dirDown = dirDown, dirUp
 		}
-		sw := n.switches[swName]
-		att := fabric.AttachDevice(n.Eng, sw, h.NIC(0).Adapter, name,
+		sw, ad := n.switches[swName], n.adapter(hostName, li)
+		att := fabric.AttachDevice(n.Eng, sw, ad, name,
 			l.rate(s.nicOf(hostName)), l.prop(), l.queueCap())
-		h.NIC(0).Adapter.AttachPort(att.ToSwitch)
+		ad.AttachPort(att.ToSwitch)
 		portOn[swName][li] = att.PortIdx
 		ends := LinkEnds{Name: name, A: l.A, B: l.B, Prop: l.prop()}
 		if isHostA { // A is the host: A→B rides the host's uplink
@@ -368,13 +379,13 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 		if err := n.impair(att.ToSwitch, sw.In(), up, seed, name, dirUp, name+"/up"); err != nil {
 			return err
 		}
-		if err := n.impair(att.ToDevice, h.NIC(0).Adapter, down, seed, name, dirDown, name+"/down"); err != nil {
+		if err := n.impair(att.ToDevice, ad, down, seed, name, dirDown, name+"/down"); err != nil {
 			return err
 		}
 	default:
 		// Switch-switch trunk.
 		swA, swB := n.switches[l.A], n.switches[l.B]
-		tr := fabric.AttachTrunk(n.Eng, swA, swB, name, l.rate(""), l.prop(), l.queueCap())
+		tr := fabric.AttachTrunk(n.Eng, swA, swB, name, l.rate(""), l.prop(), l.queueCap(), l.framing())
 		portOn[l.A][li] = tr.PortA
 		portOn[l.B][li] = tr.PortB
 		n.links = append(n.links, LinkEnds{
@@ -389,6 +400,12 @@ func (n *Network) wireLink(li int, portOn map[string]map[int]int, seed int64) er
 		}
 	}
 	return nil
+}
+
+// adapter returns the adapter behind link li on the named host: a host's k-th
+// link in declaration order is its NIC k.
+func (n *Network) adapter(hostName string, li int) *nic.Adapter {
+	return n.hosts[hostName].NIC(slices.Index(n.ifaces[hostName], li)).Adapter
 }
 
 // impair splices a netem stage running script between port and its

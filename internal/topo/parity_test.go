@@ -11,6 +11,7 @@ import (
 	"tengig/internal/tools"
 	"tengig/internal/topo"
 	"tengig/internal/units"
+	"tengig/internal/wan"
 )
 
 // TestCompiledBaselineByteIdentical pins the Figure 2(b) testbed: the
@@ -58,6 +59,55 @@ func TestCompiledBaselineByteIdentical(t *testing.T) {
 				tc.name, got, res.Throughput.Gbps(), eng.Executed, want)
 		}
 	}
+}
+
+// TestAggregationBaselineByteIdentical pins the Figure 2(c) testbed with
+// §3.5.2's second sink adapter: six GbE senders into a two-NIC PE2650, all
+// fully tuned, must export the telemetry digest the retired hand-wired
+// construction produced over the same 20 ms of bulk sends.
+func TestAggregationBaselineByteIdentical(t *testing.T) {
+	spec := topo.Aggregation(host.PE2650, host.Optimized(9000), 6, false, 2)
+	const want = "c95c90050dfe4bed0207a104f9c6e772a0564b928399c0ffa310750b52618ecd"
+	if got := bulkDigest(t, spec, telemetry.Options{Enabled: true}, 64*1024, 20*units.Millisecond); got != want {
+		t.Errorf("telemetry digest %s, want %s", got, want)
+	}
+}
+
+// TestWANBaselineByteIdentical pins the §4 path: wan.Spec with the record
+// run's host tuning (txqueuelen 10000, MMRBC 4096, 64 MB windows) must
+// export the telemetry digest the retired hand-wired path produced over the
+// first 2 s of the transfer — slow start across OC-192 and OC-48 POS.
+func TestWANBaselineByteIdentical(t *testing.T) {
+	tun := host.Stock(9000)
+	tun.TxQueueLen = 10000
+	tun.MMRBC = 4096
+	spec := wan.Spec(wan.DefaultConfig(), tun.WithWindowScale(64<<20))
+	opt := telemetry.Options{Enabled: true, SampleInterval: units.Millisecond}
+	const want = "09a4a8664b74cd9737dd3f122d8962b3ceeb61394571da0e1979186f5318b58e"
+	if got := bulkDigest(t, spec, opt, 256*1024, 2*units.Second); got != want {
+		t.Errorf("telemetry digest %s, want %s", got, want)
+	}
+}
+
+// bulkDigest compiles spec at seed 1, instruments its flows, sends on every
+// flow without end in writes of write bytes for d, and returns the SHA-256
+// of the telemetry export.
+func bulkDigest(t *testing.T, spec *topo.Spec, opt telemetry.Options, write int, d units.Time) string {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	net, err := topo.Compile(eng, spec, 1)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	b := net.AttachTelemetry(spec.Name, 1, opt)
+	for _, p := range net.Pairs {
+		p.Dst.SetAutoRead(func(int64) {})
+		p.Src.Send(1<<50, write, false, nil)
+	}
+	eng.RunUntil(eng.Now() + d)
+	b.CaptureEngine(eng.Executed, eng.HighWater)
+	sum := sha256.Sum256(b.ExportJSONL())
+	return hex.EncodeToString(sum[:])
 }
 
 // TestCompileDeterministic compiles and runs the fat-tree twice under the

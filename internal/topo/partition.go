@@ -31,15 +31,22 @@ type PartitionPlan struct {
 	Lookahead units.Time
 }
 
-// CrossoverError reports a host-to-host link in a spec handed to the
-// partitioner, which lays nodes out along the switch graph and so cannot
-// place a crossover pair.
-type CrossoverError struct {
-	Topo, Link string
+// PlacementError reports a host the partitioner cannot place. It lays nodes
+// out along the switch graph with each host beside its one switch, so it
+// cannot place either end of a crossover cable, nor a multi-homed host.
+type PlacementError struct {
+	Topo string
+	// Host is the host that cannot be placed; Link is the crossover, or the
+	// multi-homed host's second link.
+	Host, Link string
+	Crossover  bool
 }
 
-func (e *CrossoverError) Error() string {
-	return fmt.Sprintf("topo %s: link %s joins two hosts; parallel DES partitions along switches and cannot shard a crossover", e.Topo, e.Link)
+func (e *PlacementError) Error() string {
+	if e.Crossover {
+		return fmt.Sprintf("topo %s: link %s joins two hosts; parallel DES partitions along switches and cannot shard a crossover", e.Topo, e.Link)
+	}
+	return fmt.Sprintf("topo %s: host %s is multi-homed (link %s is its second); parallel DES places each host beside one switch", e.Topo, e.Host, e.Link)
 }
 
 // Partition splits the topology into shards balanced by event weight.
@@ -65,21 +72,25 @@ func Partition(s *Spec, shards int) (*PartitionPlan, error) {
 
 	// Linear order: BFS over switches, hosts ride with their switch.
 	hostsOn := make(map[string][]string) // switch -> hosts in declaration order
+	placed := make(map[string]bool, len(s.Hosts))
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, sw := range s.Switches {
 		isSwitch[sw.Name] = true
 	}
 	for _, l := range s.Links {
-		if !isSwitch[l.A] && !isSwitch[l.B] {
-			return nil, &CrossoverError{Topo: s.Name, Link: l.EffectiveName()}
+		h, sw := l.A, l.B
+		if isSwitch[h] {
+			h, sw = sw, h
 		}
-	}
-	for _, l := range s.Links {
 		switch {
-		case !isSwitch[l.A]:
-			hostsOn[l.B] = append(hostsOn[l.B], l.A)
-		case !isSwitch[l.B]:
-			hostsOn[l.A] = append(hostsOn[l.A], l.B)
+		case isSwitch[h]: // a trunk
+		case !isSwitch[sw]:
+			return nil, &PlacementError{Topo: s.Name, Host: h, Link: l.EffectiveName(), Crossover: true}
+		case placed[h]:
+			return nil, &PlacementError{Topo: s.Name, Host: h, Link: l.EffectiveName()}
+		default:
+			placed[h] = true
+			hostsOn[sw] = append(hostsOn[sw], h)
 		}
 	}
 	adj := s.adjacency()
@@ -113,9 +124,9 @@ func Partition(s *Spec, shards int) (*PartitionPlan, error) {
 			}
 		}
 	}
-	// With crossovers rejected above, every host hangs off exactly one
-	// switch and rides with it, so the order covers every node; guard the
-	// invariant anyway.
+	// With crossovers and multi-homed hosts rejected above, every host hangs
+	// off exactly one switch and rides with it, so the order covers every
+	// node; guard the invariant anyway.
 	if len(order) != nodes {
 		return nil, fmt.Errorf("topo %s: partition order covers %d of %d nodes", s.Name, len(order), nodes)
 	}

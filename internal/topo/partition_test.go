@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tengig/internal/host"
 	"tengig/internal/sim"
 	"tengig/internal/topo"
 	"tengig/internal/units"
@@ -202,6 +203,20 @@ func TestPartitionBounds(t *testing.T) {
 	}
 	if len(plan.CutLinks) != len(s.Links) {
 		t.Errorf("8-shard partition cut %d of %d links", len(plan.CutLinks), len(s.Links))
+	}
+}
+
+// TestPartitionRejectsMultiHomed: the partitioner places each host beside
+// its one switch, so a host with a second link comes back as a typed error
+// naming the host and that link, at any shard count.
+func TestPartitionRejectsMultiHomed(t *testing.T) {
+	s := topo.Aggregation(host.PE2650, host.Optimized(9000), 2, false, 2)
+	for _, shards := range []int{1, 2} {
+		_, err := topo.Partition(s, shards)
+		var pe *topo.PlacementError
+		if !errors.As(err, &pe) || pe.Crossover || pe.Host != "sink" || pe.Link != "sink-sw1" {
+			t.Errorf("shards=%d: err = %v, want a PlacementError naming host sink and link sink-sw1", shards, err)
+		}
 	}
 }
 

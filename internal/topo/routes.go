@@ -4,16 +4,22 @@ import "fmt"
 
 // Route precompute: fill every switch's FIB with shortest-path next hops
 // over the declared link graph. Breadth-first search runs from each
-// destination host; each switch then forwards toward the first neighbor (in
-// link declaration order) that is one step closer to the destination. The
-// tie-break by declaration order makes the computed fabric deterministic:
-// the same file always compiles to the same FIBs, so telemetry digests are
+// destination interface; each switch then forwards toward the first neighbor
+// (in link declaration order) that is one step closer to it. The tie-break
+// by declaration order makes the computed fabric deterministic: the same
+// file always compiles to the same FIBs, so telemetry digests are
 // reproducible even on topologies with equal-cost paths.
 
 // edge is one adjacency entry: the peer node and the spec link realizing it.
 type edge struct {
 	peer string
 	link int // index into Spec.Links
+}
+
+// iface names a host interface: the host's NIC nic, behind its nic-th link.
+type iface struct {
+	host string
+	nic  int
 }
 
 // adjacency builds the link graph in declaration order.
@@ -26,10 +32,11 @@ func (s *Spec) adjacency() map[string][]edge {
 	return adj
 }
 
-// bfs returns hop distances from the destination host dst. Hosts do not
-// forward, so expansion proceeds only through dst itself and switches:
-// another host reached by the search is a leaf.
-func (s *Spec) bfs(adj map[string][]edge, isSwitch map[string]bool, dst string) map[string]int {
+// bfs returns hop distances from the destination host dst, which is reached
+// only over its link via (the interface's link). Hosts do not forward, so
+// expansion proceeds only through dst itself and switches: another host
+// reached by the search is a leaf.
+func (s *Spec) bfs(adj map[string][]edge, isSwitch map[string]bool, dst string, via int) map[string]int {
 	dist := map[string]int{dst: 0}
 	queue := []string{dst}
 	for len(queue) > 0 {
@@ -39,7 +46,7 @@ func (s *Spec) bfs(adj map[string][]edge, isSwitch map[string]bool, dst string) 
 			continue
 		}
 		for _, e := range adj[u] {
-			if _, seen := dist[e.peer]; seen {
+			if _, seen := dist[e.peer]; seen || u == dst && e.link != via {
 				continue
 			}
 			dist[e.peer] = dist[u] + 1
@@ -50,33 +57,35 @@ func (s *Spec) bfs(adj map[string][]edge, isSwitch map[string]bool, dst string) 
 }
 
 // routeTables computes, for every switch, the outgoing link toward each
-// reachable host: table[switch][host] = link index. Unreachable pairs are
-// simply absent — whether that is an error depends on whether a flow needs
-// the path, which Compile checks per flow.
-func (s *Spec) routeTables() map[string]map[string]int {
+// reachable host interface (ifaces lists each host's links, as Spec.ifaces
+// does): table[switch][iface] = link index. Unreachable pairs are simply
+// absent — whether that is an error depends on whether a flow needs the
+// path, which Compile checks per flow.
+func (s *Spec) routeTables(ifaces map[string][]int) map[string]map[iface]int {
 	adj := s.adjacency()
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, sw := range s.Switches {
 		isSwitch[sw.Name] = true
 	}
-	tables := make(map[string]map[string]int, len(s.Switches))
+	tables := make(map[string]map[iface]int, len(s.Switches))
 	for _, sw := range s.Switches {
-		tables[sw.Name] = make(map[string]int)
+		tables[sw.Name] = make(map[iface]int)
 	}
 	for _, h := range s.Hosts {
-		dist := s.bfs(adj, isSwitch, h.Name)
-		for _, sw := range s.Switches {
-			d, ok := dist[sw.Name]
-			if !ok {
-				continue
-			}
-			for _, e := range adj[sw.Name] {
-				if dist[e.peer] == d-1 {
-					// Only dst itself or a switch can be one step closer: a
-					// non-dst host never gets a finite distance through
-					// another host, so e.peer is a legal next hop.
-					if e.peer == h.Name || isSwitch[e.peer] {
-						tables[sw.Name][h.Name] = e.link
+		for k, via := range ifaces[h.Name] {
+			dist := s.bfs(adj, isSwitch, h.Name, via)
+			for _, sw := range s.Switches {
+				d, ok := dist[sw.Name]
+				if !ok {
+					continue
+				}
+				for _, e := range adj[sw.Name] {
+					// Only a switch or the interface's own link to dst can be
+					// one step closer: a non-dst host never gets a finite
+					// distance through another host, and dst's other links
+					// lead to other interfaces.
+					if dist[e.peer] == d-1 && (isSwitch[e.peer] || e.link == via) {
+						tables[sw.Name][iface{h.Name, k}] = e.link
 						break
 					}
 				}

@@ -1,10 +1,12 @@
 // Package topo compiles declarative topology descriptions — JSON files
 // naming hosts, switches, links, and flows — into live simulations: hosts
-// built from the calibrated platform profiles (host.Build), crossover
-// cables, fabric.Node switches joined by trunks, per-destination FIBs filled
-// by shortest-path precompute, and connected measurement flows. The paper's
-// Figure 2(a) and 2(b) testbeds are specs too (BackToBack, ThroughSwitch),
-// so every two-host experiment is built by this one compiler.
+// built from the calibrated platform profiles (host.Build), one adapter per
+// host link, crossover cables, fabric.Node switches joined by Ethernet or
+// POS trunks, per-destination FIBs filled by shortest-path precompute, and
+// connected measurement flows. The paper's testbeds are specs too —
+// Figure 2(a), 2(b) and 2(c) here (BackToBack, ThroughSwitch, Aggregation),
+// the §4 WAN in internal/wan — so every experiment is built by this one
+// compiler.
 package topo
 
 import (
@@ -14,7 +16,9 @@ import (
 	"os"
 
 	"tengig/internal/host"
+	"tengig/internal/ipv4"
 	"tengig/internal/netem"
+	"tengig/internal/phys"
 	"tengig/internal/units"
 )
 
@@ -29,6 +33,10 @@ const (
 	// PresetFastIron is the paper's Foundry FastIron 1500 chassis.
 	PresetFastIron = "fastiron1500"
 )
+
+// FramingPOS, as LinkSpec.Framing, frames a switch-switch link as
+// Packet-over-SONET (§4's router circuits); empty is Ethernet.
+const FramingPOS = "pos"
 
 // Spec is a parsed topology description.
 type Spec struct {
@@ -171,7 +179,9 @@ type HostSpec struct {
 	Profile string `json:"profile,omitempty"`
 	// NIC is the adapter kind: "10g" (default) or "1g".
 	NIC string `json:"nic,omitempty"`
-	// Addr is the host number for ipv4.HostN (default: position+1).
+	// Addr is the host number for ipv4.HostN (default: position+1). It
+	// addresses the host's first link; its k-th link (k > 0), a NIC of the
+	// same kind on its own PCI-X bus, answers at 10.k.hi.lo.
 	Addr int `json:"addr,omitempty"`
 	// Tuning overrides the spec-level tuning for this host.
 	Tuning *TuningSpec `json:"tuning,omitempty"`
@@ -224,6 +234,9 @@ type LinkSpec struct {
 	// the Figure 2(b) testbed's 4 MB; -1 = unlimited). A crossover has no
 	// switch queue.
 	QueueKB int `json:"queue_kb,omitempty"`
+	// Framing is empty for Ethernet or FramingPOS; only a switch-switch
+	// link may carry POS.
+	Framing string `json:"framing,omitempty"`
 	// Faults optionally scripts impairments onto the link.
 	Faults *LinkFaults `json:"faults,omitempty"`
 }
@@ -242,6 +255,9 @@ type RouteSpec struct {
 type FlowSpec struct {
 	Src string `json:"src"`
 	Dst string `json:"dst"`
+	// DstNIC picks the destination's interface: its DstNIC-th link in
+	// declaration order (default 0). The source sends from its first.
+	DstNIC int `json:"dst_nic,omitempty"`
 	// Count writes of Payload bytes each (NTTCP semantics; defaults 1500
 	// writes of 8948 bytes).
 	Count   int `json:"count,omitempty"`
@@ -288,7 +304,8 @@ func (s *Spec) Validate() error {
 	if len(s.Hosts) == 0 {
 		return fmt.Errorf("topo %s: no hosts", s.Name)
 	}
-	names := make(map[string]string) // name -> "host" | "switch"
+	names := make(map[string]string)            // name -> "host" | "switch"
+	addrs := make(map[int]string, len(s.Hosts)) // host number -> host name
 	for i, h := range s.Hosts {
 		if h.Name == "" {
 			return fmt.Errorf("topo %s: host %d has no name", s.Name, i)
@@ -311,6 +328,10 @@ func (s *Spec) Validate() error {
 		if addr := h.Addr; addr < 0 || addr > maxHostAddr || (addr == 0 && i+1 > maxHostAddr) {
 			return fmt.Errorf("topo %s: host %s: addr %d outside 1..%d", s.Name, h.Name, h.Addr, maxHostAddr)
 		}
+		if other, dup := addrs[h.number(i)]; dup {
+			return fmt.Errorf("topo %s: hosts %s and %s share address %v", s.Name, other, h.Name, ipv4.HostN(h.number(i)))
+		}
+		addrs[h.number(i)] = h.Name
 		if _, err := h.Tuning.Resolve(); err != nil {
 			return fmt.Errorf("topo %s: host %s: %w", s.Name, h.Name, err)
 		}
@@ -355,9 +376,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("topo %s: switch %s: negative shard pin %d", s.Name, sw.Name, *sw.Shard)
 		}
 	}
-	hostLinks := make(map[string]int)
+	hostLinks := make(map[string]int, len(s.Hosts))
 	linkNames := make(map[string]bool)
-	for i, l := range s.Links {
+	for _, l := range s.Links {
 		name := l.EffectiveName()
 		if linkNames[name] {
 			return fmt.Errorf("topo %s: duplicate link name %q", s.Name, name)
@@ -391,6 +412,16 @@ func (s *Spec) Validate() error {
 				hostLinks[end]++
 			}
 		}
+		switch l.Framing {
+		case "":
+		case FramingPOS:
+			if names[l.A] == "host" || names[l.B] == "host" {
+				return fmt.Errorf("topo %s: link %s: %s framing joins two switches, not a host", s.Name, name, l.Framing)
+			}
+		default:
+			return fmt.Errorf("topo %s: link %s: unknown framing %q (valid: %s; empty is Ethernet)",
+				s.Name, name, l.Framing, FramingPOS)
+		}
 		if l.Faults != nil {
 			if err := l.Faults.AtoB.Validate(); err != nil {
 				return fmt.Errorf("topo %s: link %s a_to_b: %w", s.Name, name, err)
@@ -399,16 +430,13 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("topo %s: link %s b_to_a: %w", s.Name, name, err)
 			}
 		}
-		_ = i
 	}
 	for _, h := range s.Hosts {
-		switch hostLinks[h.Name] {
-		case 1:
-		case 0:
+		switch n := hostLinks[h.Name]; {
+		case n == 0:
 			return fmt.Errorf("topo %s: host %s has no link", s.Name, h.Name)
-		default:
-			return fmt.Errorf("topo %s: host %s has %d links (exactly one supported)",
-				s.Name, h.Name, hostLinks[h.Name])
+		case n > maxHostLinks:
+			return fmt.Errorf("topo %s: host %s has %d links (at most %d)", s.Name, h.Name, n, maxHostLinks)
 		}
 	}
 	for i, r := range s.Routes {
@@ -433,6 +461,9 @@ func (s *Spec) Validate() error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("topo %s: flow %d: src and dst are both %q", s.Name, i, f.Src)
 		}
+		if n := hostLinks[f.Dst]; f.DstNIC < 0 || f.DstNIC >= n {
+			return fmt.Errorf("topo %s: flow %d: dst_nic %d outside %s's %d links", s.Name, i, f.DstNIC, f.Dst, n)
+		}
 		count, payload := f.Count, f.Payload
 		if count == 0 {
 			count = DefaultFlowCount
@@ -449,6 +480,40 @@ func (s *Spec) Validate() error {
 
 // maxHostAddr is the largest host number ipv4.HostN can address.
 const maxHostAddr = 0xFFFF
+
+// maxHostLinks bounds a host's links so that interface k's address
+// 10.k.hi.lo keeps k in one octet: every interface address is then unique.
+const maxHostLinks = 256
+
+// number returns the host number of the host at position pos.
+func (h *HostSpec) number(pos int) int {
+	if h.Addr != 0 {
+		return h.Addr
+	}
+	return pos + 1
+}
+
+// ifaceAddr returns the address of interface k of the host whose first
+// interface is base = ipv4.HostN(n): base itself for k = 0, else 10.k.hi.lo,
+// which no HostN shares.
+func ifaceAddr(base ipv4.Addr, k int) ipv4.Addr { return base | ipv4.Addr(k)<<16 }
+
+// ifaces lists each host's links in declaration order: entry k is the link
+// behind the host's NIC k.
+func (s *Spec) ifaces() map[string][]int {
+	out := make(map[string][]int, len(s.Hosts))
+	for _, h := range s.Hosts {
+		out[h.Name] = nil
+	}
+	for li, l := range s.Links {
+		for _, end := range [2]string{l.A, l.B} {
+			if links, ok := out[end]; ok {
+				out[end] = append(links, li)
+			}
+		}
+	}
+	return out
+}
 
 // maxDelay bounds every delay a spec declares to a quarter of the int64
 // picosecond clock (about 26 days), so a clock reading plus a few stacked
@@ -495,6 +560,22 @@ func (l *LinkSpec) rate(hostNIC string) units.Bandwidth {
 		return units.GbitPerSecond
 	}
 	return 10 * units.GbitPerSecond
+}
+
+// peer returns the link's endpoint opposite from end.
+func (l *LinkSpec) peer(end string) string {
+	if l.A == end {
+		return l.B
+	}
+	return l.A
+}
+
+// framing returns the link's line coding.
+func (l *LinkSpec) framing() phys.Framing {
+	if l.Framing == FramingPOS {
+		return phys.POSFraming{}
+	}
+	return phys.EthernetFraming{}
 }
 
 // nicOf returns the NIC kind declared for the named host ("" for a switch).

@@ -41,14 +41,16 @@ type FlowPath struct {
 }
 
 // FlowPaths computes, for every flow, the nodes and links the flow's packets
-// can traverse under the compiled FIBs: the forward walk src->dst plus the
-// reverse walk dst->src (equal-cost tie-breaks may differ by direction), each
-// following the shortest-path tables with explicit route pins applied on
-// top — the same effective FIBs Compile installs.
+// can traverse under the compiled FIBs: the forward walk from the source's
+// first interface to the destination's dst_nic one, plus the reverse walk
+// (equal-cost tie-breaks may differ by direction), each following the
+// shortest-path tables with explicit route pins applied on top — the same
+// effective FIBs Compile installs.
 func FlowPaths(s *Spec) ([]FlowPath, error) {
 	// Effective per-switch next-link tables: shortest-path precompute, then
 	// explicit pins override, mirroring Compile's installation order.
-	eff := s.routeTables()
+	ifaces := s.ifaces()
+	eff := s.routeTables(ifaces)
 	for i, r := range s.Routes {
 		li := 0
 		if r.Port != nil {
@@ -64,56 +66,35 @@ func FlowPaths(s *Spec) ([]FlowPath, error) {
 			}
 			li = l
 		}
-		if eff[r.Switch] == nil {
-			eff[r.Switch] = make(map[string]int)
-		}
-		eff[r.Switch][r.Dst] = li
+		eff[r.Switch][iface{r.Dst, 0}] = li
 	}
 
-	// Each host's single attachment link.
-	attached := make(map[string]int, len(s.Hosts))
 	isSwitch := make(map[string]bool, len(s.Switches))
 	for _, sw := range s.Switches {
 		isSwitch[sw.Name] = true
 	}
-	for li, l := range s.Links {
-		switch {
-		case !isSwitch[l.A]:
-			attached[l.A] = li
-		case !isSwitch[l.B]:
-			attached[l.B] = li
-		}
-	}
-	// far returns link li's endpoint opposite from.
-	far := func(li int, from string) string {
-		l := &s.Links[li]
-		if l.A == from {
-			return l.B
-		}
-		return l.A
-	}
-
-	walk := func(from, to string, visit func(string), cross func(int)) error {
-		visit(from)
-		cross(attached[from])
-		cur := far(attached[from], from)
+	walk := func(from, to iface, visit func(string), cross func(int)) error {
+		visit(from.host)
+		out := ifaces[from.host][from.nic]
+		cross(out)
+		cur := s.Links[out].peer(from.host)
 		for hops := 0; ; hops++ {
 			if hops > len(s.Links)+1 {
-				return fmt.Errorf("topo %s: FIB walk %s->%s loops", s.Name, from, to)
+				return fmt.Errorf("topo %s: FIB walk %s->%s loops", s.Name, from.host, to.host)
 			}
 			visit(cur)
 			li, ok := eff[cur][to]
 			if !ok {
-				return fmt.Errorf("topo %s: FIB walk %s->%s: %s has no route", s.Name, from, to, cur)
+				return fmt.Errorf("topo %s: FIB walk %s->%s: %s has no route", s.Name, from.host, to.host, cur)
 			}
 			cross(li)
-			next := far(li, cur)
-			if next == to {
-				visit(to)
+			next := s.Links[li].peer(cur)
+			if next == to.host {
+				visit(to.host)
 				return nil
 			}
 			if !isSwitch[next] {
-				return fmt.Errorf("topo %s: FIB walk %s->%s: route via foreign host %s", s.Name, from, to, next)
+				return fmt.Errorf("topo %s: FIB walk %s->%s: route via foreign host %s", s.Name, from.host, to.host, next)
 			}
 			cur = next
 		}
@@ -136,10 +117,11 @@ func FlowPaths(s *Spec) ([]FlowPath, error) {
 				p.Links = append(p.Links, li)
 			}
 		}
-		if err := walk(f.Src, f.Dst, visit, cross); err != nil {
+		src, dst := iface{f.Src, 0}, iface{f.Dst, f.DstNIC}
+		if err := walk(src, dst, visit, cross); err != nil {
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
-		if err := walk(f.Dst, f.Src, visit, cross); err != nil {
+		if err := walk(dst, src, visit, cross); err != nil {
 			return nil, fmt.Errorf("flow %d: %w", i, err)
 		}
 	}

@@ -95,6 +95,16 @@ func TestTuningOfInverse(t *testing.T) {
 	}
 }
 
+// manyLinks is a spec whose one host has n links to one switch.
+func manyLinks(n int) string {
+	links := make([]string, n)
+	for i := range links {
+		links[i] = fmt.Sprintf(`{"name":"l%d","a":"a","b":"sw"}`, i)
+	}
+	return `{"name":"x","hosts":[{"name":"a"}],"switches":[{"name":"sw"}],"links":[` +
+		strings.Join(links, ",") + `]}`
+}
+
 // invalidSpecs enumerates malformed topologies and the error text each must
 // produce.
 func TestValidation(t *testing.T) {
@@ -123,9 +133,28 @@ func TestValidation(t *testing.T) {
 			"links":[{"a":"a","b":"b"}],"flows":[{"src":"a","dst":"b"}]}`, ""},
 		{"crossover-1g-default", `{"name":"x","hosts":[{"name":"a","nic":"1g"},{"name":"b"}],
 			"links":[{"a":"a","b":"b"}],"flows":[{"src":"b","dst":"a"}]}`, ""},
+		// A host with two links is multi-homed: NIC 0 on the crossover,
+		// NIC 1 on the switch.
 		{"host-two-links", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
 			"switches":[{"name":"sw","preset":"fastiron1500"}],
-			"links":[{"a":"a","b":"b"},{"a":"a","b":"sw"}]}`, "has 2 links"},
+			"links":[{"a":"a","b":"b"},{"a":"a","b":"sw"}]}`, ""},
+		{"dst-nic-range", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
+			"switches":[{"name":"sw","preset":"fastiron1500"}],
+			"links":[{"a":"a","b":"sw"},{"a":"b","b":"sw"},{"a":"b","b":"sw","name":"b2"}],
+			"flows":[{"src":"a","dst":"b","dst_nic":2}]}`, "dst_nic 2 outside b's 2 links"},
+		// An explicit address against a positional one: b is the second
+		// host, so it is 2 too.
+		{"dup-addr", `{"name":"x","hosts":[{"name":"a","addr":2},{"name":"b"},{"name":"c"}],
+			"switches":[{"name":"sw","preset":"fastiron1500"}],
+			"links":[{"a":"a","b":"sw"},{"a":"b","b":"sw"},{"a":"c","b":"sw"}],
+			"flows":[{"src":"c","dst":"a"}]}`, "hosts a and b share address 10.0.0.2"},
+		{"pos-host-link", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
+			"switches":[{"name":"sw","preset":"fastiron1500"}],
+			"links":[{"a":"a","b":"sw","framing":"pos"},{"a":"b","b":"sw"}]}`, "pos framing joins two switches"},
+		{"too-many-links", manyLinks(257), "has 257 links (at most 256)"},
+		{"bad-framing", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
+			"switches":[{"name":"s1"},{"name":"s2"}],
+			"links":[{"a":"a","b":"s1"},{"a":"b","b":"s2"},{"a":"s1","b":"s2","framing":"atm"}]}`, "unknown framing"},
 		{"unknown-endpoint", `{"name":"x","hosts":[{"name":"a"}],
 			"links":[{"a":"a","b":"ghost"}]}`, "unknown endpoint"},
 		{"unlinked-host", `{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
@@ -182,6 +211,40 @@ func TestValidation(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestAggregationSecondAdapterCarriesTraffic: in §3.5.2's two-adapter run
+// both sink adapters receive — the flows with dst_nic 1 reach the second
+// NIC through its own switch port — and no packet lacks a route.
+func TestAggregationSecondAdapterCarriesTraffic(t *testing.T) {
+	spec := topo.Aggregation(host.PE2650, host.Optimized(9000), 6, false, 2)
+	net, err := topo.Compile(sim.NewEngine(1), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range net.Pairs {
+		p.Dst.SetAutoRead(func(int64) {})
+		p.Src.Send(1<<50, 64*1024, false, nil)
+	}
+	net.Eng.RunUntil(net.Eng.Now() + 20*units.Millisecond)
+	for k := 0; k < 2; k++ {
+		if rx := net.Host("sink").NIC(k).Adapter.Stats.RxPackets; rx == 0 {
+			t.Errorf("sink adapter %d received no packets", k)
+		}
+	}
+	sw := net.Switch("fastiron1500")
+	fwd := make(map[string]int64)
+	for _, ps := range sw.PortStats() {
+		fwd[ps.Link] = ps.Forwarded
+	}
+	for _, port := range []string{"sink-sw0/down", "sink-sw1/down"} {
+		if fwd[port] == 0 {
+			t.Errorf("port %s forwarded nothing", port)
+		}
+	}
+	if sw.Stats.NoRoute != 0 {
+		t.Errorf("%d packets had no route", sw.Stats.NoRoute)
 	}
 }
 
@@ -478,6 +541,26 @@ func FuzzParseCompile(f *testing.F) {
 			"a_to_b":[{"at":0,"fault":{"drop_nth":3,"loss_prob":0.01}}],
 			"b_to_a":[{"at":1000,"fault":{"dup_prob":0.5}},{"at":2000000,"fault":{}}]}}],
 		"flows":[{"src":"a","dst":"b","count":4,"payload":1000}]}`))
+	// A POS trunk between two routers; then a multi-homed sink reached on
+	// its second link over one.
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a"},{"name":"b"}],
+		"switches":[{"name":"r1","latency_ns":20000},{"name":"r2","latency_ns":20000}],
+		"links":[{"a":"a","b":"r1"},{"a":"b","b":"r2"},
+			{"a":"r1","b":"r2","rate_gbps":9.95328,"prop_ns":1e6,"framing":"pos","queue_kb":-1}],
+		"flows":[{"src":"a","dst":"b","count":4,"payload":8948}]}`))
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a"},{"name":"b","nic":"1g"}],
+		"switches":[{"name":"s1"},{"name":"s2","latency_ns":20000}],
+		"links":[{"a":"a","b":"s1"},{"a":"a","b":"s2"},{"a":"b","b":"s1"},
+			{"a":"s1","b":"s2","rate_gbps":2.48832,"framing":"pos","queue_kb":64}],
+		"flows":[{"src":"b","dst":"a","dst_nic":1,"count":4,"payload":1000}]}`))
+	// Rejected: pos on a host link, dst_nic out of range, and an explicit
+	// address equal to a positional one.
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a"},{"name":"b"}],"switches":[{"name":"s"}],
+		"links":[{"a":"a","b":"s","framing":"pos"},{"a":"b","b":"s"}]}`))
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a"},{"name":"b"}],"switches":[{"name":"s"}],
+		"links":[{"a":"a","b":"s"},{"a":"b","b":"s"}],"flows":[{"src":"a","dst":"b","dst_nic":1}]}`))
+	f.Add([]byte(`{"name":"x","hosts":[{"name":"a","addr":2},{"name":"b"}],"switches":[{"name":"s"}],
+		"links":[{"a":"a","b":"s"},{"a":"b","b":"s"}],"flows":[{"src":"a","dst":"b"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := topo.Parse(data)
 		if err != nil {

@@ -1,19 +1,17 @@
-// Package wan builds the paper's §4 wide-area path: Sunnyvale to Geneva,
+// Package wan describes the paper's §4 wide-area path: Sunnyvale to Geneva,
 // 10,037 km, via a loaned Level3 OC-192 POS circuit from Sunnyvale to
 // StarLight in Chicago (Cisco GSR 12406 → Juniper T640) and the
 // transatlantic LHCnet OC-48 POS circuit from Chicago to Geneva (Cisco 7609
 // → Cisco 7606), crossing AS75 (TeraGrid) and AS513 (CERN). The OC-48 is
 // the bottleneck: ~2.39 Gb/s of deliverable payload after SONET and
 // PPP/HDLC overhead, which is why the record run's 2.38 Gb/s is ~99%
-// payload efficiency.
+// payload efficiency. Spec states the path as a topology for topo.Compile.
 package wan
 
 import (
-	"tengig/internal/fabric"
 	"tengig/internal/host"
-	"tengig/internal/ipv4"
 	"tengig/internal/phys"
-	"tengig/internal/sim"
+	"tengig/internal/topo"
 	"tengig/internal/units"
 )
 
@@ -31,7 +29,7 @@ type Config struct {
 	SnvChiDelay units.Time
 	ChiGvaDelay units.Time
 	// BottleneckQueue is the output buffer on the OC-48 line card — the
-	// drop point when the sender overruns the path.
+	// drop point when the sender overruns the path. 0 is unlimited.
 	BottleneckQueue units.ByteSize
 	// RouterLatency is the per-hop forwarding latency.
 	RouterLatency units.Time
@@ -50,26 +48,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Path is the constructed WAN.
-type Path struct {
-	// The four routers, west to east.
-	SnvGSR, ChiT640, Chi7609, Gva7606 *fabric.Node
-	// BottleneckEast is the Chi7609 port feeding the OC-48 toward Geneva
-	// (where eastbound data packets queue and drop); BottleneckWest is the
-	// Gva7606 port toward Chicago (the ack path, never congested here).
-	BottleneckEast *fabric.Port
-	BottleneckWest *fabric.Port
-
-	cfg Config
+// RTT returns the path's propagation round-trip time: both circuits, both
+// host links and four router hops each way (the 10 µs StarLight
+// cross-connect aside).
+func (c Config) RTT() units.Time {
+	return 2 * (c.SnvChiDelay + c.ChiGvaDelay + 2*c.HostLinkProp + 4*c.RouterLatency)
 }
-
-// OneWayDelay returns the path's propagation-only one-way delay.
-func (p *Path) OneWayDelay() units.Time {
-	return p.cfg.SnvChiDelay + p.cfg.ChiGvaDelay + 2*p.cfg.HostLinkProp + 4*p.cfg.RouterLatency
-}
-
-// RTT returns the propagation round-trip time.
-func (p *Path) RTT() units.Time { return 2 * p.OneWayDelay() }
 
 // PayloadRate returns the application-visible ceiling of the bottleneck
 // OC-48 for the given MTU: SONET envelope, PPP/HDLC framing, and TCP/IP
@@ -82,70 +66,65 @@ func PayloadRate(mtu int) units.Bandwidth {
 
 // BDP returns the path's bandwidth-delay product at the bottleneck payload
 // rate — the socket-buffer size the paper's tuning targets.
-func (p *Path) BDP(mtu int) int {
-	return int(float64(PayloadRate(mtu)) / 8 * p.RTT().Seconds())
+func (c Config) BDP(mtu int) int {
+	return int(float64(PayloadRate(mtu)) / 8 * c.RTT().Seconds())
 }
 
-// Build wires west (Sunnyvale) and east (Geneva) hosts across the path.
-// The hosts must already have their NICs installed; nicW/nicE select them.
-func Build(eng *sim.Engine, west, east *host.Host, nicW, nicE int, cfg Config) *Path {
-	p := &Path{
-		SnvGSR:  fabric.NewNode(eng, "snv-gsr12406", cfg.RouterLatency, 0),
-		ChiT640: fabric.NewNode(eng, "chi-t640", cfg.RouterLatency, 0),
-		Chi7609: fabric.NewNode(eng, "chi-7609", cfg.RouterLatency, 0),
-		Gva7606: fabric.NewNode(eng, "gva-7606", cfg.RouterLatency, 0),
-		cfg:     cfg,
+// Spec returns the path as a topology: WANXeon hosts sunnyvale and geneva,
+// both tuned t, on 10GbE links with 16 MB queues to the four routers (west
+// to east snv-gsr12406, chi-t640, chi-7609, gva-7606), joined by the
+// level3-oc192 POS circuit, StarLight's 10 µs starlight-xover, and the
+// lhcnet-oc48 POS circuit, whose BottleneckQueue on chi-7609 is where
+// eastbound data queues and drops. The inter-router links queue 64 MB. One
+// flow runs from sunnyvale to geneva.
+func Spec(c Config, t host.Tuning) *topo.Spec {
+	ns := func(d units.Time) float64 { return float64(d) / float64(units.Nanosecond) }
+	gbps := func(r units.Bandwidth) float64 { return float64(r) / float64(units.GbitPerSecond) }
+	router := func(name string) topo.SwitchSpec {
+		return topo.SwitchSpec{Name: name, LatencyNS: ns(c.RouterLatency)}
 	}
-
-	// Host attachments (10GbE Ethernet).
-	wAtt := fabric.AttachDevice(eng, p.SnvGSR, west.NIC(nicW).Adapter, "snv-host",
-		10*units.GbitPerSecond, cfg.HostLinkProp, 16*units.MB)
-	west.NIC(nicW).Adapter.AttachPort(wAtt.ToSwitch)
-	eAtt := fabric.AttachDevice(eng, p.Gva7606, east.NIC(nicE).Adapter, "gva-host",
-		10*units.GbitPerSecond, cfg.HostLinkProp, 16*units.MB)
-	east.NIC(nicE).Adapter.AttachPort(eAtt.ToSwitch)
-
-	// Sunnyvale <-> Chicago: OC-192 POS.
-	oc192 := phys.NewLink(eng, "level3-oc192", OC192Rate, cfg.SnvChiDelay, phys.POSFraming{})
-	oc192.AtoB.SetDst(p.ChiT640.In())
-	oc192.BtoA.SetDst(p.SnvGSR.In())
-	snvToChi := p.SnvGSR.AddPort(oc192.AtoB, 64*units.MB)
-	chiToSnv := p.ChiT640.AddPort(oc192.BtoA, 64*units.MB)
-
-	// Chicago T640 <-> 7609: short intra-PoP 10GbE.
-	pop := phys.NewLink(eng, "starlight-xover", 10*units.GbitPerSecond,
-		10*units.Microsecond, phys.EthernetFraming{})
-	pop.AtoB.SetDst(p.Chi7609.In())
-	pop.BtoA.SetDst(p.ChiT640.In())
-	t640To7609 := p.ChiT640.AddPort(pop.AtoB, 64*units.MB)
-	r7609ToT640 := p.Chi7609.AddPort(pop.BtoA, 64*units.MB)
-
-	// Chicago <-> Geneva: the transatlantic OC-48 POS (bottleneck).
-	oc48 := phys.NewLink(eng, "lhcnet-oc48", OC48Rate, cfg.ChiGvaDelay, phys.POSFraming{})
-	oc48.AtoB.SetDst(p.Gva7606.In())
-	oc48.BtoA.SetDst(p.Chi7609.In())
-	chiToGva := p.Chi7609.AddPort(oc48.AtoB, cfg.BottleneckQueue)
-	gvaToChi := p.Gva7606.AddPort(oc48.BtoA, cfg.BottleneckQueue)
-	p.BottleneckEast = p.Chi7609.Port(chiToGva)
-	p.BottleneckWest = p.Gva7606.Port(gvaToChi)
-
-	// Routes: eastbound toward the Geneva host, westbound toward Sunnyvale.
-	// The port indices are all freshly returned by AddPort/AttachDevice, so a
-	// route failure here is a programming error, not bad input.
-	mustRoute(p.SnvGSR, east.Addr(), snvToChi)
-	mustRoute(p.ChiT640, east.Addr(), t640To7609)
-	mustRoute(p.Chi7609, east.Addr(), chiToGva)
-	mustRoute(p.Gva7606, east.Addr(), eAtt.PortIdx)
-	mustRoute(p.Gva7606, west.Addr(), gvaToChi)
-	mustRoute(p.Chi7609, west.Addr(), r7609ToT640)
-	mustRoute(p.ChiT640, west.Addr(), chiToSnv)
-	mustRoute(p.SnvGSR, west.Addr(), wAtt.PortIdx)
-
-	return p
+	endHost := func(name string) topo.HostSpec {
+		return topo.HostSpec{Name: name, Profile: string(host.WANXeon)}
+	}
+	const trunkKB = 64 << 10
+	return &topo.Spec{
+		Name:     "sunnyvale-geneva",
+		Tuning:   topo.TuningOf(t),
+		Hosts:    []topo.HostSpec{endHost("sunnyvale"), endHost("geneva")},
+		Switches: []topo.SwitchSpec{router("snv-gsr12406"), router("chi-t640"), router("chi-7609"), router("gva-7606")},
+		Links: []topo.LinkSpec{
+			{Name: "snv-host", A: "sunnyvale", B: "snv-gsr12406", PropNS: ns(c.HostLinkProp), QueueKB: 16 << 10},
+			{Name: "gva-host", A: "geneva", B: "gva-7606", PropNS: ns(c.HostLinkProp), QueueKB: 16 << 10},
+			{Name: "level3-oc192", A: "snv-gsr12406", B: "chi-t640", RateGbps: gbps(OC192Rate),
+				PropNS: ns(c.SnvChiDelay), QueueKB: trunkKB, Framing: topo.FramingPOS},
+			{Name: "starlight-xover", A: "chi-t640", B: "chi-7609", PropNS: 10_000, QueueKB: trunkKB},
+			{Name: "lhcnet-oc48", A: "chi-7609", B: "gva-7606", RateGbps: gbps(OC48Rate),
+				PropNS: ns(c.ChiGvaDelay), QueueKB: queueKB(c.BottleneckQueue), Framing: topo.FramingPOS},
+		},
+		Flows: []topo.FlowSpec{{Src: "sunnyvale", Dst: "geneva"}},
+	}
 }
 
-func mustRoute(n *fabric.Node, dst ipv4.Addr, port int) {
-	if err := n.Route(dst, port); err != nil {
-		panic(err.Error())
+// BottleneckDrops returns the packets a compiled Spec dropped at chi-7609's
+// queue onto the OC-48, where eastbound data overruns the path.
+func BottleneckDrops(n *topo.Network) int64 {
+	for _, ps := range n.Switch("chi-7609").PortStats() {
+		if ps.Link == "lhcnet-oc48/chi-7609>gva-7606" {
+			return ps.Drops
+		}
 	}
+	return 0
+}
+
+// queueKB converts a queue bound to a spec's queue_kb, rounding up to whole
+// KB: 0 bytes is unlimited (-1), and a negative bound stays below -1, so
+// topo.Validate rejects it.
+func queueKB(b units.ByteSize) int {
+	switch {
+	case b == 0:
+		return -1
+	case b < 0:
+		return min(int(b/units.KB), -2)
+	}
+	return int((b + units.KB - 1) / units.KB)
 }
