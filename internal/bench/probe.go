@@ -6,6 +6,7 @@ import (
 
 	"tengig/internal/host"
 	"tengig/internal/sim"
+	"tengig/internal/telemetry"
 	"tengig/internal/topo"
 	"tengig/internal/units"
 )
@@ -82,6 +83,12 @@ var probes = map[string]probe{
 		return func() {
 			net.Eng.RunUntil(net.Eng.Now() + 100*units.Microsecond)
 		}, nil
+	}},
+	// Not zero: the export allocates its buffer and a few per-bundle
+	// lines, but nothing per sample or event.
+	"ExportJSONL": {iters: 8, setup: func() (func(), error) {
+		b := telemetry.SyntheticBundle(1)
+		return func() { b.ExportJSONL() }, nil
 	}},
 }
 

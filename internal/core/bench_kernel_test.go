@@ -7,6 +7,7 @@ import (
 
 	"tengig/internal/host"
 	"tengig/internal/sim"
+	"tengig/internal/telemetry"
 	"tengig/internal/tools"
 	"tengig/internal/topo"
 	"tengig/internal/units"
@@ -15,8 +16,9 @@ import (
 // Kernel hot-path benchmarks. These measure the discrete-event kernel under
 // the load patterns the TCP model actually produces: timer churn (every
 // acknowledgment cancels and re-arms the RTO), a single saturated flow, and
-// the 16-sender aggregation testbed. Results are recorded in
-// BENCH_kernel.json at the repo root (see TestWriteKernelBenchJSON).
+// the 16-sender aggregation testbed — plus the telemetry JSONL export a
+// long-haul run ends with. Results are recorded in BENCH_kernel.json at the
+// repo root (see TestWriteKernelBenchJSON).
 //
 // BenchmarkTimerChurn and the flow benchmarks intentionally use only API
 // that exists on both sides of the pooled-kernel change (tm := After(...);
@@ -100,6 +102,18 @@ func BenchmarkMultiFlow16PE2650(b *testing.B) {
 	}
 }
 
+// BenchmarkExportJSONL encodes the fixed synthetic telemetry bundle (16
+// connections × 256 samples × 1024 events, one ring wrapped). Its
+// allocations are gated: they must not grow with the record count.
+func BenchmarkExportJSONL(b *testing.B) {
+	bundle := telemetry.SyntheticBundle(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bundle.ExportJSONL()
+	}
+}
+
 // kernelBenchResult is one benchmark's measurement as recorded in
 // BENCH_kernel.json.
 type kernelBenchResult struct {
@@ -124,6 +138,7 @@ func TestWriteKernelBenchJSON(t *testing.T) {
 		"TimerReschedule":       BenchmarkTimerReschedule,
 		"SingleFlowSteadyState": BenchmarkSingleFlowSteadyState,
 		"MultiFlow16PE2650":     BenchmarkMultiFlow16PE2650,
+		"ExportJSONL":           BenchmarkExportJSONL,
 	} {
 		r := testing.Benchmark(fn)
 		out[name] = kernelBenchResult{

@@ -1,6 +1,11 @@
 package telemetry
 
-import "time"
+import (
+	"fmt"
+	"time"
+
+	"tengig/internal/units"
+)
 
 // EngineCounters surface the run's discrete-event engine health: how much
 // work the simulation did and how deep its event queue got.
@@ -111,4 +116,35 @@ func (b *Bundle) CaptureFabric(fc FabricCounters) {
 // the bundle without a metrics line.
 func (b *Bundle) CaptureMetrics(m *MetricsAccumulator) {
 	b.Metrics = m.Fleet()
+}
+
+// SyntheticBundle builds the fixed bundle the export benchmark and its
+// allocation gate encode: 16 connections, each with 256×scale samples and
+// a 1024×scale-event ring, the first connection's ring wrapped. Its values
+// are deterministic and of a long-haul run's magnitudes (picosecond times,
+// byte sequence numbers).
+func SyntheticBundle(scale int) *Bundle {
+	const conns, samples, events = 16, 256, 1024
+	n, m := samples*scale, events*scale
+	b := NewBundle("synthetic", 1, Options{Enabled: true, MaxSamples: n, MaxEvents: m})
+	for c := 0; c < conns; c++ {
+		r := b.Conn(fmt.Sprintf("host%02d/flow%d", c, c%4))
+		for i := 0; i < n; i++ {
+			at := units.Time(i) * 10 * units.Millisecond
+			r.RecordSample(Sample{At: at, State: "established", Cwnd: 2 + i%4096, Ssthresh: 1 << 20,
+				SRTT: 180 * units.Millisecond, RTTVar: units.Time(i%97) * units.Microsecond, RTO: units.Second,
+				SndUna: int64(i) * 8948 * 64, SndNxt: int64(i+1) * 8948 * 64, InFlight: 8948 * 64,
+				PeerWnd: 1 << 26, AdvWnd: 1 << 26, Retransmits: int64(i / 512), DupAcksIn: int64(i / 128)})
+		}
+		nev := m
+		if c == 0 {
+			nev += m / 4 // wraps the ring
+		}
+		for i := 0; i < nev; i++ {
+			r.RecordEvent(units.Time(i)*units.Millisecond, EventKind(1+i%int(numEventKinds-1)),
+				int64(i)*8948, 2+i%4096, 1<<20, int64(i%8948))
+		}
+	}
+	b.CaptureEngine(uint64(conns*(n+m)*40), 4096)
+	return b
 }

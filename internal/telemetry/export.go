@@ -1,11 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 
 	"tengig/internal/units"
@@ -19,6 +20,12 @@ const SchemaVersion = "tengig-telemetry/v1"
 // order) a conn header followed by its samples and events in time order,
 // then the engine counters. Host wall time never appears: the export must
 // be byte-identical for identical seeds, serial or parallel.
+//
+// The line structs below are the schema. ParseJSONL decodes with them and
+// encoding/json writes the fabric and metrics lines from them; the meta,
+// conn, sample, event and engine lines hold only strings and integers and
+// are appended by hand (see appendSampleLine), which FuzzJSONLLines holds
+// byte-equal to json.Marshal of these structs.
 
 type metaLine struct {
 	Type   string `json:"type"` // "meta"
@@ -64,178 +71,346 @@ type metricsLine struct {
 	FleetMetrics
 }
 
-// WriteJSONL writes the bundle as JSON lines.
-func (b *Bundle) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := func(v any) error {
-		j, err := json.Marshal(v)
-		if err != nil {
-			return err
+// Keys of the hand-encoded lines, in encoding/json's field order, each
+// with its leading comma.
+var (
+	connKeys   = [...]string{`,"samples":`, `,"events":`, `,"dropped_samples":`, `,"dropped_events":`}
+	sampleKeys = [...]string{`,"at_ps":`, `,"cwnd":`, `,"ssthresh":`,
+		`,"srtt_ps":`, `,"rttvar_ps":`, `,"rto_ps":`,
+		`,"snd_una":`, `,"snd_nxt":`, `,"inflight":`, `,"peer_wnd":`, `,"adv_wnd":`,
+		`,"persist_shift":`, `,"retrans":`, `,"fast_retrans":`, `,"timeouts":`, `,"dup_acks":`}
+	eventKeys = [...]string{`,"at_ps":`, `,"seq":`, `,"cwnd":`, `,"ssthresh":`, `,"aux":`}
+)
+
+const (
+	connHead   = `{"type":"conn","conn":`
+	sampleHead = `{"type":"sample","conn":`
+	eventHead  = `{"type":"event","conn":`
+	stateKey   = `,"state":`
+	kindKey    = `,"kind":`
+	lineEnd    = "}\n"
+)
+
+// sampleInts lists a sample's integer fields in export order; the state
+// goes between the first (at_ps) and the rest.
+func sampleInts(s *Sample) [len(sampleKeys)]int64 {
+	return [...]int64{int64(s.At), int64(s.Cwnd), int64(s.Ssthresh),
+		int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
+		s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
+		int64(s.PersistShift), s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn}
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Printable
+// ASCII other than '"', '\\', '<', '>' and '&' needs no escape and is
+// copied; any other string goes through json.Marshal itself, so its
+// escaping is encoding/json's on every Go version.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
 		}
-		bw.Write(j)
-		return bw.WriteByte('\n')
 	}
-	if err := enc(metaLine{Type: "meta", Schema: SchemaVersion, Name: b.Name, Seed: b.Seed}); err != nil {
-		return err
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+func appendField(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendMetaLine(dst []byte, name string, seed int64) []byte {
+	dst = append(dst, `{"type":"meta","schema":"`+SchemaVersion+`","name":`...)
+	dst = appendJSONString(dst, name)
+	return append(appendField(dst, `,"seed":`, seed), lineEnd...)
+}
+
+func appendEngineLine(dst []byte, e EngineCounters) []byte {
+	dst = strconv.AppendUint(append(dst, `{"type":"engine","events":`...), e.Events, 10)
+	return append(appendField(dst, `,"high_water":`, int64(e.HighWater)), lineEnd...)
+}
+
+// appendConnLine, appendSampleLine and appendEventLine take the conn name
+// already quoted (appendJSONString), once per connection.
+func appendConnLine(dst, qconn []byte, samples, events int, droppedSamples, droppedEvents int64) []byte {
+	dst = append(append(dst, connHead...), qconn...)
+	for i, v := range [...]int64{int64(samples), int64(events), droppedSamples, droppedEvents} {
+		dst = appendField(dst, connKeys[i], v)
 	}
-	for _, r := range b.Conns {
-		ds, de := r.Dropped()
-		events := r.Events()
-		if err := enc(connLine{Type: "conn", Conn: r.Name(),
-			Samples: len(r.Samples()), Events: len(events),
-			DroppedSamples: ds, DroppedEvents: de}); err != nil {
-			return err
-		}
-		for _, s := range r.Samples() {
-			if err := enc(sampleLine{Type: "sample", Conn: r.Name(), Sample: s}); err != nil {
-				return err
-			}
-		}
-		for _, ev := range events {
-			if err := enc(eventLine{Type: "event", Conn: r.Name(), Kind: ev.Kind.String(), Event: ev}); err != nil {
-				return err
-			}
-		}
+	return append(dst, lineEnd...)
+}
+
+func appendSampleLine(dst, qconn []byte, s *Sample) []byte {
+	v := sampleInts(s)
+	dst = append(append(dst, sampleHead...), qconn...)
+	dst = appendField(dst, sampleKeys[0], v[0])
+	dst = appendJSONString(append(dst, stateKey...), s.State)
+	for i := 1; i < len(v); i++ {
+		dst = appendField(dst, sampleKeys[i], v[i])
 	}
-	if err := enc(engineLine{Type: "engine", EngineCounters: b.Engine}); err != nil {
-		return err
+	return append(dst, lineEnd...)
+}
+
+func appendEventLine(dst, qconn []byte, ev *Event) []byte {
+	dst = append(append(dst, eventHead...), qconn...)
+	dst = appendJSONString(append(dst, kindKey...), ev.Kind.String())
+	for i, v := range [...]int64{int64(ev.At), ev.Seq, int64(ev.Cwnd), int64(ev.Ssthresh), ev.Aux} {
+		dst = appendField(dst, eventKeys[i], v)
 	}
+	return append(dst, lineEnd...)
+}
+
+// Sizing. The widest an int64 prints is 20 bytes ("-9223372036854775808");
+// a state or kind name is a short identifier, given nameRoom bytes quoted.
+// The per-line bounds below exclude the quoted conn name, which
+// ExportJSONL adds per connection.
+const (
+	maxIntLen = 20
+	nameRoom  = 24
+)
+
+var (
+	connLineMax   = keysLen(connHead, connKeys[:]) + len(connKeys)*maxIntLen
+	sampleLineMax = keysLen(sampleHead+stateKey, sampleKeys[:]) + len(sampleKeys)*maxIntLen + nameRoom
+	eventLineMax  = keysLen(eventHead+kindKey, eventKeys[:]) + len(eventKeys)*maxIntLen + nameRoom
+)
+
+// keysLen is a line's fixed text: head, keys and the closing "}\n".
+func keysLen(head string, keys []string) int {
+	n := len(head) + len(lineEnd)
+	for _, k := range keys {
+		n += len(k)
+	}
+	return n
+}
+
+// ExportJSONL renders the bundle as JSON lines. Conn headers, samples and
+// events are appended in place into one buffer sized up front, so the
+// export's allocations do not grow with its record count.
+func (b *Bundle) ExportJSONL() []byte {
+	head := appendMetaLine(nil, b.Name, b.Seed)
+	tail := appendEngineLine(nil, b.Engine)
 	// Fabric counters follow the engine footer so switchless bundles — the
 	// pinned golden exports among them — are byte-identical to before the
-	// record type existed.
+	// record type existed. The fleet-metrics line comes last for the same
+	// reason: bundles without a metrics sink — every pinned golden digest
+	// among them — export byte-identically to before it existed. Both hold
+	// floats, omitempty fields and nested slices: encoding/json writes
+	// them.
 	for _, fc := range b.Fabric {
-		if err := enc(fabricLine{Type: "fabric", FabricCounters: fc}); err != nil {
-			return err
-		}
+		tail = marshalLine(tail, fabricLine{Type: "fabric", FabricCounters: fc})
 	}
-	// The fleet-metrics line comes last, after the engine footer and fabric
-	// counters, for the same reason: bundles without a metrics sink — every
-	// pinned golden digest among them — export byte-identically to before
-	// the record type existed.
 	if b.Metrics != nil {
-		if err := enc(metricsLine{Type: "metrics", FleetMetrics: *b.Metrics}); err != nil {
-			return err
-		}
+		tail = marshalLine(tail, metricsLine{Type: "metrics", FleetMetrics: *b.Metrics})
 	}
-	return bw.Flush()
-}
 
-// WriteCSV writes the sampled instrument series as one CSV table (all
-// connections, in registration order), deterministic like the JSONL.
-func (b *Bundle) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps,"+
-		"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift,"+
-		"retrans,fast_retrans,timeouts,dup_acks")
+	var qconn []byte // one quoted conn name at a time
+	size := len(head) + len(tail)
 	for _, r := range b.Conns {
-		for _, s := range r.Samples() {
-			fmt.Fprintf(bw, "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				r.Name(), int64(s.At), s.State, s.Cwnd, s.Ssthresh,
-				int64(s.SRTT), int64(s.RTTVar), int64(s.RTO),
-				s.SndUna, s.SndNxt, s.InFlight, s.PeerWnd, s.AdvWnd,
-				s.PersistShift, s.Retransmits, s.FastRetrans, s.Timeouts, s.DupAcksIn)
+		qconn = appendJSONString(qconn[:0], r.name)
+		q := len(qconn)
+		size += connLineMax + q + len(r.samples)*(sampleLineMax+q) + len(r.events)*(eventLineMax+q)
+	}
+	// The size bounds the export unless a state or kind name outgrows
+	// nameRoom; append then grows the buffer.
+	buf := append(make([]byte, 0, size), head...)
+	for _, r := range b.Conns {
+		qconn = appendJSONString(qconn[:0], r.name)
+		buf = appendConnLine(buf, qconn, len(r.samples), len(r.events), r.droppedSamples, r.droppedEvents)
+		for i := range r.samples {
+			buf = appendSampleLine(buf, qconn, &r.samples[i])
+		}
+		// The event ring in time order: its older half, then its newer.
+		for _, half := range [2][]Event{r.events[r.evStart:], r.events[:r.evStart]} {
+			for i := range half {
+				buf = appendEventLine(buf, qconn, &half[i])
+			}
 		}
 	}
-	return bw.Flush()
+	return append(buf, tail...)
 }
 
-// ExportJSONL renders the JSONL export to bytes (determinism checks).
-func (b *Bundle) ExportJSONL() []byte {
-	var buf bytes.Buffer
-	if err := b.WriteJSONL(&buf); err != nil {
+// marshalLine appends v as encoding/json writes it, and a newline.
+func marshalLine(dst []byte, v any) []byte {
+	j, err := json.Marshal(v)
+	if err != nil {
 		panic("telemetry: in-memory export failed: " + err.Error())
 	}
-	return buf.Bytes()
+	return append(append(dst, j...), '\n')
 }
 
-// ExportCSV renders the CSV export to bytes.
+const csvHeader = "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps," +
+	"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift," +
+	"retrans,fast_retrans,timeouts,dup_acks\n"
+
+// csvRowMax bounds one CSV row less its conn field: the integers, the
+// state and a separator or newline after every field.
+const csvRowMax = len(sampleKeys)*(maxIntLen+1) + nameRoom + 2
+
+// ExportCSV renders the sampled instrument series as one CSV table (all
+// connections, in registration order), deterministic like the JSONL. The
+// conn and state fields are quoted exactly as encoding/csv quotes them, so
+// a name with a comma, quote or newline stays one field, and one that
+// encoding/csv leaves bare keeps its bytes.
 func (b *Bundle) ExportCSV() []byte {
-	var buf bytes.Buffer
-	if err := b.WriteCSV(&buf); err != nil {
-		panic("telemetry: in-memory export failed: " + err.Error())
+	var field bytes.Buffer
+	w := csv.NewWriter(&field)
+	quote := func(s string) string {
+		field.Reset()
+		w.Write([]string{s}) // in memory: cannot fail
+		w.Flush()
+		return strings.TrimSuffix(field.String(), "\n")
 	}
-	return buf.Bytes()
+
+	conns := make([]string, len(b.Conns))
+	size := len(csvHeader)
+	for i, r := range b.Conns {
+		conns[i] = quote(r.name)
+		size += len(r.samples) * (len(conns[i]) + csvRowMax)
+	}
+	buf := append(make([]byte, 0, size), csvHeader...)
+	for i, r := range b.Conns {
+		// States change a handful of times per connection: quote each run
+		// once. The empty state quotes as itself.
+		state, qstate := "", ""
+		for j := range r.samples {
+			s := &r.samples[j]
+			if s.State != state {
+				state, qstate = s.State, quote(s.State)
+			}
+			buf = appendCSVRow(buf, conns[i], qstate, s)
+		}
+	}
+	return buf
 }
+
+func appendCSVRow(dst []byte, conn, state string, s *Sample) []byte {
+	v := sampleInts(s)
+	dst = strconv.AppendInt(append(append(dst, conn...), ','), v[0], 10)
+	dst = append(append(dst, ','), state...)
+	for _, x := range v[1:] {
+		dst = strconv.AppendInt(append(dst, ','), x, 10)
+	}
+	return append(dst, '\n')
+}
+
+// ParseError reports the line of a JSONL export ParseJSONL rejected.
+type ParseError struct {
+	Line int    // 1-based line number
+	Type string // the record's "type"; empty if the line is not a JSON object with one
+	Err  error
+}
+
+func (e *ParseError) Error() string {
+	where := fmt.Sprintf("telemetry: line %d", e.Line)
+	if e.Type != "" {
+		where += " (" + e.Type + ")"
+	}
+	// encoding/json names the Go struct a bad field lives in; a reader of
+	// the export knows only the field's key.
+	var te *json.UnmarshalTypeError
+	if errors.As(e.Err, &te) {
+		if te.Field == "" {
+			return fmt.Sprintf("%s: a JSON %s, not a record object", where, te.Value)
+		}
+		key := te.Field[strings.LastIndexByte(te.Field, '.')+1:]
+		return fmt.Sprintf("%s: field %q: cannot unmarshal JSON %s into %s", where, key, te.Value, te.Type.Kind())
+	}
+	return where + ": " + e.Err.Error()
+}
+
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // ParseJSONL reconstructs a bundle from its JSONL export — the read half of
 // the machine-readable contract, used by tests and downstream tooling.
 // Record types this reader does not know are skipped (and counted in
 // Bundle.UnknownLines) rather than rejected, so older tooling keeps parsing
-// exports that grew new line types.
+// exports that grew new line types. Every failure is a *ParseError naming
+// the line.
 func ParseJSONL(data []byte) (*Bundle, error) {
 	b := &Bundle{opt: Options{MaxSamples: 1 << 30, MaxEvents: 1 << 30}}
-	var typ struct {
-		Type string `json:"type"`
-	}
 	for ln, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if err := json.Unmarshal(line, &typ); err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %w", ln+1, err)
+		var typ struct {
+			Type string `json:"type"`
 		}
-		switch typ.Type {
-		case "meta":
-			var m metaLine
-			if err := json.Unmarshal(line, &m); err != nil {
-				return nil, err
-			}
-			if m.Schema != SchemaVersion {
-				return nil, fmt.Errorf("telemetry: schema %q, want %q", m.Schema, SchemaVersion)
-			}
-			b.Name, b.Seed = m.Name, m.Seed
-		case "conn":
-			var c connLine
-			if err := json.Unmarshal(line, &c); err != nil {
-				return nil, err
-			}
-			r := b.Conn(c.Conn)
-			r.droppedSamples, r.droppedEvents = c.DroppedSamples, c.DroppedEvents
-		case "sample":
-			var s sampleLine
-			if err := json.Unmarshal(line, &s); err != nil {
-				return nil, err
-			}
-			b.Conn(s.Conn).RecordSample(s.Sample)
-		case "event":
-			var e eventLine
-			if err := json.Unmarshal(line, &e); err != nil {
-				return nil, err
-			}
-			e.Event.Kind = KindFromString(e.Kind)
-			r := b.Conn(e.Conn)
-			r.kindCounts[e.Event.Kind]++
-			if len(r.events) < r.maxEvents {
-				r.events = append(r.events, e.Event)
-			}
-		case "engine":
-			var g engineLine
-			if err := json.Unmarshal(line, &g); err != nil {
-				return nil, err
-			}
-			b.Engine = g.EngineCounters
-		case "fabric":
-			var f fabricLine
-			if err := json.Unmarshal(line, &f); err != nil {
-				return nil, err
-			}
-			b.Fabric = append(b.Fabric, f.FabricCounters)
-		case "metrics":
-			var m metricsLine
-			if err := json.Unmarshal(line, &m); err != nil {
-				return nil, err
-			}
-			fm := m.FleetMetrics
-			b.Metrics = &fm
-		default:
-			// Unknown record types are tolerated (counted, not fatal): a
-			// reader built before a line type existed must still parse the
-			// rest of the export, the same forward-compatibility contract
-			// the fabric and metrics lines rely on.
-			b.UnknownLines++
+		err := json.Unmarshal(line, &typ)
+		if err == nil {
+			err = b.parseRecord(typ.Type, line)
+		}
+		if err != nil {
+			return nil, &ParseError{Line: ln + 1, Type: typ.Type, Err: err}
 		}
 	}
 	return b, nil
+}
+
+// parseRecord decodes one line of type typ into b.
+func (b *Bundle) parseRecord(typ string, line []byte) error {
+	switch typ {
+	case "meta":
+		var m metaLine
+		if err := json.Unmarshal(line, &m); err != nil {
+			return err
+		}
+		if m.Schema != SchemaVersion {
+			return fmt.Errorf("schema %q, want %q", m.Schema, SchemaVersion)
+		}
+		b.Name, b.Seed = m.Name, m.Seed
+	case "conn":
+		var c connLine
+		if err := json.Unmarshal(line, &c); err != nil {
+			return err
+		}
+		r := b.Conn(c.Conn)
+		r.droppedSamples, r.droppedEvents = c.DroppedSamples, c.DroppedEvents
+	case "sample":
+		var s sampleLine
+		if err := json.Unmarshal(line, &s); err != nil {
+			return err
+		}
+		b.Conn(s.Conn).RecordSample(s.Sample)
+	case "event":
+		var e eventLine
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		e.Event.Kind = KindFromString(e.Kind)
+		r := b.Conn(e.Conn)
+		r.kindCounts[e.Event.Kind]++
+		if len(r.events) < r.maxEvents {
+			r.events = append(r.events, e.Event)
+		}
+	case "engine":
+		var g engineLine
+		if err := json.Unmarshal(line, &g); err != nil {
+			return err
+		}
+		b.Engine = g.EngineCounters
+	case "fabric":
+		var f fabricLine
+		if err := json.Unmarshal(line, &f); err != nil {
+			return err
+		}
+		b.Fabric = append(b.Fabric, f.FabricCounters)
+	case "metrics":
+		var m metricsLine
+		if err := json.Unmarshal(line, &m); err != nil {
+			return err
+		}
+		fm := m.FleetMetrics
+		b.Metrics = &fm
+	default:
+		// Unknown record types are tolerated (counted, not fatal): a
+		// reader built before a line type existed must still parse the
+		// rest of the export, the same forward-compatibility contract
+		// the fabric and metrics lines rely on.
+		b.UnknownLines++
+	}
+	return nil
 }
 
 // Summary renders the human-readable readout, like `web100 readvars` or a

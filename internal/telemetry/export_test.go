@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -106,6 +108,78 @@ func TestParseJSONLRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ParseJSONL([]byte("not json")); err == nil {
 		t.Fatal("malformed line should fail")
+	}
+
+	// Every failure names its line and record type, whatever the type.
+	meta := `{"type":"meta","schema":"` + SchemaVersion + `","name":"n","seed":1}`
+	for _, c := range []struct{ typ, line, want string }{
+		{"", "not json", "invalid character"},
+		{"", "[1]", "a JSON array, not a record object"},
+		{"meta", `{"type":"meta","schema":"bogus/v9"}`, `schema "bogus/v9"`},
+		{"meta", `{"type":"meta","schema":"` + SchemaVersion + `","seed":"x"}`, `field "seed"`},
+		{"conn", `{"type":"conn","conn":"c","samples":"x"}`, `field "samples"`},
+		{"sample", `{"type":"sample","conn":"c","cwnd":"x"}`, `field "cwnd": cannot unmarshal JSON string into int`},
+		{"event", `{"type":"event","conn":"c","kind":"rto_fire","seq":1.5}`, `field "seq"`},
+		{"engine", `{"type":"engine","events":-1}`, `field "events"`},
+		{"fabric", `{"type":"fabric","node":"sw","ports":"x"}`, `field "ports"`},
+		{"metrics", `{"type":"metrics","flows":"x"}`, `field "flows"`},
+	} {
+		_, err := ParseJSONL([]byte(meta + "\n" + c.line + "\n"))
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: got %v, want a *ParseError", c.line, err)
+			continue
+		}
+		if pe.Line != 2 || pe.Type != c.typ || pe.Unwrap() == nil {
+			t.Errorf("%s: ParseError{Line: %d, Type: %q}, want line 2, type %q", c.line, pe.Line, pe.Type, c.typ)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "telemetry: line 2") || !strings.Contains(msg, c.want) ||
+			strings.Contains(msg, "Line.") || strings.Contains(msg, "Go struct") {
+			t.Errorf("%s: message %q, want it to start with the line, say %q and name no Go type", c.line, msg, c.want)
+		}
+	}
+}
+
+// Names with a comma, quote or newline are quoted as encoding/csv quotes
+// them, so every row reads back as the header's 18 fields.
+func TestCSVQuotesAwkwardNames(t *testing.T) {
+	names := []string{"snd,x/flow1", `a"b/flow2`, "c\nd/flow3"}
+	b := NewBundle("awkward", 1, Options{})
+	for _, name := range names {
+		r := b.Conn(name)
+		r.RecordSample(Sample{At: 100, State: "established", Cwnd: 2})
+		r.RecordSample(Sample{At: 200, State: "fin,sent", Cwnd: 3})
+	}
+	rows, err := csv.NewReader(bytes.NewReader(b.ExportCSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+2*len(names) {
+		t.Fatalf("read %d rows, want %d", len(rows), 1+2*len(names))
+	}
+	for i, row := range rows {
+		if len(row) != 18 {
+			t.Fatalf("row %d has %d fields, want 18: %q", i, len(row), row)
+		}
+	}
+	for i, name := range names {
+		if got := rows[1+2*i][0]; got != name {
+			t.Errorf("row %d conn = %q, want %q", 1+2*i, got, name)
+		}
+		if got := rows[2+2*i][2]; got != "fin,sent" {
+			t.Errorf("row %d state = %q, want %q", 2+2*i, got, "fin,sent")
+		}
+	}
+}
+
+// The export's allocations are per bundle and per connection, never per
+// record: ten times the samples and events cost no more of them.
+func TestExportJSONLAllocsIndependentOfRecords(t *testing.T) {
+	small, big := SyntheticBundle(1), SyntheticBundle(10)
+	a := testing.AllocsPerRun(2, func() { small.ExportJSONL() })
+	b := testing.AllocsPerRun(2, func() { big.ExportJSONL() })
+	if a != b {
+		t.Errorf("ExportJSONL allocs/op: %v at scale 1, %v at scale 10; want equal", a, b)
 	}
 }
 
