@@ -12,13 +12,15 @@ import (
 
 // TestWheelFilingsPerEvent holds the event queue's work per event on the
 // §3 single-flow per-packet path. Engine.Filed counts every placement of an
-// event on a wheel slot or on the ready list, so Filed/Executed is how many
-// times the average executed event was filed, cascades included. A
-// picosecond-wide level 0 filed an event about 5.3-5.6 times on these two
-// Figure 3 points; the microsecond-wide level 0 files it about twice. The
-// count is deterministic, so the bound holds on any host.
+// event on a wheel slot, so Filed/Executed is how many times the average
+// executed event was filed, cascades included. A picosecond-wide level 0
+// filed an event about 5.3-5.6 times on these two Figure 3 points; the
+// microsecond-wide level 0 filed it about twice while a level-0 slot was
+// re-filed onto a separate ready list, and 1.30 and 1.42 times now that
+// the current level-0 slot is the ready list. The count is deterministic,
+// so the bound holds on any host.
 func TestWheelFilingsPerEvent(t *testing.T) {
-	const maxFiledPerEvent = 2.5
+	const maxFiledPerEvent = 1.5
 	for _, tun := range []host.Tuning{host.Stock(1500), host.Optimized(9000)} {
 		t.Run(tun.Label(), func(t *testing.T) {
 			eng := sim.NewEngine(1)

@@ -308,9 +308,7 @@ func (im *Impair) Shutdown() int {
 // ClonePacket returns an unpooled deep copy: the clone's segment (if any)
 // is copied too, because releasing the original recycles its segment into
 // the origin pool while the clone may still be in flight. Used for fault
-// duplication here and for cross-shard packet transfer in parallel DES,
-// where the original must return to its source-shard pool while the copy
-// travels to another engine.
+// duplication.
 func ClonePacket(pk *packet.Packet) *packet.Packet {
 	cp := pk.CloneUnpooled()
 	if seg, ok := pk.Seg.(*tcp.Segment); ok && seg != nil {

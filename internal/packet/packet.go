@@ -137,6 +137,17 @@ func (p *Pool) Get() *Packet {
 	return &Packet{pool: p}
 }
 
+// GetCopy returns a packet drawn from p holding v's fields (Seg included)
+// but bound to p, so its Release comes back here whichever pool v came
+// from. A parallel-DES shard rebuilds a packet that crossed from another
+// shard this way: only the value crosses goroutines.
+func (p *Pool) GetCopy(v *Packet) *Packet {
+	pk := p.Get()
+	*pk = *v
+	pk.pool = p
+	return pk
+}
+
 // Release returns the packet to its origin pool, first recycling its
 // attached segment through the pool's ReleaseSeg hook. Every field —
 // including Seg — is cleared, so a recycled packet can never leak a stale

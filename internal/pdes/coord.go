@@ -1,7 +1,8 @@
 package pdes
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tengig/internal/units"
 )
@@ -163,23 +164,22 @@ func (c *coord) decide(work units.Time, any bool) action {
 // declaration order, so this matches the single engine's creation order);
 // link and direction make the order total.
 func sortInbox(in []crossMsg) {
-	sort.Slice(in, func(i, j int) bool {
-		a, b := in[i], in[j]
-		if a.arrival != b.arrival {
-			return a.arrival < b.arrival
+	slices.SortFunc(in, func(a, b crossMsg) int {
+		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+			return c
 		}
-		if a.ct != b.ct {
-			return a.ct < b.ct
+		if c := cmp.Compare(a.ct, b.ct); c != 0 {
+			return c
 		}
-		if a.srcShard != b.srcShard {
-			return a.srcShard < b.srcShard
+		if c := cmp.Compare(a.srcShard, b.srcShard); c != 0 {
+			return c
 		}
-		if a.srcSeq != b.srcSeq {
-			return a.srcSeq < b.srcSeq
+		if c := cmp.Compare(a.srcSeq, b.srcSeq); c != 0 {
+			return c
 		}
-		if a.link != b.link {
-			return a.link < b.link
+		if c := cmp.Compare(a.link, b.link); c != 0 {
+			return c
 		}
-		return a.dir < b.dir
+		return cmp.Compare(a.dir, b.dir)
 	})
 }

@@ -30,13 +30,17 @@
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
-// clones the packet at serialization-complete time and queues it into a
-// per-destination-shard slot as a time-stamped cross-shard message (arrival
-// = now + propagation). Messages are exchanged at window barriers: all
-// shards run [W, W+L) where L, the lookahead, is the minimum propagation
-// delay over all links; a message created in a window arrives no earlier
-// than the next (arrival >= ct + L), so injecting each window's messages at
-// its barrier can never violate causality. When every shard is idle the
+// copies the packet by value, with its TCP segment, at
+// serialization-complete time into a per-destination-shard slot as a
+// time-stamped cross-shard message (arrival = now + propagation), and
+// releases the original to its pool. The receiving shard rebuilds the
+// packet from its own pools when it injects the message, so a pooled
+// packet never crosses goroutines and a crossing allocates nothing.
+// Messages are exchanged at window barriers: all shards run [W, W+L)
+// where L, the lookahead, is the minimum propagation delay over all links;
+// a message created in a window arrives no earlier than the next
+// (arrival >= ct + L), so injecting each window's messages at its barrier
+// can never violate causality. When every shard is idle the
 // coordinator fast-forwards to the window containing the earliest future
 // work — the deterministic equivalent of a null message ("nothing before
 // t") — so idle grids cost barriers, not simulated windows.

@@ -8,11 +8,11 @@ import (
 	"strconv"
 	"time"
 
-	"tengig/internal/netem"
 	"tengig/internal/packet"
 	"tengig/internal/phys"
 	"tengig/internal/runner"
 	"tengig/internal/sim"
+	"tengig/internal/tcp"
 	"tengig/internal/telemetry"
 	"tengig/internal/topo"
 	"tengig/internal/units"
@@ -24,9 +24,11 @@ const (
 	dirBtoA = uint8(1)
 )
 
-// crossMsg is one packet crossing a shard boundary: cloned at the sender's
-// serialization-complete instant, delivered on the receiver's shard at
-// arrival = ct + propagation.
+// crossMsg is one packet crossing a shard boundary: copied by value at the
+// sender's serialization-complete instant, rebuilt from the receiving
+// shard's pools and delivered there at arrival = ct + propagation. Only
+// values cross goroutines — the receiving shard never touches the sender's
+// packet, segment or pools — and a handoff allocates nothing.
 type crossMsg struct {
 	link     int   // index into Spec.Links
 	dir      uint8 // dirAtoB or dirBtoA
@@ -34,7 +36,31 @@ type crossMsg struct {
 	ct       units.Time // sender-side creation time (wireDone instant)
 	srcShard int
 	srcSeq   uint64 // per-shard handoff sequence, for canonical tie-breaks
-	pk       *packet.Packet
+
+	pk     packet.Packet // Seg nil: a TCP segment travels in seg
+	hasSeg bool
+	seg    tcp.Segment // SACKBlocks nil: the blocks travel in sack
+	nsack  uint8
+	sack   [tcp.MaxSACKBlocks]tcp.SackBlock
+}
+
+// setPacket copies pk, and its TCP segment if it has one, into m.
+func (m *crossMsg) setPacket(pk *packet.Packet) {
+	m.pk = *pk
+	m.pk.Seg = nil
+	switch seg := pk.Seg.(type) {
+	case nil:
+	case *tcp.Segment:
+		if len(seg.SACKBlocks) > len(m.sack) {
+			panic(fmt.Sprintf("pdes: segment carries %d SACK blocks, at most %d cross a shard cut", len(seg.SACKBlocks), len(m.sack)))
+		}
+		m.hasSeg = true
+		m.seg = *seg
+		m.seg.SACKBlocks = nil
+		m.nsack = uint8(copy(m.sack[:], seg.SACKBlocks))
+	default:
+		panic(fmt.Sprintf("pdes: cannot carry a %T segment across a shard cut", seg))
+	}
 }
 
 type cmdKind uint8
@@ -107,6 +133,11 @@ type shardState struct {
 	out    [][]crossMsg
 	outSeq uint64
 	inFns  map[[2]int]func(any) // (link, dir) -> bound Port.Deliver on this replica
+	// pkts and segs hold the packets and segments this shard rebuilds from
+	// other shards' messages. Those packets are released here, on this
+	// shard's goroutine, like any host's.
+	pkts *packet.Pool
+	segs *tcp.SegmentPool
 
 	received    []int64
 	doneAt      []units.Time
@@ -129,9 +160,25 @@ func (st *shardState) runWindow(eng *sim.Engine, wEnd units.Time, inbox []crossM
 		if fn == nil {
 			panic(fmt.Sprintf("pdes: received message for foreign link %d dir %d", m.link, m.dir))
 		}
-		eng.InjectCall(m.arrival, m.ct, fn, m.pk)
+		eng.InjectCall(m.arrival, m.ct, fn, st.packet(m))
 	}
 	eng.RunUntil(wEnd - 1)
+}
+
+// packet rebuilds m's packet, and its segment, from this shard's pools.
+func (st *shardState) packet(m *crossMsg) *packet.Packet {
+	pk := st.pkts.GetCopy(&m.pk)
+	if m.hasSeg {
+		seg := st.segs.Get()
+		blocks := seg.SACKBlocks[:0]
+		if m.nsack > 0 && cap(blocks) < len(m.sack) {
+			blocks = make([]tcp.SackBlock, 0, len(m.sack))
+		}
+		*seg = m.seg
+		seg.SACKBlocks = append(blocks, m.sack[:m.nsack]...)
+		pk.Seg = seg
+	}
+	return pk
 }
 
 // runShard is the per-shard goroutine: compile the subset, activate local
@@ -233,11 +280,14 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 		net:         net,
 		out:         make([][]crossMsg, r.plan.Shards),
 		inFns:       make(map[[2]int]func(any)),
+		pkts:        packet.NewPool(),
+		segs:        tcp.NewSegmentPool(),
 		received:    make([]int64, len(net.Pairs)),
 		doneAt:      make([]units.Time, len(net.Pairs)),
 		totals:      make([]int64, len(net.Pairs)),
 		retransmits: make([]int64, len(net.Pairs)),
 	}
+	st.pkts.ReleaseSeg = func(seg any) { st.segs.Put(seg.(*tcp.Segment)) }
 
 	// Boundary ports: for each cut-link direction, the sending shard hands
 	// packets off, the receiving shard registers the injection target. A
@@ -260,8 +310,6 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 			li, d, prop, shardIdx := li, uint8(d), le.Prop, s.idx
 			dstShard := owner[receivers[d]]
 			port.SetHandoff(func(pk *packet.Packet) {
-				cp := netem.ClonePacket(pk)
-				pk.Release()
 				if st.ledger != nil {
 					// The single engine would schedule the delivery here;
 					// account for it in this shard's atom so the injected
@@ -271,8 +319,10 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 				now := eng.Now()
 				st.out[dstShard] = append(st.out[dstShard], crossMsg{
 					link: li, dir: d, arrival: now + prop, ct: now,
-					srcShard: shardIdx, srcSeq: st.outSeq, pk: cp,
+					srcShard: shardIdx, srcSeq: st.outSeq,
 				})
+				st.out[dstShard][len(st.out[dstShard])-1].setPacket(pk)
+				pk.Release()
 				st.outSeq++
 			})
 		}

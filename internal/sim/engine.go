@@ -12,10 +12,12 @@
 //
 // The event queue is a hierarchical timing wheel (wheel.go) with O(1)
 // amortized schedule, cancel, and reschedule; its level 0 is about a
-// microsecond wide, so an event is filed about twice on the way to running
-// (Engine.Filed counts filings). A binary min-heap lives in the package
-// tests as its oracle: the two pop events in the identical total
-// (time, creation time, seq) order, which lockstep property tests pin.
+// microsecond wide and its current level-0 slot is the ready list, so an
+// event is filed about 1.3-1.4 times on the way to running (Engine.Filed
+// counts filings), and running it costs one scheduler pass (popDue). A
+// binary min-heap lives in the package tests as its oracle: the two pop
+// events in the identical total (time, creation time, seq) order, which
+// lockstep property tests pin.
 //
 // # Allocation discipline
 //
@@ -36,23 +38,27 @@ import (
 	"tengig/internal/units"
 )
 
-// event is a scheduled callback. Exactly one of do / fn is set while the
-// event is live; both nil marks a cancelled event awaiting recycling.
+// event is a scheduled callback, fn(arg). fn is set while the event is
+// live; nil marks a cancelled event awaiting recycling.
 type event struct {
 	at   units.Time
 	ct   units.Time // creation time: when the event was scheduled (see evLess)
 	seq  uint64     // tie-break: FIFO among events at the same (at, ct)
-	do   func()
-	fn   func(any) // closure-free form: fn(arg)
+	fn   func(any)
 	arg  any
-	idx  int    // scheduler position: wheel slot/idxReady (the test heap's array index); idxNone when out
+	idx  int    // scheduler position: wheel slot (the test heap's array index); idxNone when out
 	gen  uint64 // bumped on recycle so stale Timers cannot touch a reused event
 	next *event // free-list link while recycled; wheel list link while queued
 	prev *event // wheel list back link
 }
 
 // dead reports whether the event has been cancelled (or already consumed).
-func (ev *event) dead() bool { return ev.do == nil && ev.fn == nil }
+func (ev *event) dead() bool { return ev.fn == nil }
+
+// callFunc is the callback of a Schedule/After event: the closure rides in
+// arg. A func value is pointer-shaped, so storing it in an interface does
+// not allocate.
+func callFunc(arg any) { arg.(func())() }
 
 // Timer is a handle to a scheduled event that can be cancelled or
 // rescheduled. Timers are values: the zero value is an idle timer (Stop and
@@ -86,7 +92,7 @@ func (t *Timer) Stop() bool {
 	if eng == nil || ev == nil || ev.gen != t.gen || ev.dead() {
 		return false
 	}
-	ev.do, ev.fn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	eng.live--
 	if eng.ledger != nil {
 		eng.ledger.down()
@@ -147,10 +153,10 @@ type Engine struct {
 	// Executed counts events run; useful for progress assertions in tests.
 	Executed uint64
 	// Filed counts the scheduler's placements of events: every filing on
-	// a timing-wheel slot or on its ready list, including the re-filings
-	// of a cascade and the one a Reschedule makes. Filed/Executed is the
-	// queue's work per event. Like Executed it is reset by Reset, and it
-	// is not part of any telemetry export.
+	// a timing-wheel slot, including the re-filings of a cascade and the
+	// one a Reschedule makes. Filed/Executed is the queue's work per
+	// event. Like Executed it is reset by Reset, and it is not part of
+	// any telemetry export.
 	Filed uint64
 	// HighWater is the deepest the live-event population has been — a
 	// telemetry counter for spotting runs whose pending-event population
@@ -253,7 +259,7 @@ func (e *Engine) newEvent(at units.Time) *event {
 // peak-watermark population forever.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.do, ev.fn, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	ev.prev = nil
 	if e.freeN >= maxFreeEvents {
 		ev.next = nil
@@ -271,10 +277,7 @@ func (e *Engine) Schedule(at units.Time, do func()) Timer {
 	if do == nil {
 		panic("sim: scheduling nil closure")
 	}
-	ev := e.newEvent(at)
-	ev.do = do
-	e.sched.push(ev)
-	return Timer{eng: e, ev: ev, gen: ev.gen}
+	return e.ScheduleCall(at, callFunc, do)
 }
 
 // ScheduleCall runs fn(arg) at absolute simulated time at. It is the
@@ -401,29 +404,31 @@ func (e *Engine) peekLive(limit units.Time) *event {
 		if ev == nil || !ev.dead() {
 			return ev
 		}
-		e.sched.pop()
+		e.sched.popDue(limit)
 		e.recycle(ev)
 	}
 }
 
-// Step executes the single earliest event. It reports false if no live
-// events remain. Cancelled events encountered on the way are recycled
-// without counting as execution.
-func (e *Engine) Step() bool {
-	if e.maxEvents > 0 && e.Executed >= e.maxEvents {
-		e.budgetHit = true
-		return false
+// popLive removes and returns the earliest live event due at or before
+// limit, or nil: one scheduler pass per event. Dead (cancelled) events
+// encountered at the front are recycled on the way.
+func (e *Engine) popLive(limit units.Time) *event {
+	for {
+		ev := e.sched.popDue(limit)
+		if ev == nil || !ev.dead() {
+			return ev
+		}
+		e.recycle(ev)
 	}
-	ev := e.peekLive(maxTime)
-	if ev == nil {
-		return false
-	}
-	e.sched.pop()
+}
+
+// exec runs ev, which the scheduler has just released.
+func (e *Engine) exec(ev *event) {
 	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = ev.at
-	do, fn, arg := ev.do, ev.fn, ev.arg
+	fn, arg := ev.fn, ev.arg
 	e.live--
 	if e.ledger != nil {
 		e.ledger.beginAtom(ev.at, ev.ct)
@@ -433,11 +438,25 @@ func (e *Engine) Step() bool {
 	// reports false, and the callback may immediately re-arm.
 	e.recycle(ev)
 	e.Executed++
-	if do != nil {
-		do()
-	} else {
-		fn(arg)
+	fn(arg)
+}
+
+// budgetSpent reports whether LimitEvents' cap has been reached.
+func (e *Engine) budgetSpent() bool { return e.maxEvents > 0 && e.Executed >= e.maxEvents }
+
+// Step executes the single earliest event. It reports false if no live
+// events remain. Cancelled events encountered on the way are recycled
+// without counting as execution.
+func (e *Engine) Step() bool {
+	if e.budgetSpent() {
+		e.budgetHit = true
+		return false
 	}
+	ev := e.popLive(maxTime)
+	if ev == nil {
+		return false
+	}
+	e.exec(ev)
 	return true
 }
 
@@ -449,17 +468,28 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline (or until Stop), then
-// advances the clock to deadline if it is later than the last event.
+// advances the clock to deadline if it is later than the last event. When
+// the LimitEvents cap stops it short of an event due by deadline, it
+// returns with EventBudgetExceeded reporting true and the clock at the last
+// executed event, as after Stop.
 func (e *Engine) RunUntil(deadline units.Time) {
 	e.stopped = false
 	for !e.stopped {
-		// The bounded peek looks through cancelled events at the front so
-		// the deadline check sees the next live event — and, on the wheel,
-		// never cascades timers that sit beyond the deadline.
-		if e.peekLive(deadline) == nil {
+		if e.budgetSpent() {
+			if e.peekLive(deadline) != nil {
+				e.budgetHit = true
+				return
+			}
 			break
 		}
-		e.Step()
+		// The bounded pop looks through cancelled events at the front, so
+		// the deadline check sees the next live event — and, on the wheel,
+		// never cascades timers that sit beyond the deadline.
+		ev := e.popLive(deadline)
+		if ev == nil {
+			break
+		}
+		e.exec(ev)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline

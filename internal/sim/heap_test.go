@@ -45,6 +45,14 @@ func (h *heapSched) peek(limit units.Time) *event {
 	return h.pq[0]
 }
 
+// popDue is peek, then pop: the oracle keeps the two steps the wheel fuses.
+func (h *heapSched) popDue(limit units.Time) *event {
+	if h.peek(limit) == nil {
+		return nil
+	}
+	return h.pop()
+}
+
 // pop removes and returns the earliest event.
 func (h *heapSched) pop() *event {
 	pq := h.pq

@@ -127,7 +127,7 @@ func TestResetReleasesBacking(t *testing.T) {
 			e.After(units.Time(i)*units.Microsecond+1, func() {})
 		}
 		e.Reset(1)
-		if w.len() != 0 || w.rdHead != nil {
+		if w.len() != 0 || w.peek(maxTime) != nil {
 			t.Fatalf("wheel not empty after Reset: len=%d", w.len())
 		}
 		if w.cur != 0 {

@@ -44,13 +44,16 @@ type scheduler interface {
 	// otherwise (or when empty). peek may reorganize internal storage up
 	// to limit (the wheel advances and cascades), but must not advance
 	// past the earliest event and must never run callbacks. The wheel's
-	// storage is coarser than its clock: a bounded peek may drain a
-	// level-0 slot that straddles limit, leaving events due after limit
-	// on the ready list, where a later peek or pop still finds them in
-	// order.
+	// storage is coarser than its clock: a bounded peek may advance onto
+	// a level-0 slot that straddles limit, leaving events due after limit
+	// in the current slot, where a later peek or popDue still finds them
+	// in order.
 	peek(limit units.Time) *event
-	// pop removes and returns the earliest event, nil when empty.
-	pop() *event
+	// popDue removes and returns the earliest event if its time is <=
+	// limit, nil otherwise (or when empty). It may reorganize storage up
+	// to limit exactly as peek does; the engine calls it once per
+	// executed event.
+	popDue(limit units.Time) *event
 	// update re-keys ev after its (at, seq) changed in place (Reschedule).
 	update(ev *event)
 	// len reports how many events are held, including dead ones.

@@ -152,28 +152,34 @@ func appendSampleLine(dst, qconn []byte, s *Sample) []byte {
 	return append(dst, lineEnd...)
 }
 
+// eventInts lists an event's integer fields in export order.
+func eventInts(ev *Event) [len(eventKeys)]int64 {
+	return [...]int64{int64(ev.At), ev.Seq, int64(ev.Cwnd), int64(ev.Ssthresh), ev.Aux}
+}
+
 func appendEventLine(dst, qconn []byte, ev *Event) []byte {
 	dst = append(append(dst, eventHead...), qconn...)
 	dst = appendJSONString(append(dst, kindKey...), ev.Kind.String())
-	for i, v := range [...]int64{int64(ev.At), ev.Seq, int64(ev.Cwnd), int64(ev.Ssthresh), ev.Aux} {
+	for i, v := range eventInts(ev) {
 		dst = appendField(dst, eventKeys[i], v)
 	}
 	return append(dst, lineEnd...)
 }
 
 // Sizing. The widest an int64 prints is 20 bytes ("-9223372036854775808");
-// a state or kind name is a short identifier, given nameRoom bytes quoted.
-// The per-line bounds below exclude the quoted conn name, which
-// ExportJSONL adds per connection.
+// a CSV state name is a short identifier, given nameRoom bytes quoted. The
+// conn line is sized at that bound; sample and event lines are sized from
+// their connection's records (see connSize). The line bounds exclude the
+// quoted conn name, which ExportJSONL adds per connection.
 const (
 	maxIntLen = 20
 	nameRoom  = 24
 )
 
 var (
-	connLineMax   = keysLen(connHead, connKeys[:]) + len(connKeys)*maxIntLen
-	sampleLineMax = keysLen(sampleHead+stateKey, sampleKeys[:]) + len(sampleKeys)*maxIntLen + nameRoom
-	eventLineMax  = keysLen(eventHead+kindKey, eventKeys[:]) + len(eventKeys)*maxIntLen + nameRoom
+	connLineMax = keysLen(connHead, connKeys[:]) + len(connKeys)*maxIntLen
+	sampleFixed = keysLen(sampleHead+stateKey, sampleKeys[:])
+	eventFixed  = keysLen(eventHead+kindKey, eventKeys[:])
 )
 
 // keysLen is a line's fixed text: head, keys and the closing "}\n".
@@ -183,6 +189,75 @@ func keysLen(head string, keys []string) int {
 		n += len(k)
 	}
 	return n
+}
+
+// extent is the range one integer field spans over a run of records. It
+// starts at zero, which prints narrowest, so the wider print of its ends
+// bounds every value's.
+type extent struct{ lo, hi int64 }
+
+func (x *extent) add(v int64) {
+	if v < x.lo {
+		x.lo = v
+	} else if v > x.hi {
+		x.hi = v
+	}
+}
+
+func (x extent) width() int { return max(intLen(x.lo), intLen(x.hi)) }
+
+// intLen is the length of v in decimal, sign included.
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// connSize bounds r's conn, sample and event lines given the quoted conn
+// name's length q: each sample or event line is sized from the widest
+// value each of its fields, and its state or kind name, takes over r's
+// records. A name that needs escaping can outgrow its bound; append then
+// grows the buffer.
+func connSize(r *ConnRecorder, q int) int {
+	size := connLineMax + q
+	if len(r.samples) > 0 {
+		var x [len(sampleKeys)]extent
+		state := 0
+		for i := range r.samples {
+			s := &r.samples[i]
+			for f, v := range sampleInts(s) {
+				x[f].add(v)
+			}
+			state = max(state, len(s.State))
+		}
+		line := sampleFixed + q + state + 2
+		for _, f := range x {
+			line += f.width()
+		}
+		size += len(r.samples) * line
+	}
+	if len(r.events) > 0 {
+		var x [len(eventKeys)]extent
+		kind := 0
+		for i := range r.events {
+			ev := &r.events[i]
+			for f, v := range eventInts(ev) {
+				x[f].add(v)
+			}
+			kind = max(kind, len(ev.Kind.String()))
+		}
+		line := eventFixed + q + kind + 2
+		for _, f := range x {
+			line += f.width()
+		}
+		size += len(r.events) * line
+	}
+	return size
 }
 
 // ExportJSONL renders the bundle as JSON lines. Conn headers, samples and
@@ -210,10 +285,8 @@ func (b *Bundle) ExportJSONL() []byte {
 	for _, r := range b.Conns {
 		qconn = appendJSONString(qconn[:0], r.name)
 		q := len(qconn)
-		size += connLineMax + q + len(r.samples)*(sampleLineMax+q) + len(r.events)*(eventLineMax+q)
+		size += connSize(r, q)
 	}
-	// The size bounds the export unless a state or kind name outgrows
-	// nameRoom; append then grows the buffer.
 	buf := append(make([]byte, 0, size), head...)
 	for _, r := range b.Conns {
 		qconn = appendJSONString(qconn[:0], r.name)

@@ -183,6 +183,20 @@ func TestExportJSONLAllocsIndependentOfRecords(t *testing.T) {
 	}
 }
 
+// ExportJSONL sizes its buffer from each connection's widest values, so
+// the buffer it allocates stays close to the bytes it writes (a fixed
+// 20 bytes per integer allocated about 1.6 times the output).
+func TestExportJSONLCapacityBound(t *testing.T) {
+	const maxCapPerByte = 1.15
+	for _, scale := range []int{1, 10} {
+		out := SyntheticBundle(scale).ExportJSONL()
+		if r := float64(cap(out)) / float64(len(out)); r > maxCapPerByte {
+			t.Errorf("scale %d: ExportJSONL allocated %d bytes for %d written (%.2fx), want at most %.2fx",
+				scale, cap(out), len(out), r, maxCapPerByte)
+		}
+	}
+}
+
 func TestSummaryMentionsEssentials(t *testing.T) {
 	s := sampleBundle().Summary()
 	for _, want := range []string{
