@@ -48,11 +48,13 @@ type coord struct {
 	lastEnd   units.Time
 	horizon   units.Time
 	// pend holds undeliverable cross-shard messages per destination shard;
-	// inboxes holds the current window's sorted delivery batches. Both keep
-	// their backing arrays across windows, so steady-state routing does not
+	// inboxes holds the current window's sorted delivery batches, and order
+	// the pending indices of one batch while it is sorted. All keep their
+	// backing arrays across windows, so steady-state routing does not
 	// allocate.
 	pend    [][]crossMsg
 	inboxes [][]crossMsg
+	order   []int
 }
 
 func newCoord(r *Runner, t0 units.Time, remaining int) *coord {
@@ -68,7 +70,7 @@ func newCoord(r *Runner, t0 units.Time, remaining int) *coord {
 
 // absorb merges one shard's window products — its per-destination outbox
 // slots and completion count — into the coordinator state. Call in shard
-// index order; sortInbox later canonicalizes the order anyway.
+// index order; decide later canonicalizes the order anyway.
 func (c *coord) absorb(src int, out [][]crossMsg, completions int) {
 	c.remaining -= completions
 	for dst := range out {
@@ -135,19 +137,28 @@ func (c *coord) decide(work units.Time, any bool) action {
 	wStart := c.t0 + (work-c.t0)/c.L*c.L
 	wEnd := wStart + c.L
 	c.lastEnd = wEnd
-	for dst := range c.pend {
+	for dst, pend := range c.pend {
+		// A message is about 300 bytes: sort the deliverable ones' indices,
+		// then copy each message once into the inbox, in order.
+		order := c.order[:0]
+		for i := range pend {
+			if pend[i].arrival < wEnd {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(i, j int) int { return compareMsgs(&pend[i], &pend[j]) })
 		inbox := c.inboxes[dst][:0]
-		kept := c.pend[dst][:0]
-		for _, m := range c.pend[dst] {
-			if m.arrival < wEnd {
-				inbox = append(inbox, m)
-			} else {
-				kept = append(kept, m)
+		for _, i := range order {
+			inbox = append(inbox, pend[i])
+		}
+		c.inboxes[dst], c.order = inbox, order
+		kept := pend[:0]
+		for i := range pend {
+			if pend[i].arrival >= wEnd {
+				kept = append(kept, pend[i])
 			}
 		}
 		c.pend[dst] = kept
-		sortInbox(inbox)
-		c.inboxes[dst] = inbox
 	}
 	c.windows++
 	c.horizon = unitsMax
@@ -157,29 +168,27 @@ func (c *coord) decide(work units.Time, any bool) action {
 	return action{kind: actWindow, wEnd: wEnd, horizon: c.horizon}
 }
 
-// sortInbox orders one barrier delivery batch canonically: arrival and
+// compareMsgs orders one barrier delivery batch canonically: arrival and
 // sender-side creation time place each message on the (at, ct) grid every
 // engine shares; source shard and per-shard sequence reproduce creation
 // order among same-instant sends (shards own contiguous runs of the
 // declaration order, so this matches the single engine's creation order);
 // link and direction make the order total.
-func sortInbox(in []crossMsg) {
-	slices.SortFunc(in, func(a, b crossMsg) int {
-		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.ct, b.ct); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.srcShard, b.srcShard); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.srcSeq, b.srcSeq); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.link, b.link); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.dir, b.dir)
-	})
+func compareMsgs(a, b *crossMsg) int {
+	if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ct, b.ct); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcShard, b.srcShard); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcSeq, b.srcSeq); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.link, b.link); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.dir, b.dir)
 }

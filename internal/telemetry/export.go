@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -166,18 +167,12 @@ func appendEventLine(dst, qconn []byte, ev *Event) []byte {
 	return append(dst, lineEnd...)
 }
 
-// Sizing. The widest an int64 prints is 20 bytes ("-9223372036854775808");
-// a CSV state name is a short identifier, given nameRoom bytes quoted. The
-// conn line is sized at that bound; sample and event lines are sized from
-// their connection's records (see connSize). The line bounds exclude the
-// quoted conn name, which ExportJSONL adds per connection.
-const (
-	maxIntLen = 20
-	nameRoom  = 24
-)
-
+// Sizing. ExportJSONL and ExportCSV size their buffers to the byte: a
+// line's fixed text, plus its quoted strings as the encoder quotes them,
+// plus each integer's decimal width. The line lengths below exclude the
+// quoted conn name, which is added per connection.
 var (
-	connLineMax = keysLen(connHead, connKeys[:]) + len(connKeys)*maxIntLen
+	connFixed   = keysLen(connHead, connKeys[:])
 	sampleFixed = keysLen(sampleHead+stateKey, sampleKeys[:])
 	eventFixed  = keysLen(eventHead+kindKey, eventKeys[:])
 )
@@ -191,78 +186,82 @@ func keysLen(head string, keys []string) int {
 	return n
 }
 
-// extent is the range one integer field spans over a run of records. It
-// starts at zero, which prints narrowest, so the wider print of its ends
-// bounds every value's.
-type extent struct{ lo, hi int64 }
-
-func (x *extent) add(v int64) {
-	if v < x.lo {
-		x.lo = v
-	} else if v > x.hi {
-		x.hi = v
+// pow10[d] is 10^d, for every power of ten a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for d := 1; d < len(p); d++ {
+		p[d] = p[d-1] * 10
 	}
+	return p
+}()
+
+// intLen is the length of v in decimal, sign included, in constant time
+// and without a branch: a magnitude of b bits has b·log10(2) digits
+// rounded down, or one more (1233/4096 is log10(2) to four places), and
+// one comparison with a power of ten picks which. The magnitude is or-ed
+// with 1, which keeps its digit count (no power of ten past 1 is odd) and
+// gives zero its one digit.
+func intLen(v int64) int {
+	neg := uint64(v) >> 63
+	w := ((uint64(v) ^ -neg) + neg) | 1 // |v| | 1
+	d := bits.Len64(w) * 1233 >> 12
+	// w < 10^d exactly when w-10^d wraps: the two are within 2^63 of each
+	// other for every d a bit length picks.
+	return int(neg) + d + 1 - int((w-pow10[d])>>63)
 }
 
-func (x extent) width() int { return max(intLen(x.lo), intLen(x.hi)) }
-
-// intLen is the length of v in decimal, sign included.
-func intLen(v int64) int {
-	n, u := 1, uint64(v)
-	if v < 0 {
-		n, u = 2, -u
-	}
-	for ; u >= 10; u /= 10 {
-		n++
+// intsLen is the total decimal length of vs.
+func intsLen(vs []int64) int {
+	n := 0
+	for _, v := range vs {
+		n += intLen(v)
 	}
 	return n
 }
 
-// connSize bounds r's conn, sample and event lines given the quoted conn
-// name's length q: each sample or event line is sized from the widest
-// value each of its fields, and its state or kind name, takes over r's
-// records. A name that needs escaping can outgrow its bound; append then
-// grows the buffer.
-func connSize(r *ConnRecorder, q int) int {
-	size := connLineMax + q
-	if len(r.samples) > 0 {
-		var x [len(sampleKeys)]extent
-		state := 0
-		for i := range r.samples {
-			s := &r.samples[i]
-			for f, v := range sampleInts(s) {
-				x[f].add(v)
-			}
-			state = max(state, len(s.State))
-		}
-		line := sampleFixed + q + state + 2
-		for _, f := range x {
-			line += f.width()
-		}
-		size += len(r.samples) * line
+// quotedLen is the length of s as appendJSONString writes it.
+func quotedLen(s string) int {
+	var room [64]byte
+	return len(appendJSONString(room[:0], s))
+}
+
+// kindLen is each event kind's name as appendEventLine quotes it; the last
+// entry is the "unknown" every kind past the named ones prints as.
+var kindLen = func() (n [numEventKinds + 1]int) {
+	for k := range n {
+		n[k] = quotedLen(EventKind(k).String())
 	}
-	if len(r.events) > 0 {
-		var x [len(eventKeys)]extent
-		kind := 0
-		for i := range r.events {
-			ev := &r.events[i]
-			for f, v := range eventInts(ev) {
-				x[f].add(v)
-			}
-			kind = max(kind, len(ev.Kind.String()))
+	return n
+}()
+
+// connSize is the exact length of r's conn, sample and event lines given
+// the quoted conn name's length q. A connection's state changes a handful
+// of times, so each run of equal states is quoted once.
+func connSize(r *ConnRecorder, q int) int {
+	size := connFixed + q + intsLen([]int64{int64(r.samples.n), int64(r.events.n), r.droppedSamples, r.droppedEvents})
+	size += r.samples.n * (sampleFixed + q)
+	state, qstate := "", quotedLen("")
+	for i := 0; i < r.samples.n; i++ {
+		s := r.samples.at(i)
+		if s.State != state {
+			state, qstate = s.State, quotedLen(s.State)
 		}
-		line := eventFixed + q + kind + 2
-		for _, f := range x {
-			line += f.width()
-		}
-		size += len(r.events) * line
+		v := sampleInts(s)
+		size += qstate + intsLen(v[:])
+	}
+	size += r.events.n * (eventFixed + q)
+	for i := 0; i < r.events.n; i++ {
+		ev := r.events.at(i)
+		v := eventInts(ev)
+		size += kindLen[min(ev.Kind, numEventKinds)] + intsLen(v[:])
 	}
 	return size
 }
 
 // ExportJSONL renders the bundle as JSON lines. Conn headers, samples and
-// events are appended in place into one buffer sized up front, so the
-// export's allocations do not grow with its record count.
+// events are appended in place into one buffer sized to the byte up front,
+// so the export allocates each byte it writes once, and its allocations do
+// not grow with its record count.
 func (b *Bundle) ExportJSONL() []byte {
 	head := appendMetaLine(nil, b.Name, b.Seed)
 	tail := appendEngineLine(nil, b.Engine)
@@ -284,21 +283,17 @@ func (b *Bundle) ExportJSONL() []byte {
 	size := len(head) + len(tail)
 	for _, r := range b.Conns {
 		qconn = appendJSONString(qconn[:0], r.name)
-		q := len(qconn)
-		size += connSize(r, q)
+		size += connSize(r, len(qconn))
 	}
 	buf := append(make([]byte, 0, size), head...)
 	for _, r := range b.Conns {
 		qconn = appendJSONString(qconn[:0], r.name)
-		buf = appendConnLine(buf, qconn, len(r.samples), len(r.events), r.droppedSamples, r.droppedEvents)
-		for i := range r.samples {
-			buf = appendSampleLine(buf, qconn, &r.samples[i])
+		buf = appendConnLine(buf, qconn, r.samples.n, r.events.n, r.droppedSamples, r.droppedEvents)
+		for i := 0; i < r.samples.n; i++ {
+			buf = appendSampleLine(buf, qconn, r.samples.at(i))
 		}
-		// The event ring in time order: its older half, then its newer.
-		for _, half := range [2][]Event{r.events[r.evStart:], r.events[:r.evStart]} {
-			for i := range half {
-				buf = appendEventLine(buf, qconn, &half[i])
-			}
+		for i := 0; i < r.events.n; i++ {
+			buf = appendEventLine(buf, qconn, r.event(i))
 		}
 	}
 	return append(buf, tail...)
@@ -317,38 +312,48 @@ const csvHeader = "conn,at_ps,state,cwnd,ssthresh,srtt_ps,rttvar_ps,rto_ps," +
 	"snd_una,snd_nxt,inflight,peer_wnd,adv_wnd,persist_shift," +
 	"retrans,fast_retrans,timeouts,dup_acks\n"
 
-// csvRowMax bounds one CSV row less its conn field: the integers, the
-// state and a separator or newline after every field.
-const csvRowMax = len(sampleKeys)*(maxIntLen+1) + nameRoom + 2
+// csvSeps is one CSV row's separators: a comma after every field but the
+// last, and the newline.
+const csvSeps = len(sampleKeys) + 2
 
 // ExportCSV renders the sampled instrument series as one CSV table (all
-// connections, in registration order), deterministic like the JSONL. The
-// conn and state fields are quoted exactly as encoding/csv quotes them, so
-// a name with a comma, quote or newline stays one field, and one that
-// encoding/csv leaves bare keeps its bytes.
+// connections, in registration order), deterministic like the JSONL and
+// sized to the byte like it. The conn and state fields are quoted exactly
+// as encoding/csv quotes them, so a name with a comma, quote or newline
+// stays one field, and one that encoding/csv leaves bare keeps its bytes.
 func (b *Bundle) ExportCSV() []byte {
 	var field bytes.Buffer
 	w := csv.NewWriter(&field)
-	quote := func(s string) string {
+	// quote returns s as encoding/csv writes it, valid until its next call.
+	quote := func(s string) []byte {
 		field.Reset()
 		w.Write([]string{s}) // in memory: cannot fail
 		w.Flush()
-		return strings.TrimSuffix(field.String(), "\n")
+		return field.Bytes()[:field.Len()-1] // less the newline
 	}
 
+	// States change a handful of times per connection: each run of equal
+	// states is quoted once. The empty state quotes as itself.
 	conns := make([]string, len(b.Conns))
 	size := len(csvHeader)
 	for i, r := range b.Conns {
-		conns[i] = quote(r.name)
-		size += len(r.samples) * (len(conns[i]) + csvRowMax)
+		conns[i] = string(quote(r.name))
+		size += r.samples.n * (len(conns[i]) + csvSeps)
+		state, qstate := "", 0
+		for j := 0; j < r.samples.n; j++ {
+			s := r.samples.at(j)
+			if s.State != state {
+				state, qstate = s.State, len(quote(s.State))
+			}
+			v := sampleInts(s)
+			size += qstate + intsLen(v[:])
+		}
 	}
 	buf := append(make([]byte, 0, size), csvHeader...)
 	for i, r := range b.Conns {
-		// States change a handful of times per connection: quote each run
-		// once. The empty state quotes as itself.
-		state, qstate := "", ""
-		for j := range r.samples {
-			s := &r.samples[j]
+		state, qstate := "", []byte(nil)
+		for j := 0; j < r.samples.n; j++ {
+			s := r.samples.at(j)
 			if s.State != state {
 				state, qstate = s.State, quote(s.State)
 			}
@@ -358,7 +363,7 @@ func (b *Bundle) ExportCSV() []byte {
 	return buf
 }
 
-func appendCSVRow(dst []byte, conn, state string, s *Sample) []byte {
+func appendCSVRow(dst []byte, conn string, state []byte, s *Sample) []byte {
 	v := sampleInts(s)
 	dst = strconv.AppendInt(append(append(dst, conn...), ','), v[0], 10)
 	dst = append(append(dst, ','), state...)
@@ -454,8 +459,8 @@ func (b *Bundle) parseRecord(typ string, line []byte) error {
 		e.Event.Kind = KindFromString(e.Kind)
 		r := b.Conn(e.Conn)
 		r.kindCounts[e.Event.Kind]++
-		if len(r.events) < r.maxEvents {
-			r.events = append(r.events, e.Event)
+		if r.events.n < r.maxEvents {
+			*r.events.push() = e.Event
 		}
 	case "engine":
 		var g engineLine
@@ -493,11 +498,10 @@ func (b *Bundle) Summary() string {
 	fmt.Fprintf(&sb, "telemetry: bundle %s (seed %d)\n", b.Name, b.Seed)
 	for _, r := range b.Conns {
 		ds, de := r.Dropped()
-		samples := r.Samples()
 		fmt.Fprintf(&sb, "  conn %-16s %d samples, %d events retained (dropped %d/%d)\n",
-			r.Name(), len(samples), len(r.Events()), ds, de)
-		if len(samples) > 0 {
-			last := samples[len(samples)-1]
+			r.Name(), r.samples.n, r.events.n, ds, de)
+		if r.samples.n > 0 {
+			last := r.samples.at(r.samples.n - 1)
 			cw := r.cwndAgg
 			fmt.Fprintf(&sb, "    cwnd      min %.0f max %.0f mean %.1f (last %d), ssthresh last %d\n",
 				cw.Min(), cw.Max(), cw.Mean(), last.Cwnd, last.Ssthresh)
@@ -549,12 +553,14 @@ func (b *Bundle) Summary() string {
 	return sb.String()
 }
 
-// FirstEvent returns the earliest retained event of kind, or nil.
+// FirstEvent returns a copy of the earliest retained event of kind, or nil.
 func (r *ConnRecorder) FirstEvent(k EventKind) *Event {
-	evs := r.Events()
-	for i := range evs {
-		if evs[i].Kind == k {
-			return &evs[i]
+	if r == nil {
+		return nil
+	}
+	for i := 0; i < r.events.n; i++ {
+		if ev := *r.event(i); ev.Kind == k {
+			return &ev
 		}
 	}
 	return nil
@@ -562,10 +568,13 @@ func (r *ConnRecorder) FirstEvent(k EventKind) *Event {
 
 // SamplesBetween returns the samples with from <= At < to.
 func (r *ConnRecorder) SamplesBetween(from, to units.Time) []Sample {
+	if r == nil {
+		return nil
+	}
 	var out []Sample
-	for _, s := range r.Samples() {
-		if s.At >= from && s.At < to {
-			out = append(out, s)
+	for i := 0; i < r.samples.n; i++ {
+		if s := r.samples.at(i); s.At >= from && s.At < to {
+			out = append(out, *s)
 		}
 	}
 	return out

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"tengig/internal/units"
 )
 
 func sampleBundle() *Bundle {
@@ -183,16 +187,65 @@ func TestExportJSONLAllocsIndependentOfRecords(t *testing.T) {
 	}
 }
 
-// ExportJSONL sizes its buffer from each connection's widest values, so
-// the buffer it allocates stays close to the bytes it writes (a fixed
-// 20 bytes per integer allocated about 1.6 times the output).
+// awkwardBundle has conn, state and kind names that need escaping in JSON
+// and quoting in CSV, one name longer than quotedLen's stack room, and a
+// wrapped event ring.
+func awkwardBundle() *Bundle {
+	b := NewBundle("awk<ward>", -7, Options{MaxEvents: 5})
+	long := strings.Repeat("é\"<&>", 20)
+	for c, name := range []string{"snd,x/flow1", `a"b/flow2`, "c\nd<&>/flow3", "\u2028\xff/flow4", long} {
+		r := b.Conn(name)
+		for i, state := range []string{"", "established", "fin,sent", ` lead"<q>`, long, "established"} {
+			r.RecordSample(Sample{At: units.Time(100 * i), State: state, Cwnd: -i, Ssthresh: math.MaxInt64,
+				SndUna: math.MinInt64, SndNxt: int64(c) * 1e18, RTO: units.Time(9_999_999_999)})
+		}
+		for i := 0; i < 7; i++ {
+			r.RecordEvent(units.Time(i), EventKind(i*3%int(numEventKinds+3)), -int64(i)*1e17, i, -1, 99)
+		}
+	}
+	return b
+}
+
+// Both exports size their buffer to the byte: the capacity they allocate
+// is the length they write.
 func TestExportJSONLCapacityBound(t *testing.T) {
-	const maxCapPerByte = 1.15
-	for _, scale := range []int{1, 10} {
-		out := SyntheticBundle(scale).ExportJSONL()
-		if r := float64(cap(out)) / float64(len(out)); r > maxCapPerByte {
-			t.Errorf("scale %d: ExportJSONL allocated %d bytes for %d written (%.2fx), want at most %.2fx",
-				scale, cap(out), len(out), r, maxCapPerByte)
+	for _, c := range []struct {
+		name string
+		b    *Bundle
+	}{
+		{"synthetic-1", SyntheticBundle(1)},
+		{"synthetic-10", SyntheticBundle(10)},
+		{"awkward", awkwardBundle()},
+		{"empty", NewBundle("", 0, Options{})},
+	} {
+		for _, e := range []struct {
+			format string
+			out    []byte
+		}{{"JSONL", c.b.ExportJSONL()}, {"CSV", c.b.ExportCSV()}} {
+			if cap(e.out) != len(e.out) {
+				t.Errorf("%s: Export%s allocated %d bytes for %d written, want equal",
+					c.name, e.format, cap(e.out), len(e.out))
+			}
+		}
+	}
+}
+
+// intLen agrees with strconv on every power of two and of ten, one either
+// side, and both signs.
+func TestIntLen(t *testing.T) {
+	vs := []int64{math.MinInt64, math.MaxInt64}
+	for p := int64(1); p > 0 && p <= math.MaxInt64/10*10; p *= 10 {
+		vs = append(vs, p-1, p, p+1)
+	}
+	for b := 0; b < 63; b++ {
+		p := int64(1) << b
+		vs = append(vs, p-1, p, p+1)
+	}
+	for _, v := range vs {
+		for _, v := range []int64{v, -v} {
+			if got, want := intLen(v), len(strconv.FormatInt(v, 10)); got != want {
+				t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+			}
 		}
 	}
 }

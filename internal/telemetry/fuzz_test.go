@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 
 	"tengig/internal/units"
@@ -30,7 +31,8 @@ func FuzzParseJSONL(f *testing.F) {
 
 // FuzzJSONLLines is a differential check of the hand-written encoder: for
 // any conn name, state, kind and integers, each line it appends equals
-// json.Marshal of the line struct ParseJSONL decodes, plus a newline.
+// json.Marshal of the line struct ParseJSONL decodes, plus a newline, and
+// the integers' decimal widths, which size the export, equal strconv's.
 func FuzzJSONLLines(f *testing.F) {
 	for _, s := range []string{"send/flow1", "<", ">", "&", "\u2028", "\u2029", "\xff",
 		"\b", "\f", "\x00", `"`, `\`, "", "a,b\nc", "é"} {
@@ -39,6 +41,11 @@ func FuzzJSONLLines(f *testing.F) {
 	}
 	f.Add("c", "s", uint8(numEventKinds), int64(0), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, conn, state string, kind uint8, x, y int64) {
+		for _, v := range [...]int64{x, y} {
+			if got, want := intLen(v), len(strconv.FormatInt(v, 10)); got != want {
+				t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+			}
+		}
 		q := appendJSONString(nil, conn)
 		check := func(what string, got []byte, v any) {
 			want, err := json.Marshal(v)

@@ -178,11 +178,12 @@ func (o Options) maxEvents() int {
 type ConnRecorder struct {
 	name string
 
-	samples        []Sample
+	samples        series[Sample]
 	maxSamples     int
 	droppedSamples int64
 
-	events        []Event // ring once len == maxEvents
+	// events is a ring once it holds maxEvents: the oldest is at evStart.
+	events        series[Event]
 	evStart       int
 	maxEvents     int
 	droppedEvents int64
@@ -224,11 +225,11 @@ func (r *ConnRecorder) RecordSample(s Sample) {
 	if s.SRTT > 0 {
 		r.srttAgg.Add(s.SRTT.Micros())
 	}
-	if len(r.samples) >= r.maxSamples {
+	if r.samples.n >= r.maxSamples {
 		r.droppedSamples++
 		return
 	}
-	r.samples = append(r.samples, s)
+	*r.samples.push() = s
 }
 
 // RecordEvent appends one discrete event to the bounded ring (oldest
@@ -240,35 +241,48 @@ func (r *ConnRecorder) RecordEvent(at units.Time, kind EventKind, seq int64, cwn
 	if int(kind) < len(r.kindCounts) {
 		r.kindCounts[kind]++
 	}
-	ev := Event{At: at, Kind: kind, Seq: seq, Cwnd: cwnd, Ssthresh: ssthresh, Aux: aux}
-	if len(r.events) < r.maxEvents {
-		r.events = append(r.events, ev)
-		return
+	var ev *Event
+	if r.events.n < r.maxEvents {
+		ev = r.events.push()
+	} else {
+		ev = r.events.at(r.evStart)
+		if r.evStart++; r.evStart == r.maxEvents {
+			r.evStart = 0
+		}
+		r.droppedEvents++
 	}
-	r.events[r.evStart] = ev
-	r.evStart = (r.evStart + 1) % r.maxEvents
-	r.droppedEvents++
+	*ev = Event{At: at, Kind: kind, Seq: seq, Cwnd: cwnd, Ssthresh: ssthresh, Aux: aux}
 }
 
-// Samples returns the recorded time series in time order.
+// event returns the i-th retained event in time order, unwinding the ring.
+func (r *ConnRecorder) event(i int) *Event {
+	if i += r.evStart; i >= r.events.n {
+		i -= r.events.n
+	}
+	return r.events.at(i)
+}
+
+// Samples returns a copy of the recorded time series in time order.
 func (r *ConnRecorder) Samples() []Sample {
-	if r == nil {
+	if r == nil || r.samples.n == 0 {
 		return nil
 	}
-	return r.samples
+	out := make([]Sample, r.samples.n)
+	for i := range out {
+		out[i] = *r.samples.at(i)
+	}
+	return out
 }
 
-// Events returns the retained events in time order (unwinding the ring).
+// Events returns a copy of the retained events in time order.
 func (r *ConnRecorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.events.n == 0 {
 		return nil
 	}
-	if r.evStart == 0 {
-		return r.events
+	out := make([]Event, r.events.n)
+	for i := range out {
+		out[i] = *r.event(i)
 	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.evStart:]...)
-	out = append(out, r.events[:r.evStart]...)
 	return out
 }
 

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"tengig/internal/units"
 )
@@ -45,28 +48,86 @@ func TestRecorderSampleBounds(t *testing.T) {
 }
 
 func TestRecorderEventRing(t *testing.T) {
-	b := NewBundle("t", 1, Options{MaxEvents: 4})
-	r := b.Conn("c")
-	for i := 0; i < 7; i++ {
-		r.RecordEvent(units.Time(i), EventRTO, int64(i), 0, 0, 0)
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	// Ring keeps the newest, in time order.
-	for i, ev := range evs {
-		if want := units.Time(3 + i); ev.At != want {
-			t.Fatalf("event %d at %v, want %v", i, ev.At, want)
+	for _, c := range []struct{ maxEvents, total int }{
+		{4, 7},
+		// Not a multiple of blockLen, and wrapped until the oldest
+		// retained event sits in the second block.
+		{3*blockLen + 37, 4*blockLen + 87},
+	} {
+		b := NewBundle("t", 1, Options{MaxEvents: c.maxEvents})
+		r := b.Conn("c")
+		for i := 0; i < c.total; i++ {
+			r.RecordEvent(units.Time(i), EventRTO, int64(i), 0, 0, 0)
+		}
+		parsed, err := ParseJSONL(b.ExportJSONL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, evs := range map[string][]Event{"Events": r.Events(), "export": parsed.Lookup("c").Events()} {
+			if len(evs) != c.maxEvents {
+				t.Fatalf("%s: retained %d events, want %d", what, len(evs), c.maxEvents)
+			}
+			// Ring keeps the newest, in time order.
+			for i, ev := range evs {
+				if want := units.Time(c.total - c.maxEvents + i); ev.At != want {
+					t.Fatalf("%s: event %d at %v, want %v", what, i, ev.At, want)
+				}
+			}
+		}
+		if _, de := r.Dropped(); de != int64(c.total-c.maxEvents) {
+			t.Fatalf("droppedEvents = %d, want %d", de, c.total-c.maxEvents)
+		}
+		// Per-kind totals include evicted events.
+		if n := r.KindCount(EventRTO); n != int64(c.total) {
+			t.Fatalf("KindCount = %d, want %d", n, c.total)
 		}
 	}
-	if _, de := r.Dropped(); de != 3 {
-		t.Fatalf("droppedEvents = %d, want 3", de)
+}
+
+// Recording holds only its records. n samples and n events allocate the
+// records rounded up to whole blocks (every block after the first is
+// allocated whole), one more block per series for the first block's
+// doubling (1+2+…+blockLen/2 records), and recordSlack for the two block
+// lists (6 KB each here) and the recorder. A block costs what the
+// allocator charges for it: an event block is exactly a size class, and a
+// sample block, which holds the state strings, carries an 8-byte header
+// into the next class up. Kept in one doubling slice per series, the same
+// records allocated about four times their size.
+func TestRecordingAllocatesItsRecords(t *testing.T) {
+	const n = 10_000
+	const recordSlack = 24 << 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	blocks := uint64((n+blockLen-1)/blockLen + 1)
+	limit := blocks*(allocated(func() { sampleBlock = make([]Sample, blockLen) })+
+		allocated(func() { eventBlock = make([]Event, blockLen) })) + recordSlack
+
+	got := allocated(func() {
+		r := NewBundle("mem", 1, Options{}).Conn("c")
+		for i := 0; i < n; i++ {
+			r.RecordSample(Sample{At: units.Time(i), State: "established", Cwnd: i})
+			r.RecordEvent(units.Time(i), EventSWSClamp, int64(i), i, i, int64(i))
+		}
+	})
+	if got > limit {
+		records := n * (unsafe.Sizeof(Sample{}) + unsafe.Sizeof(Event{}))
+		t.Errorf("recording %d samples and %d events allocated %d bytes, want at most %d (the records are %d)",
+			n, n, got, limit, records)
 	}
-	// Per-kind totals include evicted events.
-	if n := r.KindCount(EventRTO); n != 7 {
-		t.Fatalf("KindCount = %d, want 7", n)
-	}
+}
+
+// One block of each record type, kept on the heap while it is measured.
+var (
+	sampleBlock []Sample
+	eventBlock  []Event
+)
+
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestFirstEventAndSamplesBetween(t *testing.T) {
