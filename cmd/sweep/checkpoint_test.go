@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,8 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"tengig/internal/bench"
 )
 
 // metricsBlock extracts the "== campaign fleet metrics ==" report from a
@@ -26,23 +23,16 @@ func metricsBlock(t *testing.T, out string) string {
 
 // normalizedBench reads a BENCH_sweep.json and zeroes every wall-clock field
 // (the only nondeterministic content), leaving the simulated results.
-func normalizedBench(t *testing.T, dir string) *bench.SweepFile {
+func normalizedBench(t *testing.T, dir string) *sweepFile {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_sweep.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sf bench.SweepFile
-	if err := json.Unmarshal(data, &sf); err != nil {
-		t.Fatal(err)
-	}
+	sf := readSweepFile(t, filepath.Join(dir, "BENCH_sweep.json"))
 	for i := range sf.Sweeps {
 		sf.Sweeps[i].WallMS = 0
 		for j := range sf.Sweeps[i].Points {
 			sf.Sweeps[i].Points[j].WallMS = 0
 		}
 	}
-	return &sf
+	return sf
 }
 
 // TestCheckpointResumeExitCodes is the end-to-end acceptance proof for

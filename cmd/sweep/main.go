@@ -38,10 +38,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
+	"runtime"
 	"time"
 
-	"tengig/internal/bench"
 	"tengig/internal/core"
 	"tengig/internal/host"
 	"tengig/internal/paper"
@@ -68,24 +67,20 @@ var (
 	replay   = flag.String("replay", "", "replay a crash-bundle JSON written by a contained sweep/chaos failure and report whether it reproduces")
 	topoFile = flag.String("topology", "", "compile a declarative topology file (JSON), run its flows, and report per-flow goodput and switch counters")
 	shardsF  = flag.Int("shards", 0, "run -topology under the conservative parallel-DES runner with N sharded engines (0 = sequential; output is byte-identical either way)")
-	pdesOut  = flag.String("pdes-bench", "", "measure the parallel runner's wall-clock scaling (shards 1/2/4) over the benchmark topology and write BENCH_pdes.json-shaped output to this path")
+	pdesOut  = flag.String("pdes-bench", "", "measure the parallel runner's wall-clock scaling (shards 1/2/4) over the benchmark topology, write BENCH_pdes.json-shaped output to this path, and exit 1 if the speedup at 4 shards misses its floor (hosts with >= 4 CPUs)")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	metricsF = flag.Bool("metrics", false, "aggregate fleet-level metrics (FCT percentiles, Jain's fairness, per-class goodput) across every run and print the report")
 	progress = flag.Bool("progress", false, "print a live progress line (points completed / ETA) to stderr while sweeps run")
-	baseline = flag.String("baseline", "", "comma-separated BENCH_*.json baselines to compare this run against (sweep files check simulated Gb/s; kernel files re-measure allocs/op in-process; pdes files re-measure the sharded speedup)")
-	gateF    = flag.Bool("gate", false, "exit non-zero when a -baseline comparison finds a regression past -gate-threshold")
-	gateThr  = flag.Float64("gate-threshold", 0.02, "relative throughput loss that counts as a sweep regression (0.02 = 2%)")
 	ckptPath = flag.String("checkpoint", "", "journal every completed sweep point into this JSONL file; a killed campaign restarts from the journal with -resume")
 	resumeF  = flag.Bool("resume", false, "resume the -checkpoint journal: restore completed points instead of re-simulating them (refused if the journal was written by a different campaign configuration)")
 	limitEvF = flag.Uint64("limit-events", 0, "abort any sweep point that exceeds this simulated-event budget (0 = unlimited); used to rehearse mid-campaign kills")
 	skipF    = flag.Bool("skip-failures", false, "contain per-point failures instead of aborting the run; failed points are reported at exit with code 3")
-	retriesF = flag.Int("retries", 0, "with -skip-failures, re-run a failing point up to N extra times (capped exponential backoff between attempts) before its failure stands")
 	crashDir = flag.String("crashdir", "", "with -skip-failures, write a replayable crash-bundle JSON here for every contained panic")
 )
 
 // workers returns the experiment-level worker count from the flags:
-// serial unless -parallel is set.
+// serial unless -parallel is set, then -workers or one per CPU.
 func workers() int {
 	if !*parallel {
 		return 1
@@ -93,7 +88,7 @@ func workers() int {
 	if *nworkers > 0 {
 		return *nworkers
 	}
-	return -1 // one per CPU
+	return runtime.GOMAXPROCS(0)
 }
 
 func main() {
@@ -114,6 +109,9 @@ func main() {
 		return
 	}
 	if *topoFile != "" {
+		if *shardsF < 0 {
+			log.Fatalf("sweep: -shards %d must not be negative", *shardsF)
+		}
 		if *shardsF > 0 {
 			runTopologySharded(*topoFile, *shardsF)
 		} else {
@@ -135,8 +133,7 @@ func main() {
 		paper.PrintClaims(os.Stdout, e.ID, measured)
 		ran = true
 	}
-	// A pure gate run (kernel/pdes baselines) needs no figure selection.
-	if !ran && *baseline == "" {
+	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -146,14 +143,11 @@ func main() {
 	if *jsonOut {
 		writeBench()
 	}
-	if *baseline != "" {
-		runGate()
-	}
 	// Satellite of -skip-failures: contained failures must not masquerade as
-	// a clean campaign. Everything above (figures, BENCH, metrics, baselines)
-	// has been written; now surface the swallowed points with a distinct exit
-	// code so CI and scripts can tell "partial campaign" (3) apart from a
-	// regression-gate failure (1) or a usage error (2).
+	// a clean campaign. Everything above (figures, BENCH, metrics) has been
+	// written; now surface the swallowed points with a distinct exit code so
+	// CI and scripts can tell "partial campaign" (3) apart from a failed run
+	// (1) or a usage error (2).
 	if len(skippedFailures) > 0 {
 		fmt.Printf("partial campaign: %d point(s) failed and were skipped:\n", len(skippedFailures))
 		for _, s := range skippedFailures {
@@ -208,47 +202,6 @@ func openCampaignCheckpoint() {
 	if *resumeF && cp.Len() > 0 {
 		fmt.Printf("checkpoint: restored %d completed point(s) from %s\n", cp.Len(), *ckptPath)
 	}
-}
-
-// runGate compares this run against each -baseline file and, with -gate,
-// fails the process on any regression past the threshold.
-func runGate() {
-	failed := false
-	for _, path := range strings.Split(*baseline, ",") {
-		f, err := bench.Load(strings.TrimSpace(path))
-		if err != nil {
-			log.Fatalf("baseline: %v", err)
-		}
-		var rep *bench.Report
-		switch f.Kind {
-		case bench.KindSweep:
-			rep = bench.CompareSweeps(f.Sweeps, currentSweepFile(), *gateThr)
-		case bench.KindKernel:
-			rep = bench.CompareKernel(f.Kernel)
-		case bench.KindPDES:
-			rep = bench.ComparePDES(f.PDES)
-		}
-		fmt.Printf("baseline %s (%s): %d measurements compared, %d regressions\n",
-			f.Path, f.Kind, rep.Compared, len(rep.Regressions))
-		for _, s := range rep.Skipped {
-			fmt.Printf("  skipped    %s\n", s)
-		}
-		for _, r := range rep.Regressions {
-			fmt.Printf("  REGRESSION %s\n", r)
-		}
-		if rep.Failed() {
-			failed = true
-		}
-	}
-	if !failed {
-		fmt.Println("regression gate: all baselines hold")
-		return
-	}
-	if *gateF {
-		fmt.Println("regression gate: FAILED")
-		os.Exit(1)
-	}
-	fmt.Println("regression gate: regressions found (advisory; pass -gate to enforce)")
 }
 
 // runChaos soaks the simulator in n randomized fault campaigns — scripted
@@ -384,29 +337,61 @@ func replayBundle(path string) {
 	}
 }
 
+// sweepFile is BENCH_sweep.json: every figure sweep of a run, with the
+// meta that makes the file self-describing across changes.
+type sweepFile struct {
+	Meta   *sweepMeta   `json:"meta,omitempty"`
+	Sweeps []benchSweep `json:"sweeps"`
+}
+
+// sweepMeta records what produced a BENCH_sweep.json: the seed, the
+// resolution and the worker count the run used. Files written while the
+// scheduler was selectable also carry a "scheduler" key; decoding ignores
+// it.
+type sweepMeta struct {
+	Seed    int64 `json:"seed,omitempty"`
+	Count   int   `json:"count,omitempty"`
+	Full    bool  `json:"full,omitempty"`
+	Workers int   `json:"workers,omitempty"`
+}
+
+// benchSweep is one figure sweep in BENCH_sweep.json. Its wall-clock
+// fields live only here and in the human summary, never in the telemetry
+// exports, which must be byte-deterministic.
+type benchSweep struct {
+	Figure string `json:"figure"`
+	Label  string `json:"label"`
+	// Profile names the host platform the sweep ran on.
+	Profile     string       `json:"profile,omitempty"`
+	Points      []benchPoint `json:"points"`
+	PeakPayload int          `json:"peak_payload"`
+	PeakGbps    float64      `json:"peak_gbps"`
+	WallMS      float64      `json:"wall_ms"`
+}
+
+// benchPoint is one payload's measurement in a benchSweep.
+type benchPoint struct {
+	Payload int     `json:"payload"`
+	Gbps    float64 `json:"gbps"`
+	WallMS  float64 `json:"wall_ms"`
+}
+
 // benchFigure labels the figure/experiment currently running, so each
 // sweep it performs lands in BENCH_sweep.json under the right id.
 var benchFigure string
 
-// benchSweeps accumulates the run's machine-readable sweep summaries
-// (bench.Sweep — wall-clock fields live only there and in the human
-// summary, never in the telemetry exports, which must be
-// byte-deterministic). Recorded for -json and whenever a -baseline
-// comparison will need them.
-var benchSweeps []bench.Sweep
-
-// benchRecording reports whether sweeps should record bench summaries.
-func benchRecording() bool { return *jsonOut || *baseline != "" }
+// benchSweeps accumulates the run's figure sweeps for -json.
+var benchSweeps []benchSweep
 
 func recordBench(res *core.SweepResult, p host.Profile, wall time.Duration) {
-	b := bench.Sweep{
+	b := benchSweep{
 		Figure:  benchFigure,
 		Label:   res.Label,
 		Profile: string(p),
 		WallMS:  float64(wall.Microseconds()) / 1e3,
 	}
 	for _, pt := range res.Points {
-		b.Points = append(b.Points, bench.SweepPoint{
+		b.Points = append(b.Points, benchPoint{
 			Payload: pt.Payload,
 			Gbps:    pt.Throughput.Gbps(),
 			WallMS:  float64(pt.Wall.Microseconds()) / 1e3,
@@ -418,17 +403,14 @@ func recordBench(res *core.SweepResult, p host.Profile, wall time.Duration) {
 	benchSweeps = append(benchSweeps, b)
 }
 
-// currentSweepFile assembles this run's sweeps plus the metadata that makes
-// the file self-describing across changes: seed, resolution, and the
-// topology file when one drove the run.
-func currentSweepFile() *bench.SweepFile {
-	return &bench.SweepFile{
-		Meta: &bench.Meta{
-			Seed:     *seed,
-			Count:    settings().Count(),
-			Full:     *full,
-			Workers:  *nworkers,
-			Topology: *topoFile,
+// currentSweepFile assembles this run's sweeps and meta.
+func currentSweepFile() *sweepFile {
+	return &sweepFile{
+		Meta: &sweepMeta{
+			Seed:    *seed,
+			Count:   settings().Count(),
+			Full:    *full,
+			Workers: workers(),
 		},
 		Sweeps: benchSweeps,
 	}
@@ -467,7 +449,6 @@ func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
 	cfg.Checkpoint = campaignCheckpoint
 	cfg.EventBudget = *limitEvF
 	cfg.SkipFailures = *skipF
-	cfg.Retries = *retriesF
 	cfg.CrashDir = *crashDir
 	if *telemDir != "" {
 		cfg.Telemetry = telemetry.Options{Enabled: true}
@@ -500,7 +481,7 @@ func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
 			}
 		}
 	}
-	if benchRecording() {
+	if *jsonOut {
 		recordBench(res, cfg.Profile, wall)
 	}
 	if *metricsF {

@@ -55,9 +55,6 @@ type ChaosConfig struct {
 	Seed      int64
 	Campaigns int
 	Workers   int
-	// Retries per failing campaign (deterministic sims normally fail
-	// deterministically; retries exist to exercise the containment path).
-	Retries int
 }
 
 // ChaosReport aggregates a soak run.
@@ -229,7 +226,6 @@ func RunChaos(c ChaosConfig) (*ChaosReport, error) {
 	results, _, errs := runner.Map(specs, runner.Options[*sim.Engine]{
 		Workers:  NormalizeWorkers(c.Workers),
 		NewState: newWorkerEngine,
-		Retry:    runner.Retry{Max: c.Retries},
 	}, func(eng *sim.Engine, _ int, spec CampaignSpec) (CampaignResult, error) {
 		return RunCampaignOn(eng, spec), nil
 	})

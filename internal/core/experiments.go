@@ -45,9 +45,6 @@ type SweepConfig struct {
 	// point is recorded on its Point (and excluded from the series) instead
 	// of aborting the sweep, so one bad point never kills the run.
 	SkipFailures bool
-	// Retries re-runs a failing point up to this many extra times before
-	// its failure stands (SkipFailures mode only).
-	Retries int
 	// CrashDir, when set, writes a replayable crash-bundle JSON for every
 	// point whose failure was a contained panic (SkipFailures mode only).
 	CrashDir string
@@ -201,15 +198,11 @@ func (c SweepConfig) Run() (*SweepResult, error) {
 		}
 		return pt, nil
 	}
-	opt := runner.Options[*sim.Engine]{
+	pts, walls, errs := runner.Map(c.Payloads, runner.Options[*sim.Engine]{
 		Workers:  NormalizeWorkers(c.Workers),
 		NewState: newWorkerEngine,
 		Progress: c.Progress,
-	}
-	if c.SkipFailures {
-		opt.Retry.Max = c.Retries
-	}
-	pts, walls, errs := runner.Map(c.Payloads, opt, runPoint)
+	}, runPoint)
 	if err := runner.FirstErr(errs); err != nil && !c.SkipFailures {
 		return nil, err
 	}

@@ -29,16 +29,9 @@ type PanicError struct {
 	Label string // the run's label (Map uses the item's %v form)
 	Value any    // the value passed to panic()
 	Stack []byte // goroutine stack at the recover point
-	// Attempt is the 1-based attempt that produced this panic. A final
-	// error with Attempt > 1 means retries were spent before it stood.
-	Attempt int
 }
 
 func (e *PanicError) Error() string {
-	if e.Attempt > 1 {
-		return fmt.Sprintf("runner: run %d (%s) panicked on attempt %d: %v\n%s",
-			e.Index, e.Label, e.Attempt, e.Value, e.Stack)
-	}
 	return fmt.Sprintf("runner: run %d (%s) panicked: %v\n%s",
 		e.Index, e.Label, e.Value, e.Stack)
 }
@@ -57,79 +50,20 @@ type Options[S any] struct {
 	// by reseeding); the runner only guarantees each state is confined to
 	// one worker goroutine. Nil means the zero S.
 	NewState func(worker int) S
-	// Retry re-runs a failing item; the zero value runs each item once.
-	Retry Retry
-	// Progress, if set, is called once per item after its final attempt
-	// with the count finished so far and the total. Calls are serialized
-	// but may arrive out of input order when Workers > 1 — the hook drives
+	// Progress, if set, is called once per item after it finishes, with
+	// the count finished so far and the total. Calls are serialized but
+	// may arrive out of input order when Workers > 1 — the hook drives
 	// live status lines, not result handling, which happens on the
 	// index-aligned return values.
 	Progress func(done, total int)
 }
 
-// Retry configures Map's failure handling: up to Max extra attempts per
-// item, each preceded by a capped exponential backoff with deterministic
-// jitter — a transient failure (resource pressure, a racing external
-// dependency) gets breathing room to clear instead of being hammered in a
-// hot loop, and the worker still never sleeps unless the item actually
-// failed.
-type Retry struct {
-	// Max is the number of extra attempts after the first failure.
-	Max int
-	// Base is the delay before the first retry; it doubles per subsequent
-	// attempt up to Cap. Zero means DefaultRetryBase.
-	Base time.Duration
-	// Cap bounds the exponential growth. Zero means DefaultRetryCap.
-	Cap time.Duration
-	// Seed parameterizes the jitter stream. The jitter for a given
-	// (Seed, item index, attempt) is a pure function, so a rerun of the
-	// same campaign backs off identically — determinism extends even to
-	// the retry schedule.
-	Seed int64
-	// Sleep replaces time.Sleep, for tests. Nil means time.Sleep.
-	Sleep func(time.Duration)
-}
-
-// Default backoff window: wide enough to let a transient clear, short
-// enough that a sweep point's retries stay invisible next to its run time.
-const (
-	DefaultRetryBase = 2 * time.Millisecond
-	DefaultRetryCap  = 250 * time.Millisecond
-)
-
-// backoff returns the delay before retry attempt (1-based): capped
-// exponential growth from Base, plus deterministic jitter in [0, d/2) so
-// simultaneous retries across workers fan out instead of re-colliding.
-func (r Retry) backoff(index, attempt int) time.Duration {
-	base, ceil := r.Base, r.Cap
-	if base <= 0 {
-		base = DefaultRetryBase
-	}
-	if ceil <= 0 {
-		ceil = DefaultRetryCap
-	}
-	d := base
-	for k := 1; k < attempt && d < ceil; k++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	x := uint64(r.Seed)
-	x ^= uint64(index)*0x9e3779b97f4a7c15 + uint64(attempt)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return d + time.Duration(x%uint64(d/2+1))
-}
-
 // Map fans f over items and runs every item to completion, returning the
-// outputs, each item's host wall-clock time (retries included), and each
-// item's final error, all index-aligned with items. A panic in f is
-// captured as the item's *PanicError, and the worker's reusable state is
-// discarded and rebuilt before its next call, since a crash mid-run can
-// leave it arbitrarily corrupt; plain errors keep the state.
+// outputs, each item's host wall-clock time, and each item's error, all
+// index-aligned with items. A panic in f is captured as the item's
+// *PanicError, and the worker's reusable state is discarded and rebuilt
+// before its next call, since a crash mid-run can leave it arbitrarily
+// corrupt; plain errors keep the state.
 func Map[S, T, R any](items []T, opt Options[S], f func(state S, i int, item T) (R, error)) ([]R, []time.Duration, []error) {
 	out := make([]R, len(items))
 	walls := make([]time.Duration, len(items))
@@ -144,33 +78,21 @@ func Map[S, T, R any](items []T, opt Options[S], f func(state S, i int, item T) 
 	states := make([]S, w)
 	inited := make([]bool, w)
 	tick := progressFunc(opt.Progress, len(items))
-	sleep := opt.Retry.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	fan(len(items), w, func(worker, i int) {
 		start := time.Now()
-		for attempt := 1; ; attempt++ {
-			if !inited[worker] {
-				var s S
-				if opt.NewState != nil {
-					s = opt.NewState(worker)
-				}
-				states[worker], inited[worker] = s, true
+		if !inited[worker] {
+			var s S
+			if opt.NewState != nil {
+				s = opt.NewState(worker)
 			}
-			errs[i] = runGuarded(states[worker], i, items[i], f, out)
-			if errs[i] == nil {
-				break
-			}
+			states[worker], inited[worker] = s, true
+		}
+		errs[i] = runGuarded(states[worker], i, items[i], f, out)
+		if errs[i] != nil {
 			var pe *PanicError
 			if errors.As(errs[i], &pe) {
-				pe.Attempt = attempt
 				inited[worker] = false
 			}
-			if attempt > opt.Retry.Max {
-				break
-			}
-			sleep(opt.Retry.backoff(i, attempt))
 		}
 		walls[i] = time.Since(start)
 		tick()
