@@ -2,7 +2,6 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -46,24 +45,8 @@ func TestCheckpointResumeExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the sweep binary five times")
 	}
-	bin := filepath.Join(t.TempDir(), "sweep")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	run := func(dir string, args ...string) (string, int) {
-		cmd := exec.Command(bin, args...)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		code := 0
-		if err != nil {
-			exitErr, ok := err.(*exec.ExitError)
-			if !ok {
-				t.Fatalf("run %v: %v\n%s", args, err, out)
-			}
-			code = exitErr.ExitCode()
-		}
-		return string(out), code
-	}
+	bin := buildSweep(t)
+	run := func(dir string, args ...string) (string, int) { return runSweep(t, bin, dir, args...) }
 
 	// Reference: one uninterrupted campaign.
 	dirA, dirB := t.TempDir(), t.TempDir()

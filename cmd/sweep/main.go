@@ -34,6 +34,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -91,35 +92,59 @@ func workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// exitCode is an error that carries only an exit status: the command has
+// already said what went wrong.
+type exitCode int
+
+func (c exitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
+
+// run is the command: it returns the exit code instead of exiting, so the
+// profiles it started are written on every path. An error is printed and
+// exits 1 unless it is an exitCode.
+func run() int {
 	log.SetFlags(0)
 	flag.Parse()
 	stopProfiles := prof.Start(*cpuProf, *memProf)
 	defer stopProfiles()
-	if *replay != "" {
-		replayBundle(*replay)
-		return
+	err := runMode()
+	var code exitCode
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &code):
+		return int(code)
 	}
-	if *chaos != 0 {
-		runChaos(*chaos)
-		return
+	log.Print(err)
+	return 1
+}
+
+// runMode runs the mode the flags select.
+func runMode() error {
+	switch {
+	case *replay != "":
+		return replayBundle(*replay)
+	case *chaos != 0:
+		return runChaos(*chaos)
+	case *pdesOut != "":
+		return writePDESBench(*pdesOut)
+	case *topoFile != "" && *shardsF < 0:
+		return fmt.Errorf("sweep: -shards %d must not be negative", *shardsF)
+	case *topoFile != "" && *shardsF > 0:
+		return runTopologySharded(*topoFile, *shardsF)
+	case *topoFile != "":
+		return runTopology(*topoFile)
 	}
-	if *pdesOut != "" {
-		writePDESBench(*pdesOut)
-		return
+	return runExperiments()
+}
+
+// runExperiments runs the experiments -fig, -table, -exp or -all select,
+// each followed by its claim rows.
+func runExperiments() error {
+	if err := openCampaignCheckpoint(); err != nil {
+		return err
 	}
-	if *topoFile != "" {
-		if *shardsF < 0 {
-			log.Fatalf("sweep: -shards %d must not be negative", *shardsF)
-		}
-		if *shardsF > 0 {
-			runTopologySharded(*topoFile, *shardsF)
-		} else {
-			runTopology(*topoFile)
-		}
-		return
-	}
-	openCampaignCheckpoint()
 	ran := false
 	measured := paper.Measured{}
 	for _, e := range paper.Experiments {
@@ -128,20 +153,22 @@ func main() {
 		}
 		benchFigure = e.ID
 		if err := e.Run(settings(), measured); err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		paper.PrintClaims(os.Stdout, e.ID, measured)
 		ran = true
 	}
 	if !ran {
 		flag.Usage()
-		os.Exit(2)
+		return exitCode(2)
 	}
 	if *metricsF {
 		printFleet("campaign fleet metrics", campaignMetrics.Fleet())
 	}
 	if *jsonOut {
-		writeBench()
+		if err := writeBench(); err != nil {
+			return err
+		}
 	}
 	// Satellite of -skip-failures: contained failures must not masquerade as
 	// a clean campaign. Everything above (figures, BENCH, metrics) has been
@@ -153,8 +180,9 @@ func main() {
 		for _, s := range skippedFailures {
 			fmt.Printf("  FAILED %s\n", s)
 		}
-		os.Exit(3)
+		return exitCode(3)
 	}
+	return nil
 }
 
 // campaignCheckpoint is the open -checkpoint journal, nil without the flag.
@@ -180,44 +208,45 @@ type checkpointIdentity struct {
 
 // openCampaignCheckpoint opens (or, with -resume, restores) the -checkpoint
 // journal before any sweep runs.
-func openCampaignCheckpoint() {
+func openCampaignCheckpoint() error {
 	if *ckptPath == "" {
 		if *resumeF {
-			log.Fatalf("sweep: -resume requires -checkpoint FILE")
+			return errors.New("sweep: -resume requires -checkpoint FILE")
 		}
-		return
+		return nil
 	}
 	fp, err := core.CheckpointFingerprint(checkpointIdentity{
 		Seed: *seed, Count: settings().Count(), Full: *full,
 		Fig: *fig, Table: *table, Exp: *exp, All: *all,
 	})
 	if err != nil {
-		log.Fatalf("checkpoint: %v", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	cp, err := core.OpenCheckpoint(*ckptPath, fp, *resumeF)
 	if err != nil {
-		log.Fatalf("checkpoint: %v", err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	campaignCheckpoint = cp
 	if *resumeF && cp.Len() > 0 {
 		fmt.Printf("checkpoint: restored %d completed point(s) from %s\n", cp.Len(), *ckptPath)
 	}
+	return nil
 }
 
 // runChaos soaks the simulator in n randomized fault campaigns — scripted
 // bursty loss, corruption, duplication, reordering, delay, and carrier
 // flaps — with the runtime invariant auditor attached to every run. Any
 // invariant violation or uncontained failure exits non-zero.
-func runChaos(n int) {
+func runChaos(n int) error {
 	if n < 0 {
-		log.Fatalf("sweep: -chaos %d must be positive", n)
+		return fmt.Errorf("sweep: -chaos %d must be positive", n)
 	}
 	start := time.Now()
 	rep, err := core.RunChaos(core.ChaosConfig{
 		Seed: *seed, Campaigns: n, Workers: workers(),
 	})
 	if err != nil {
-		log.Fatalf("chaos: %v", err)
+		return fmt.Errorf("chaos: %w", err)
 	}
 	fmt.Printf("chaos: %d campaigns in %v: %d completed, %d budget stops, %d failures, %d invariant violations\n",
 		rep.Campaigns, time.Since(start).Round(time.Millisecond),
@@ -229,24 +258,25 @@ func runChaos(n int) {
 		fmt.Printf("  VIOLATION %s\n", v)
 	}
 	if !rep.Ok() {
-		os.Exit(1)
+		return exitCode(1)
 	}
 	fmt.Println("all invariants held: pool balances exact, byte streams intact, no stalls")
+	return nil
 }
 
 // runTopology compiles a declarative topology file, drives every declared
 // flow to completion, and prints per-flow goodput plus each switch's
 // forwarding counters. With -telemetry DIR it also writes an instrument
 // bundle (including the per-switch fabric section) into DIR.
-func runTopology(path string) {
+func runTopology(path string) error {
 	spec, err := topo.Load(path)
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	eng := sim.NewEngine(*seed)
 	net, err := topo.Compile(eng, spec, *seed)
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	var bundle *telemetry.Bundle
 	if *telemDir != "" {
@@ -255,7 +285,7 @@ func runTopology(path string) {
 	start := time.Now()
 	results, err := net.RunFlows(10 * units.Minute)
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	wall := time.Since(start)
 
@@ -275,10 +305,11 @@ func runTopology(path string) {
 		// byte-identical to pre-metrics exports.
 		bundle.CaptureMetrics(fleet)
 		if err := core.WriteBundle(*telemDir, bundle); err != nil {
-			log.Fatalf("topology: %v", err)
+			return fmt.Errorf("topology: %w", err)
 		}
 		fmt.Printf("telemetry bundle written to %s\n", *telemDir)
 	}
+	return nil
 }
 
 // printTopologyHeader prints the one-line summary of a topology run.
@@ -314,10 +345,10 @@ func printTopologyReport(flows []topo.FlowResult, fabric []telemetry.FabricCount
 
 // replayBundle re-executes a crash bundle and reports reproduction. Exits
 // non-zero when the recorded failure is still present.
-func replayBundle(path string) {
+func replayBundle(path string) error {
 	b, err := core.ReadCrashBundle(path)
 	if err != nil {
-		log.Fatalf("replay: %v", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	fmt.Printf("replaying %s bundle (seed %d)\n", b.Kind, b.Seed)
 	fmt.Printf("recorded panic: %s\n", b.Panic)
@@ -325,16 +356,15 @@ func replayBundle(path string) {
 	switch {
 	case r.Reproduced:
 		fmt.Println("REPRODUCED: the replay panicked with the recorded value")
-		os.Exit(1)
 	case r.Panic != "":
 		fmt.Printf("DIVERGED: the replay panicked differently: %s\n", r.Panic)
-		os.Exit(1)
 	case r.Err != nil:
 		fmt.Printf("replay failed structurally: %v\n", r.Err)
-		os.Exit(1)
 	default:
 		fmt.Println("clean: the recorded failure no longer reproduces")
+		return nil
 	}
+	return exitCode(1)
 }
 
 // sweepFile is BENCH_sweep.json: every figure sweep of a run, with the
@@ -416,16 +446,23 @@ func currentSweepFile() *sweepFile {
 	}
 }
 
-func writeBench() {
+// writeBench writes BENCH_sweep.json. A selection that ran no figure sweep
+// (-fig 6-8, -table 1) has nothing to record, so it leaves the file as it
+// is and fails rather than write an empty one over it.
+func writeBench() error {
+	if len(benchSweeps) == 0 {
+		return errors.New("bench json: the selected experiments ran no figure sweep; BENCH_sweep.json left untouched")
+	}
 	data, err := json.MarshalIndent(currentSweepFile(), "", "  ")
 	if err != nil {
-		log.Fatalf("bench json: %v", err)
+		return fmt.Errorf("bench json: %w", err)
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile("BENCH_sweep.json", data, 0o644); err != nil {
-		log.Fatalf("bench json: %v", err)
+		return fmt.Errorf("bench json: %w", err)
 	}
 	fmt.Printf("wrote BENCH_sweep.json (%d sweeps)\n", len(benchSweeps))
+	return nil
 }
 
 // settings are the experiment settings the flags select.
@@ -459,7 +496,7 @@ func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
 	start := time.Now()
 	res, err := cfg.Run()
 	if err != nil {
-		log.Fatalf("sweep: %v", err)
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	wall := time.Since(start)
 	for _, pt := range res.Points {
@@ -477,7 +514,7 @@ func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
 				continue
 			}
 			if err := core.WriteBundle(*telemDir, pt.Telemetry); err != nil {
-				log.Fatalf("telemetry: %v", err)
+				return nil, fmt.Errorf("telemetry: %w", err)
 			}
 		}
 	}
@@ -486,7 +523,7 @@ func sweep(cfg core.SweepConfig) (*core.SweepResult, error) {
 	}
 	if *metricsF {
 		if err := campaignMetrics.Merge(res.Metrics); err != nil {
-			log.Fatalf("metrics: %v", err)
+			return nil, fmt.Errorf("metrics: %w", err)
 		}
 	}
 	return res, nil

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"sort"
@@ -110,10 +109,10 @@ func measurePDES(topoPath string, seed int64, shards, reps int) (float64, error)
 // through the conservative parallel-DES runner and prints the identical flow
 // and fabric report (the outputs are byte-equal by construction), plus the
 // partition and synchronization summary.
-func runTopologySharded(path string, shards int) {
+func runTopologySharded(path string, shards int) error {
 	spec, err := topo.Load(path)
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	opts := pdes.Options{Shards: shards, Seed: *seed, Metrics: *metricsF}
 	if *telemDir != "" {
@@ -121,12 +120,12 @@ func runTopologySharded(path string, shards int) {
 	}
 	r, err := pdes.New(spec, opts)
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	start := time.Now()
 	res, err := r.Run()
 	if err != nil {
-		log.Fatalf("topology: %v", err)
+		return fmt.Errorf("topology: %w", err)
 	}
 	wall := time.Since(start)
 
@@ -149,20 +148,21 @@ func runTopologySharded(path string, shards int) {
 	}
 	if res.Bundle != nil {
 		if err := core.WriteBundle(*telemDir, res.Bundle); err != nil {
-			log.Fatalf("topology: %v", err)
+			return fmt.Errorf("topology: %w", err)
 		}
 		fmt.Printf("telemetry bundle written to %s\n", *telemDir)
 	}
+	return nil
 }
 
 // measureSeries runs one topology's scaling series and prints each line.
-func measureSeries(topoPath string, reps int) []pdesEntry {
+func measureSeries(topoPath string, reps int) ([]pdesEntry, error) {
 	wall1 := 0.0
 	var out []pdesEntry
 	for _, n := range pdesBenchShards {
 		wall, err := measurePDES(topoPath, *seed, n, reps)
 		if err != nil {
-			log.Fatalf("pdes bench: %s shards=%d: %v", topoPath, n, err)
+			return nil, fmt.Errorf("pdes bench: %s shards=%d: %w", topoPath, n, err)
 		}
 		if n == 1 {
 			wall1 = wall
@@ -174,7 +174,7 @@ func measureSeries(topoPath string, reps int) []pdesEntry {
 		out = append(out, e)
 		fmt.Printf("  shards=%d  wall %8.2f ms  speedup %.2fx\n", n, e.WallMS, e.Speedup)
 	}
-	return out
+	return out, nil
 }
 
 // writePDESBench measures the sharded runner's wall-clock scaling over the
@@ -183,7 +183,7 @@ func measureSeries(topoPath string, reps int) []pdesEntry {
 // series' speedup at the largest shard count against its floor, exiting 1
 // on a miss. The floors need parallel hardware: on a host with fewer CPUs
 // than shards it prints why it did not check them.
-func writePDESBench(path string) {
+func writePDESBench(path string) error {
 	topoPath := *topoFile
 	if topoPath == "" {
 		topoPath = defaultPDESTopology
@@ -205,34 +205,38 @@ func writePDESBench(path string) {
 			cpus, maxShards)
 	}
 	fmt.Printf("pdes bench: %s, %d reps per shard count, %d CPUs\n", topoPath, reps, cpus)
-	pf.PDES = measureSeries(topoPath, reps)
+	var err error
+	if pf.PDES, err = measureSeries(topoPath, reps); err != nil {
+		return err
+	}
 	if topoPath != pdesShortTopology {
 		fmt.Printf("pdes bench (short lookahead): %s\n", pdesShortTopology)
-		pf.Short = &pdesScenario{
-			Topology: pdesShortTopology,
-			Entries:  measureSeries(pdesShortTopology, reps),
+		pf.Short = &pdesScenario{Topology: pdesShortTopology}
+		if pf.Short.Entries, err = measureSeries(pdesShortTopology, reps); err != nil {
+			return err
 		}
 	}
 	data, err := json.MarshalIndent(pf, "", "  ")
 	if err != nil {
-		log.Fatalf("pdes bench: %v", err)
+		return fmt.Errorf("pdes bench: %w", err)
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("pdes bench: %v", err)
+		return fmt.Errorf("pdes bench: %w", err)
 	}
 	fmt.Printf("wrote %s (%d shard counts)\n", path, len(pf.PDES))
 	if cpus < maxShards {
 		fmt.Printf("pdes floors not checked: %d CPUs for %d shards (speedup needs parallel hardware)\n", cpus, maxShards)
-		return
+		return nil
 	}
 	ok := checkPDESFloor(topoPath, pf.PDES, pdesSpeedupFloor)
 	if pf.Short != nil {
 		ok = checkPDESFloor(pf.Short.Topology, pf.Short.Entries, pdesShortFloor) && ok
 	}
 	if !ok {
-		os.Exit(1)
+		return exitCode(1)
 	}
+	return nil
 }
 
 // checkPDESFloor prints the speedup of a series' largest shard count

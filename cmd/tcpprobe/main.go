@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"tengig/internal/core"
@@ -32,40 +33,55 @@ import (
 	"tengig/internal/units"
 )
 
-func main() {
+var (
+	profile  = flag.String("profile", "pe2650", "host profile")
+	mtu      = flag.Int("mtu", 9000, "device MTU")
+	stock    = flag.Bool("stock", false, "use the stock configuration")
+	count    = flag.Int("count", 3000, "application writes")
+	payload  = flag.Int("payload", 8948, "bytes per write")
+	seed     = flag.Int64("seed", 1, "simulation seed")
+	interval = flag.Duration("interval", 50*time.Microsecond, "instrument sampling cadence (simulated time)")
+	loss     = flag.Float64("loss", 0, "independent per-packet loss probability on the data path")
+	dropNth  = flag.Int64("drop-nth", 0, "drop exactly the nth data packet (Table 1's single loss)")
+	outDir   = flag.String("o", "", "write <name>.jsonl and <name>.csv into this directory")
+	events   = flag.Int("events", 8, "recent events to print per connection")
+	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+)
+
+func main() { os.Exit(run()) }
+
+// run is the command: it returns the exit code instead of exiting, so the
+// profiles it started are written on every path.
+func run() int {
 	log.SetFlags(0)
-	var (
-		profile  = flag.String("profile", "pe2650", "host profile")
-		mtu      = flag.Int("mtu", 9000, "device MTU")
-		stock    = flag.Bool("stock", false, "use the stock configuration")
-		count    = flag.Int("count", 3000, "application writes")
-		payload  = flag.Int("payload", 8948, "bytes per write")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		interval = flag.Duration("interval", 50*time.Microsecond, "instrument sampling cadence (simulated time)")
-		loss     = flag.Float64("loss", 0, "independent per-packet loss probability on the data path")
-		dropNth  = flag.Int64("drop-nth", 0, "drop exactly the nth data packet (Table 1's single loss)")
-		outDir   = flag.String("o", "", "write <name>.jsonl and <name>.csv into this directory")
-		events   = flag.Int("events", 8, "recent events to print per connection")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
 	flag.Parse()
+	stopProfiles := prof.Start(*cpuProf, *memProf)
+	defer stopProfiles()
+	if err := probe(); err != nil {
+		log.Printf("tcpprobe: %v", err)
+		return 1
+	}
+	return 0
+}
+
+// probe runs the instrumented transfer the flags describe and prints its
+// report.
+func probe() error {
 	hostProfile, err := host.ParseProfile(*profile)
 	if err != nil {
-		log.Fatalf("tcpprobe: %v", err)
+		return err
 	}
 	if err := host.ValidateMTU(*mtu); err != nil {
-		log.Fatalf("tcpprobe: %v", err)
+		return err
 	}
 	if err := host.ValidateTransfer(*count, *payload); err != nil {
-		log.Fatalf("tcpprobe: %v", err)
+		return err
 	}
 	data := netem.Script{{Fault: netem.Fault{LossProb: *loss, DropNth: *dropNth}}}
 	if err := data.Validate(); err != nil {
-		log.Fatalf("tcpprobe: -loss/-drop-nth: %v", err)
+		return fmt.Errorf("-loss/-drop-nth: %w", err)
 	}
-	stopProfiles := prof.Start(*cpuProf, *memProf)
-	defer stopProfiles()
 
 	tun := host.Optimized(*mtu)
 	if *stock {
@@ -89,7 +105,7 @@ func main() {
 	start := time.Now()
 	res, err := core.ProbeRun(cfg)
 	if err != nil {
-		log.Fatalf("tcpprobe: %v", err)
+		return err
 	}
 	res.Bundle.Wall = time.Since(start)
 
@@ -113,8 +129,9 @@ func main() {
 
 	if *outDir != "" {
 		if err := core.WriteBundle(*outDir, res.Bundle); err != nil {
-			log.Fatalf("tcpprobe: %v", err)
+			return err
 		}
 		fmt.Printf("\nwrote %s/%s.{jsonl,csv}\n", *outDir, core.SanitizeName(res.Bundle.Name))
 	}
+	return nil
 }

@@ -9,14 +9,12 @@ import (
 
 // TestEventBudget: LimitEvents stops Step and RunUntil at exactly the cap,
 // reports the stop, leaves the queue intact, and both Reset and
-// LimitEvents(0) clear it — on the wheel and on the heap oracle.
+// LimitEvents(0) clear it, on the timing wheel.
 func TestEventBudget(t *testing.T) {
-	for _, sc := range schedulers {
-		t.Run(sc.name, func(t *testing.T) {
-			t.Run("step", func(t *testing.T) { testBudgetStep(t, sc.newEngine(1)) })
-			t.Run("run-until", func(t *testing.T) { testBudgetRunUntil(t, sc.newEngine(1)) })
-		})
-	}
+	t.Run("wheel", func(t *testing.T) {
+		t.Run("step", func(t *testing.T) { testBudgetStep(t, NewEngine(1)) })
+		t.Run("run-until", func(t *testing.T) { testBudgetRunUntil(t, NewEngine(1)) })
+	})
 }
 
 func testBudgetStep(t *testing.T, eng *Engine) {

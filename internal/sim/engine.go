@@ -11,13 +11,15 @@
 // # Event queue
 //
 // The event queue is a hierarchical timing wheel (wheel.go) with O(1)
-// amortized schedule, cancel, and reschedule; its level 0 is about a
-// microsecond wide and its current level-0 slot is the ready list, so an
-// event is filed about 1.3-1.4 times on the way to running (Engine.Filed
-// counts filings), and running it costs one scheduler pass (popDue). A
-// binary min-heap lives in the package tests as its oracle: the two pop
-// events in the identical total (time, creation time, seq) order, which
-// lockstep property tests pin.
+// schedule, cancel, and reschedule. Its level 0 is a circular window of
+// 1024 slots of 2^18 ps (about 268 µs) that moves with the wheel, and its
+// current slot is the ready list, so an event due inside the window is
+// filed exactly once — 1.02-1.16 filings per executed event on the Figure 3
+// points and the shipped topologies (Engine.Filed counts them) — and
+// running it costs one scheduler pass (popDue). The package tests keep a
+// binary heap of the (time, creation time, seq) keys the engine stamps as
+// the wheel's model: a lockstep oracle predicts every pop, clock reading
+// and counter from it.
 //
 // # Allocation discipline
 //
@@ -34,6 +36,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"tengig/internal/units"
 )
@@ -46,7 +49,7 @@ type event struct {
 	seq  uint64     // tie-break: FIFO among events at the same (at, ct)
 	fn   func(any)
 	arg  any
-	idx  int    // scheduler position: wheel slot (the test heap's array index); idxNone when out
+	idx  int    // wheel slot index (the test model's heap index); idxNone when out
 	gen  uint64 // bumped on recycle so stale Timers cannot touch a reused event
 	next *event // free-list link while recycled; wheel list link while queued
 	prev *event // wheel list back link
@@ -54,6 +57,29 @@ type event struct {
 
 // dead reports whether the event has been cancelled (or already consumed).
 func (ev *event) dead() bool { return ev.fn == nil }
+
+// evLess orders events by (time, creation time, seq); seq is unique, so the
+// order is total. For events scheduled by this engine, ct never decreases
+// while seq increases, so (at, ct, seq) collapses to the historical (at, seq)
+// FIFO order and nothing observable changes. The ct term exists for
+// cross-engine injection (Engine.InjectCall): a parallel-DES shard receiving
+// a remote packet stamps the event with the sending shard's creation time,
+// which slots it among same-instant local events exactly where the
+// single-engine run would have created it — seq alone cannot, because the
+// injecting engine only learns about the event at a synchronization barrier,
+// after later-created local events have already drawn their sequence numbers.
+func evLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.ct != b.ct {
+		return a.ct < b.ct
+	}
+	return a.seq < b.seq
+}
+
+// maxTime is the "no limit" bound for the wheel's peeks.
+const maxTime = units.Time(math.MaxInt64)
 
 // callFunc is the callback of a Schedule/After event: the closure rides in
 // arg. A func value is pointer-shaped, so storing it in an interface does
@@ -138,13 +164,12 @@ const maxFreeEvents = 32768
 // lives at the experiment level, where independent simulations run in
 // parallel under `go test`).
 type Engine struct {
-	sched     scheduler
+	sched     *wheelSched
 	now       units.Time
 	seq       uint64
 	live      int // scheduled, not-cancelled events (the scheduler may also hold dead ones)
 	freeEv    *event
-	freeN     int          // free-list length, kept under maxFreeEvents
-	recycleFn func(*event) // bound recycle, built once so Reset stays allocation-free
+	freeN     int // free-list length, kept under maxFreeEvents
 	stopped   bool
 	maxEvents uint64      // event budget (LimitEvents); 0 = unlimited
 	budgetHit bool        // the budget stopped the run (EventBudgetExceeded)
@@ -171,20 +196,18 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	e := &Engine{}
 	e.sched = newWheel(e)
-	e.recycleFn = e.recycle
 	return e
 }
 
 // Reset returns the engine to the state NewEngine(seed) would give —
 // clock at zero, empty queue, zeroed counters — while
 // retaining warmed allocations: the event free list (trimmed to
-// maxFreeEvents) and the scheduler's bucket storage. Sweeps reuse one
+// maxFreeEvents) and the wheel's slot arrays. Sweeps reuse one
 // engine per worker across runs instead of reallocating; results are
 // byte-identical to fresh-engine runs because nothing observable survives
 // the reset (stale Timer handles are neutralized by the recycle
 // generation bump).
 func (e *Engine) Reset(seed int64) {
-	e.sched.drain(e.recycleFn)
 	e.sched.reset()
 	e.now = 0
 	e.seq = 0
@@ -292,7 +315,7 @@ func (e *Engine) ScheduleCall(at units.Time, fn func(any), arg any) Timer {
 	ev := e.newEvent(at)
 	ev.fn = fn
 	ev.arg = arg
-	e.sched.push(ev)
+	e.sched.insert(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -328,7 +351,7 @@ func (e *Engine) InjectCall(at, ct units.Time, fn func(any), arg any) Timer {
 	ev.ct = ct
 	ev.fn = fn
 	ev.arg = arg
-	e.sched.push(ev)
+	e.sched.insert(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 

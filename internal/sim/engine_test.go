@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -158,21 +157,30 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: events always execute in nondecreasing time order regardless of
-// insertion order.
+// Property: a scheduler pops events in ascending (at, ct, seq) order
+// whatever the insertion order, across the wheel's window and the levels
+// above it — on the wheel, and on the heap model the lockstep oracle
+// predicts from.
 func TestSchedOrderProperty(t *testing.T) {
 	for _, sc := range schedulers {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			f := func(seed int64, raw []uint16) bool {
-				e := sc.newEngine(seed)
-				var order []units.Time
-				for _, r := range raw {
-					at := units.Time(r)
-					e.Schedule(at, func() { order = append(order, e.Now()) })
+			f := func(raw []uint32) bool {
+				q := sc.new()
+				for i, r := range raw {
+					at := units.Time(r&0xffff) << (r >> 16 % 40)
+					q.insert(&event{at: at, ct: at &^ 0xfff, seq: uint64(i), fn: callFunc})
 				}
-				e.Run()
-				return sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] })
+				var prev *event
+				for n := 0; ; n++ {
+					ev := q.popDue(maxTime)
+					if ev == nil {
+						return n == len(raw)
+					}
+					if prev != nil && !evLess(prev, ev) {
+						return false
+					}
+					prev = ev
+				}
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 				t.Error(err)

@@ -2,36 +2,57 @@ package sim
 
 import "tengig/internal/units"
 
-// heapSched is the binary min-heap scheduler: the test oracle the timing
-// wheel runs against in lockstep (sched_equiv_test.go). Its sift loops are
-// classic and easy to audit, and because (at, ct, seq) is a total order —
-// seq is unique — its pop sequence is simply sorted order, so the heap's
-// internal layout cannot affect simulation results.
+// scheduler is the event-queue contract the engine's timing wheel keeps
+// and the heap model below keeps too, so the lockstep oracle
+// (sched_equiv_test.go) can predict the wheel's pops from the heap.
+// Events pop in ascending (at, ct, seq) order — the total order that makes
+// simulations deterministic — however storage is organized. Cancellation
+// is lazy: dead events stay queued until popped (or, on the wheel, until a
+// cascade prunes them), so a scheduler must tolerate them anywhere.
+type scheduler interface {
+	// insert files a new event (at, ct, seq already stamped).
+	insert(ev *event)
+	// peek returns the earliest event if its time is <= limit, nil
+	// otherwise (or when empty). It may reorganize storage up to limit
+	// (the wheel advances and cascades), but never past the earliest
+	// event. A bounded peek on the wheel may advance onto a level-0 slot
+	// that straddles limit, leaving events due after limit in the
+	// current slot, where a later peek or popDue still finds them in
+	// order.
+	peek(limit units.Time) *event
+	// popDue removes and returns the earliest event if its time is <=
+	// limit, nil otherwise, reorganizing storage exactly as peek does.
+	popDue(limit units.Time) *event
+	// update re-keys ev after its (at, ct, seq) changed in place
+	// (Reschedule).
+	update(ev *event)
+}
+
+var (
+	_ scheduler = (*wheelSched)(nil)
+	_ scheduler = (*heapSched)(nil)
+)
+
+// schedulers names the wheel and the heap model, for properties that must
+// hold on both: the oracle is only as good as its model.
+var schedulers = []struct {
+	name string
+	new  func() scheduler
+}{
+	{"wheel", func() scheduler { return NewEngine(1).sched }},
+	{"heap", func() scheduler { return &heapSched{} }},
+}
+
+// heapSched is a binary min-heap over (at, ct, seq): the oracle's model of
+// the event queue. Its sift loops are classic and easy to audit, and
+// because (at, ct, seq) is a total order — seq is unique — its pop
+// sequence is simply sorted order, whatever its internal layout.
 type heapSched struct {
 	pq []*event
 }
 
-// newHeapEngine is NewEngine on the heap oracle instead of the wheel.
-func newHeapEngine(seed int64) *Engine {
-	e := NewEngine(seed)
-	e.sched = &heapSched{}
-	return e
-}
-
-// schedulers names the shipped wheel and the heap oracle, for tests that
-// must hold on both.
-var schedulers = []struct {
-	name      string
-	newEngine func(seed int64) *Engine
-}{
-	{"wheel", NewEngine},
-	{"heap", newHeapEngine},
-}
-
-func (h *heapSched) len() int { return len(h.pq) }
-
-// push appends ev and restores the heap property.
-func (h *heapSched) push(ev *event) {
+// insert appends ev and restores the heap property.
+func (h *heapSched) insert(ev *event) {
 	ev.idx = len(h.pq)
 	h.pq = append(h.pq, ev)
 	h.siftUp(ev.idx)
@@ -45,63 +66,29 @@ func (h *heapSched) peek(limit units.Time) *event {
 	return h.pq[0]
 }
 
-// popDue is peek, then pop: the oracle keeps the two steps the wheel fuses.
+// popDue removes and returns the root if it is due at or before limit.
 func (h *heapSched) popDue(limit units.Time) *event {
-	if h.peek(limit) == nil {
+	root := h.peek(limit)
+	if root == nil {
 		return nil
 	}
-	return h.pop()
-}
-
-// pop removes and returns the earliest event.
-func (h *heapSched) pop() *event {
-	pq := h.pq
-	n := len(pq) - 1
-	if n < 0 {
-		return nil
-	}
-	root := pq[0]
-	last := pq[n]
-	pq[n] = nil
-	h.pq = pq[:n]
-	root.idx = -1
+	n := len(h.pq) - 1
+	last := h.pq[n]
+	h.pq[n] = nil
+	h.pq = h.pq[:n]
+	root.idx = idxNone
 	if n > 0 {
-		pq[0] = last
+		h.pq[0] = last
 		last.idx = 0
 		h.siftDown(0)
 	}
 	return root
 }
 
-// update restores the heap property after the event changed its key
-// (Reschedule).
+// update restores the heap property after ev changed its key.
 func (h *heapSched) update(ev *event) {
 	if !h.siftDown(ev.idx) {
 		h.siftUp(ev.idx)
-	}
-}
-
-// drain hands every queued event to f and empties the heap.
-func (h *heapSched) drain(f func(*event)) {
-	for i, ev := range h.pq {
-		h.pq[i] = nil
-		ev.idx = -1
-		f(ev)
-	}
-	h.pq = h.pq[:0]
-}
-
-// reset empties the heap and releases a grown backing array, so an engine
-// reused across runs does not pin the peak-watermark queue for the whole
-// process. Small arrays are kept — reallocating those would defeat reuse.
-func (h *heapSched) reset() {
-	for i := range h.pq {
-		h.pq[i] = nil
-	}
-	if cap(h.pq) > 1024 {
-		h.pq = nil
-	} else {
-		h.pq = h.pq[:0]
 	}
 }
 
@@ -133,7 +120,7 @@ func (h *heapSched) siftDown(i0 int) bool {
 	ev := pq[i]
 	for {
 		l := 2*i + 1
-		if l >= n || l < 0 { // l < 0 guards int overflow
+		if l >= n {
 			break
 		}
 		child, c := l, pq[l]

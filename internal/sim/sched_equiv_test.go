@@ -9,166 +9,243 @@ import (
 	"tengig/internal/units"
 )
 
-// Wheel-vs-heap equivalence: the two schedulers must be observationally
-// identical — same pop order (at, ct, seq), same Pending accounting, same
-// Timer semantics — over arbitrary interleavings of Schedule, After,
-// InjectCall, Stop, Reschedule, Step, Run, and RunUntil. A lockstep driver
-// applies one op stream to two engines that differ only in their scheduler
-// and diffs every observable after every op.
+// The lockstep oracle: a model engine predicts every observable of an
+// Engine — pop order, clock, Pending, Executed, HighWater, each Timer's
+// Pending, and what Stop, Reschedule and Step return — over arbitrary
+// interleavings of Schedule, After, InjectCall, Stop, Reschedule, Step,
+// Run and RunUntil. The model stamps each event's (at, ct, seq) key exactly
+// as the engine does and pops from a heap of those keys; the driver applies
+// every op to both and diffs the observables after each one.
 
-// schedPair drives a wheel engine and a heap engine in lockstep.
-type schedPair struct {
-	wheel, heap *Engine
-	wt, ht      []Timer
-	wlog, hlog  []string // execution logs: "t=<now> id=<n>"
+// model is the oracle's engine: a clock, the engine's counters, and a heap
+// of the events it has stamped, indexed by timer id. An executed or
+// stopped event is dead (nil fn), as on the engine.
+type model struct {
+	q         heapSched
+	now       units.Time
+	seq       uint64
+	live      int
+	executed  uint64
+	highWater int
+	evs       []*event
+	log       []string
 }
 
-func newSchedPair(seed int64) *schedPair {
-	return &schedPair{
-		wheel: NewEngine(seed),
-		heap:  newHeapEngine(seed),
+// add stamps a live event due at at, created at ct, as Engine.newEvent
+// does; its id is the next timer index.
+func (m *model) add(at, ct units.Time) {
+	ev := &event{at: at, ct: ct, seq: m.seq, fn: callFunc, arg: len(m.evs)}
+	m.seq++
+	m.live++
+	m.highWater = max(m.highWater, m.live)
+	m.evs = append(m.evs, ev)
+	m.q.insert(ev)
+}
+
+// stop is Timer.Stop.
+func (m *model) stop(id int) bool {
+	ev := m.evs[id]
+	if ev.dead() {
+		return false
+	}
+	ev.fn = nil
+	m.live--
+	return true
+}
+
+// reschedule is Timer.Reschedule: a fresh (at, ct, seq) key in place.
+func (m *model) reschedule(id int, at units.Time) bool {
+	ev := m.evs[id]
+	if ev.dead() {
+		return false
+	}
+	ev.at, ev.ct, ev.seq = at, m.now, m.seq
+	m.seq++
+	m.q.update(ev)
+	return true
+}
+
+// exec pops the earliest live event due at or before limit and runs it,
+// reporting whether there was one.
+func (m *model) exec(limit units.Time) bool {
+	for {
+		ev := m.q.popDue(limit)
+		if ev == nil {
+			return false
+		}
+		if ev.dead() {
+			continue
+		}
+		ev.fn = nil
+		m.now = ev.at
+		m.live--
+		m.executed++
+		m.log = append(m.log, fmt.Sprintf("t=%v id=%d", m.now, ev.arg))
+		return true
 	}
 }
 
-// check compares every observable between the two engines.
-func (p *schedPair) check() error {
-	if p.wheel.Now() != p.heap.Now() {
-		return fmt.Errorf("clocks diverged: wheel %v, heap %v", p.wheel.Now(), p.heap.Now())
+// runUntil is Engine.RunUntil.
+func (m *model) runUntil(deadline units.Time) {
+	for m.exec(deadline) {
 	}
-	if p.wheel.Pending() != p.heap.Pending() {
-		return fmt.Errorf("Pending diverged: wheel %d, heap %d", p.wheel.Pending(), p.heap.Pending())
+	m.now = max(m.now, deadline)
+}
+
+// lockstep drives an engine and its model.
+type lockstep struct {
+	eng    *Engine
+	timers []Timer
+	log    []string // the engine's execution log: "t=<now> id=<n>"
+	logged int      // log entries check has compared: both logs only grow
+	m      model
+}
+
+func newLockstep(seed int64) *lockstep { return &lockstep{eng: NewEngine(seed)} }
+
+// check compares every observable of the engine with the model's.
+func (p *lockstep) check() error {
+	e, m := p.eng, &p.m
+	if e.Now() != m.now {
+		return fmt.Errorf("clocks diverged: engine %v, model %v", e.Now(), m.now)
 	}
-	if p.wheel.Executed != p.heap.Executed {
-		return fmt.Errorf("Executed diverged: wheel %d, heap %d", p.wheel.Executed, p.heap.Executed)
+	if e.Pending() != m.live {
+		return fmt.Errorf("Pending diverged: engine %d, model %d", e.Pending(), m.live)
 	}
-	if p.wheel.HighWater != p.heap.HighWater {
-		return fmt.Errorf("HighWater diverged: wheel %d, heap %d", p.wheel.HighWater, p.heap.HighWater)
+	if e.Executed != m.executed {
+		return fmt.Errorf("Executed diverged: engine %d, model %d", e.Executed, m.executed)
 	}
-	if len(p.wlog) != len(p.hlog) {
-		return fmt.Errorf("log lengths diverged: wheel %d, heap %d", len(p.wlog), len(p.hlog))
+	if e.HighWater != m.highWater {
+		return fmt.Errorf("HighWater diverged: engine %d, model %d", e.HighWater, m.highWater)
 	}
-	for i := range p.wlog {
-		if p.wlog[i] != p.hlog[i] {
-			return fmt.Errorf("pop order diverged at %d: wheel %q, heap %q", i, p.wlog[i], p.hlog[i])
+	if len(p.log) != len(m.log) {
+		return fmt.Errorf("log lengths diverged: engine %d, model %d", len(p.log), len(m.log))
+	}
+	for i := p.logged; i < len(p.log); i++ {
+		if p.log[i] != m.log[i] {
+			return fmt.Errorf("pop order diverged at %d: engine %q, model %q", i, p.log[i], m.log[i])
 		}
 	}
-	for i := range p.wt {
-		if wp, hp := p.wt[i].Pending(), p.ht[i].Pending(); wp != hp {
-			return fmt.Errorf("timer %d Pending diverged: wheel %v, heap %v", i, wp, hp)
+	p.logged = len(p.log)
+	for i, tm := range p.timers {
+		if ep, mp := tm.Pending(), !m.evs[i].dead(); ep != mp {
+			return fmt.Errorf("timer %d Pending diverged: engine %v, model %v", i, ep, mp)
 		}
 	}
 	return nil
 }
 
-// record returns the callback that logs event id's execution on eng.
-func record(eng *Engine, log *[]string, id int) func() {
-	return func() { *log = append(*log, fmt.Sprintf("t=%v id=%d", eng.Now(), id)) }
+// record returns the callback that logs event id's execution on the
+// engine.
+func (p *lockstep) record(id int) func() {
+	return func() { p.log = append(p.log, fmt.Sprintf("t=%v id=%d", p.eng.Now(), id)) }
 }
 
-// slotEdge returns a tick within two picoseconds of the start of the
-// level-0 slot k slots past now's, never before now. k = 64 lands on the
-// edge of level 0's span, where events move up to level 1.
-func slotEdge(now units.Time, k int64, off int64) units.Time {
-	at := (now>>wheelGrain+units.Time(k))<<wheelGrain + units.Time(off) - 2
-	if at < now {
-		at = now
-	}
-	return at
+// schedule arms a closure event at absolute time at on both sides.
+func (p *lockstep) schedule(at units.Time) {
+	p.timers = append(p.timers, p.eng.Schedule(at, p.record(len(p.timers))))
+	p.m.add(at, p.m.now)
 }
 
-// slotEdges are the slot offsets slotEdge targets: the next slots, and the
-// last slots of level 0's span and the first beyond it.
-var slotEdges = [...]int64{1, 2, 63, 64, 65}
+// slotEdges map a slot key to the key of a slot whose first picosecond
+// ops 7 and 8 aim at: the next slots, the last slots of level 0's circular
+// window and the first beyond it, and the next two level-1 slot starts
+// (aligned to the window's width, so they fall anywhere in the window or
+// just past it, wherever the wheel's position sits).
+var slotEdges = [...]func(k int64) int64{
+	func(k int64) int64 { return k + 1 },
+	func(k int64) int64 { return k + 2 },
+	func(k int64) int64 { return k + windowSlots - 2 },
+	func(k int64) int64 { return k + windowSlots - 1 },
+	func(k int64) int64 { return k + windowSlots },
+	func(k int64) int64 { return k + windowSlots + 1 },
+	func(k int64) int64 { return (k>>windowBits + 1) << windowBits },
+	func(k int64) int64 { return (k>>windowBits + 2) << windowBits },
+}
 
-// apply executes one op, encoded as an opcode plus argument, on both
-// engines identically. Delays mix near ticks with multi-level spans so
+// slotEdge returns a tick within two picoseconds of the start of the slot
+// edge selects from now's, never before now.
+func slotEdge(now units.Time, edge int, off int64) units.Time {
+	k := slotEdges[edge](int64(now) >> wheelGrain)
+	return max(now, units.Time(k<<wheelGrain+off-2))
+}
+
+// apply executes one op, encoded as an opcode plus argument, on the
+// engine and the model. Delays mix near ticks with multi-level spans so
 // events cross wheel level boundaries and collide on identical instants;
-// ops 7 and 8 aim at the edges of level-0 slots, where a slot's first
-// picosecond meets a bounded peek's limit.
-func (p *schedPair) apply(op uint8, arg uint32) error {
+// ops 7 and 8 aim at the edges of level-0 slots and of the window, where
+// a slot's first picosecond meets a bounded peek's limit and a level-1
+// slot overlaps the window.
+func (p *lockstep) apply(op uint8, arg uint32) error {
 	a := int64(arg)
+	m := &p.m
 	switch op % 9 {
 	case 0: // schedule a closure event
-		d := units.Time(a % 5000)
-		id := len(p.wt)
-		p.wt = append(p.wt, p.wheel.After(d, record(p.wheel, &p.wlog, id)))
-		p.ht = append(p.ht, p.heap.After(d, record(p.heap, &p.hlog, id)))
+		p.schedule(p.eng.Now() + units.Time(a%5000))
 	case 1: // schedule a far-future event (upper wheel levels)
-		d := units.Time(a%7)*137*units.Millisecond + units.Time(a%911)
-		id := len(p.wt)
-		p.wt = append(p.wt, p.wheel.After(d, record(p.wheel, &p.wlog, id)))
-		p.ht = append(p.ht, p.heap.After(d, record(p.heap, &p.hlog, id)))
+		p.schedule(p.eng.Now() + units.Time(a%7)*137*units.Millisecond + units.Time(a%911))
 	case 2: // stop a random timer
-		if len(p.wt) == 0 {
+		if len(p.timers) == 0 {
 			return nil
 		}
-		i := int(a) % len(p.wt)
-		ws, hs := p.wt[i].Stop(), p.ht[i].Stop()
-		if ws != hs {
-			return fmt.Errorf("Stop(%d) diverged: wheel %v, heap %v", i, ws, hs)
+		i := int(a) % len(p.timers)
+		if es, ms := p.timers[i].Stop(), m.stop(i); es != ms {
+			return fmt.Errorf("Stop(%d) diverged: engine %v, model %v", i, es, ms)
 		}
 	case 3: // reschedule a random timer, both directions in time
-		if len(p.wt) == 0 {
+		if len(p.timers) == 0 {
 			return nil
 		}
-		i := int(a) % len(p.wt)
-		at := p.wheel.Now() + units.Time(a%3)*997*units.Microsecond + units.Time(a%53)
-		wr, hr := p.wt[i].Reschedule(at), p.ht[i].Reschedule(at)
-		if wr != hr {
-			return fmt.Errorf("Reschedule(%d) diverged: wheel %v, heap %v", i, wr, hr)
+		i := int(a) % len(p.timers)
+		at := p.eng.Now() + units.Time(a%3)*997*units.Microsecond + units.Time(a%53)
+		if er, mr := p.timers[i].Reschedule(at), m.reschedule(i, at); er != mr {
+			return fmt.Errorf("Reschedule(%d) diverged: engine %v, model %v", i, er, mr)
 		}
 	case 4: // bounded advance (deadline peeks exercise the bounded cascade)
-		d := units.Time(a % 2000)
-		p.wheel.RunUntil(p.wheel.Now() + d)
-		p.heap.RunUntil(p.heap.Now() + d)
+		d := p.eng.Now() + units.Time(a%2000)
+		p.eng.RunUntil(d)
+		m.runUntil(d)
 	case 5: // single step
-		ws, hs := p.wheel.Step(), p.heap.Step()
-		if ws != hs {
-			return fmt.Errorf("Step diverged: wheel %v, heap %v", ws, hs)
+		if es, ms := p.eng.Step(), m.exec(maxTime); es != ms {
+			return fmt.Errorf("Step diverged: engine %v, model %v", es, ms)
 		}
 	case 6: // inject with a creation time at or before now, as a pdes shard does
-		now := p.wheel.Now()
-		ct := now - units.Time(a%3)*units.Time(a%4001)
-		if ct < 0 {
-			ct = 0
-		}
+		now := p.eng.Now()
+		ct := max(0, now-units.Time(a%3)*units.Time(a%4001))
 		at := now + 1 + units.Time(a%7)*units.Time(a%300007)
-		id := len(p.wt)
-		wf, hf := record(p.wheel, &p.wlog, id), record(p.heap, &p.hlog, id)
-		call := func(f any) { f.(func())() }
-		p.wt = append(p.wt, p.wheel.InjectCall(at, ct, call, wf))
-		p.ht = append(p.ht, p.heap.InjectCall(at, ct, call, hf))
-	case 7: // schedule at a level-0 slot edge
-		at := slotEdge(p.wheel.Now(), slotEdges[a%5], a/5%5)
-		id := len(p.wt)
-		p.wt = append(p.wt, p.wheel.Schedule(at, record(p.wheel, &p.wlog, id)))
-		p.ht = append(p.ht, p.heap.Schedule(at, record(p.heap, &p.hlog, id)))
-	case 8: // run until a level-0 slot edge (a peek limit beside a slot start)
-		at := slotEdge(p.wheel.Now(), slotEdges[a%5], a/5%5)
-		p.wheel.RunUntil(at)
-		p.heap.RunUntil(at)
+		f := p.record(len(p.timers))
+		p.timers = append(p.timers, p.eng.InjectCall(at, ct, func(f any) { f.(func())() }, f))
+		m.add(at, ct)
+	case 7: // schedule at a slot edge
+		p.schedule(slotEdge(p.eng.Now(), int(a%int64(len(slotEdges))), a/int64(len(slotEdges))%5))
+	case 8: // run until a slot edge (a peek limit beside a slot start)
+		d := slotEdge(p.eng.Now(), int(a%int64(len(slotEdges))), a/int64(len(slotEdges))%5)
+		p.eng.RunUntil(d)
+		m.runUntil(d)
 	}
 	return p.check()
 }
 
-// drain runs both engines to quiescence and does a final comparison.
-func (p *schedPair) drain() error {
-	p.wheel.Run()
-	p.heap.Run()
+// drain runs the engine and the model to quiescence and does a final
+// comparison.
+func (p *lockstep) drain() error {
+	p.eng.Run()
+	for p.m.exec(maxTime) {
+	}
 	if err := p.check(); err != nil {
 		return err
 	}
-	if p.wheel.Pending() != 0 {
-		return fmt.Errorf("events left pending after Run: %d", p.wheel.Pending())
+	if p.eng.Pending() != 0 {
+		return fmt.Errorf("events left pending after Run: %d", p.eng.Pending())
 	}
 	return nil
 }
 
 // TestSchedEquivalenceProperty is the randomized lockstep property test:
-// identical op streams drive identical observables on both schedulers.
+// the model predicts every observable of random op streams.
 func TestSchedEquivalenceProperty(t *testing.T) {
 	f := func(seed int64, ops []uint32) bool {
-		p := newSchedPair(seed)
+		p := newLockstep(seed)
 		for _, enc := range ops {
 			if err := p.apply(uint8(enc>>24), enc&0xffffff); err != nil {
 				t.Log(err)
@@ -188,9 +265,9 @@ func TestSchedEquivalenceProperty(t *testing.T) {
 
 // TestSchedEquivalenceChurn drives the RTO-shaped workload — arm far out,
 // usually cancel, occasionally fire — that the wheel's dead-event pruning
-// and bounded advance optimize, in lockstep with the heap.
+// and bounded advance optimize, in lockstep with the model.
 func TestSchedEquivalenceChurn(t *testing.T) {
-	p := newSchedPair(3)
+	p := newLockstep(3)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 4000; i++ {
 		if err := p.apply(uint8(rng.Intn(256)), rng.Uint32()); err != nil {
@@ -222,8 +299,22 @@ func FuzzSchedEquivalence(f *testing.F) {
 		0x03, 0x01, 0x00, 0x00, 0x00, 0x06, 0x05, 0x30, 0x00, 0x00,
 		0x08, 0x0c, 0x00, 0x00, 0x00, 0x02, 0x04, 0x00, 0x00, 0x00,
 	})
+	// A level-1 slot that overlaps the window: an event filed above the
+	// window at key 1024, then (after a step moves the wheel to key 2) one
+	// filed in the window at key 1025, which must pop second (ops 7, 7, 5,
+	// 7).
+	f.Add(int64(13), []byte{
+		0x07, 0x14, 0x00, 0x00, 0x00, 0x07, 0x11, 0x00, 0x00, 0x00,
+		0x05, 0x00, 0x00, 0x00, 0x00, 0x07, 0x13, 0x00, 0x00, 0x00,
+	})
+	// Two events due at one instant, the later-stamped one created
+	// earlier: ct, not seq, orders them (ops 4, 0, 6).
+	f.Add(int64(17), []byte{
+		0x04, 0xe8, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+		0x06, 0x0e, 0x00, 0x00, 0x00,
+	})
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
-		p := newSchedPair(seed)
+		p := newLockstep(seed)
 		for i := 0; i+4 < len(raw); i += 5 {
 			arg := uint32(raw[i+1]) | uint32(raw[i+2])<<8 | uint32(raw[i+3])<<16 | uint32(raw[i+4])<<24
 			if err := p.apply(raw[i], arg%0xffffff); err != nil {
