@@ -11,20 +11,10 @@ import (
 // each round, and it decides the next window — routing the deliverable
 // cross-shard messages into per-shard inboxes — or a terminal action.
 
-// horizonWindows bounds how far past the current window a shard's next-event
-// report must look. On the timing wheel an unbounded peek cascades far-future
-// timers every window; bounding it keeps the per-window cost proportional to
-// the window span, and the coordinator falls back to an exact probe on the
-// rare window where every in-horizon report comes up empty (fast-forwarding
-// on anything less than the exact global minimum could skip a shard's
-// earlier event and violate causality later).
-const horizonWindows = 256
-
 type actKind uint8
 
 const (
 	actWindow actKind = iota
-	actProbe          // every in-horizon report empty but events exist beyond: need exact next-event times
 	actDone
 	actStalled
 	actTimeout
@@ -32,9 +22,8 @@ const (
 
 // action is one coordinator decision.
 type action struct {
-	kind    actKind
-	wEnd    units.Time // actWindow: exclusive window bound
-	horizon units.Time // actWindow: bound for the next round's peeks
+	kind actKind
+	wEnd units.Time // actWindow: exclusive window bound
 }
 
 // coord carries the window-loop state.
@@ -46,7 +35,6 @@ type coord struct {
 	remaining int
 	windows   uint64
 	lastEnd   units.Time
-	horizon   units.Time
 	// pend holds undeliverable cross-shard messages per destination shard;
 	// inboxes holds the current window's sorted delivery batches, and order
 	// the pending indices of one batch while it is sorted. All keep their
@@ -62,7 +50,6 @@ func newCoord(r *Runner, t0 units.Time, remaining int) *coord {
 		r: r, t0: t0, L: r.plan.Lookahead,
 		deadline:  t0 + r.opts.Timeout,
 		remaining: remaining,
-		horizon:   unitsMax, // setup reports are exact
 		pend:      make([][]crossMsg, r.plan.Shards),
 		inboxes:   make([][]crossMsg, r.plan.Shards),
 	}
@@ -80,34 +67,13 @@ func (c *coord) absorb(src int, out [][]crossMsg, completions int) {
 	}
 }
 
-// step decides the next action from per-shard next-event reports bounded by
-// the horizon handed out with the previous window. beyond[i] means shard i
-// holds events but none at or before that horizon.
-func (c *coord) step(nextAt []units.Time, hasNext, beyond []bool) action {
+// step decides the next action from the shards' exact next-event reports
+// and the pending messages' arrivals: the earliest of them is the global
+// minimum the window grid fast-forwards to.
+func (c *coord) step(nextAt []units.Time, hasNext []bool) action {
 	if c.remaining == 0 {
 		return action{kind: actDone}
 	}
-	work, any := c.earliest(nextAt, hasNext)
-	for _, b := range beyond {
-		if b && (!any || work > c.horizon) {
-			// The true minimum might hide past the horizon; only an exact
-			// probe can tell, and fast-forwarding on a wrong minimum would
-			// let a skipped event later inject into a receiver's past.
-			return action{kind: actProbe}
-		}
-	}
-	return c.decide(work, any)
-}
-
-// probeResolve finishes a step that needed exact next-event times.
-func (c *coord) probeResolve(nextAt []units.Time, hasNext []bool) action {
-	work, any := c.earliest(nextAt, hasNext)
-	return c.decide(work, any)
-}
-
-// earliest folds shard reports and pending message arrivals into the global
-// earliest-work candidate.
-func (c *coord) earliest(nextAt []units.Time, hasNext []bool) (units.Time, bool) {
 	work, any := unitsMax, false
 	for i := range nextAt {
 		if hasNext[i] && (!any || nextAt[i] < work) {
@@ -121,7 +87,7 @@ func (c *coord) earliest(nextAt []units.Time, hasNext []bool) (units.Time, bool)
 			}
 		}
 	}
-	return work, any
+	return c.decide(work, any)
 }
 
 // decide turns the earliest-work candidate into the next window (routing the
@@ -161,11 +127,7 @@ func (c *coord) decide(work units.Time, any bool) action {
 		c.pend[dst] = kept
 	}
 	c.windows++
-	c.horizon = unitsMax
-	if c.L <= (unitsMax-wEnd)/horizonWindows {
-		c.horizon = wEnd + horizonWindows*c.L
-	}
-	return action{kind: actWindow, wEnd: wEnd, horizon: c.horizon}
+	return action{kind: actWindow, wEnd: wEnd}
 }
 
 // compareMsgs orders one barrier delivery batch canonically: arrival and

@@ -97,24 +97,9 @@ func (r *Runner) merge(finals, setups []shardRes, c *coord, startLive int) (*Res
 	}
 
 	if r.opts.Metrics {
-		// Same fold as topo.Network.CollectMetrics: flows in declaration
-		// order, then fabric nodes in declaration order.
-		m := telemetry.NewMetricsAccumulator()
-		for _, fr := range res.Flows {
-			m.RecordFlow(telemetry.FlowRecord{
-				Class:       fr.Class,
-				Bytes:       fr.Bytes,
-				FCT:         fr.Elapsed,
-				Goodput:     fr.Throughput,
-				Retransmits: fr.Retransmits,
-			})
-		}
-		for _, fc := range res.Fabric {
-			m.AddFabric(fc)
-		}
-		res.Metrics = m
+		res.Metrics = topo.Metrics(res.Flows, res.Fabric)
 		if res.Bundle != nil {
-			res.Bundle.CaptureMetrics(m)
+			res.Bundle.CaptureMetrics(res.Metrics)
 		}
 	}
 	return res, nil

@@ -25,8 +25,6 @@
 // drops to O(shard + cut). When a handshake leaves events pending (so
 // skipping it would shift later timestamps) or the FIB walks fail, every
 // shard compiles the whole spec instead; Runner.SparseFallback says why.
-// Every shard runs the timing wheel, with bounded per-window peeks (see
-// sim.NextEventAtWithin).
 //
 // Packets reach foreign nodes through boundary ports: on each shard, every
 // cut-link direction whose receiver is foreign gets a phys handoff hook that
@@ -47,8 +45,9 @@
 //
 // The barrier is a channel round-trip: each window, the coordinator
 // goroutine sends every shard a command carrying its sorted inbox and
-// collects one response per shard (outbox slots, completions, a bounded
-// next-event peek) before the coord decision code picks the next window.
+// collects one response per shard (outbox slots, completions, the shard's
+// exact next-event time, sim.Engine.NextEventAt) before the coord decision
+// code picks the next window.
 //
 // # Determinism
 //
@@ -315,7 +314,7 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	alive := func(i int) bool { return setups[i].err == nil }
 	if firstErr != nil {
-		r.shutdown(shards, alive)
+		r.finish(shards, alive)
 		return nil, firstErr
 	}
 	// Cross-check the fingerprint. Shards execute different slices of the
@@ -324,7 +323,7 @@ func (r *Runner) Run() (*Result, error) {
 	startLive := 0
 	for i := range setups {
 		if setups[i].t0 != r.ref.t0 {
-			r.shutdown(shards, alive)
+			r.finish(shards, alive)
 			return nil, fmt.Errorf("pdes: topo %s: shard %d compiled to t0 %v, reference %v: construction is not deterministic",
 				r.spec.Name, i, setups[i].t0, r.ref.t0)
 		}
@@ -333,51 +332,20 @@ func (r *Runner) Run() (*Result, error) {
 	return r.runWindows(shards, setups, alive, r.ref.t0, startLive)
 }
 
-// runWindows drives the window loop from the exact setup reports: each round
-// sends every shard its command and collects every response, then the
-// coordinator picks the next action, until a terminal action turns into the
-// merged result or the typed incompleteness error.
+// runWindows drives the window loop from the setup reports: each window
+// sends every shard its command and collects every response, each carrying
+// the shard's exact next-event time, then the coordinator picks the next
+// action, until a terminal action turns into the merged result or the typed
+// incompleteness error.
 func (r *Runner) runWindows(shards []*shard, setups []shardRes, alive func(int) bool, t0 units.Time, startLive int) (*Result, error) {
 	c := newCoord(r, t0, len(r.spec.Flows))
 	nextAt := make([]units.Time, len(shards))
 	hasNext := make([]bool, len(shards))
-	beyond := make([]bool, len(shards))
 	for i := range setups {
 		nextAt[i], hasNext[i] = setups[i].nextAt, setups[i].hasNext
 	}
-	act := c.step(nextAt, hasNext, beyond)
-	for {
-		switch act.kind {
-		case actWindow:
-			for i, s := range shards {
-				s.cmd <- shardCmd{kind: cmdWindow, windowEnd: act.wEnd, horizon: act.horizon, inbox: c.inboxes[i]}
-			}
-			for i, s := range shards {
-				res := <-s.res
-				if res.err != nil {
-					setups[i].err = res.err // mark dead for shutdown
-					r.shutdown(shards, alive)
-					return nil, res.err
-				}
-				c.absorb(i, res.out, res.completions)
-				nextAt[i], hasNext[i], beyond[i] = res.nextAt, res.hasNext, res.beyond
-			}
-			act = c.step(nextAt, hasNext, beyond)
-		case actProbe:
-			for _, s := range shards {
-				s.cmd <- shardCmd{kind: cmdProbe}
-			}
-			for i, s := range shards {
-				res := <-s.res
-				if res.err != nil {
-					setups[i].err = res.err
-					r.shutdown(shards, alive)
-					return nil, res.err
-				}
-				nextAt[i], hasNext[i] = res.nextAt, res.hasNext
-			}
-			act = c.probeResolve(nextAt, hasNext)
-		default:
+	for act := c.step(nextAt, hasNext); ; act = c.step(nextAt, hasNext) {
+		if act.kind != actWindow {
 			finals, err := r.finish(shards, alive)
 			if err != nil {
 				return nil, err
@@ -387,13 +355,28 @@ func (r *Runner) runWindows(shards []*shard, setups []shardRes, alive func(int) 
 			}
 			return nil, r.incompleteErr(finals, act.kind == actStalled, c.lastEnd)
 		}
+		for i, s := range shards {
+			s.cmd <- shardCmd{kind: cmdWindow, windowEnd: act.wEnd, inbox: c.inboxes[i]}
+		}
+		for i, s := range shards {
+			res := <-s.res
+			if res.err != nil {
+				setups[i].err = res.err // a dead shard takes no finish command
+				r.finish(shards, alive)
+				return nil, res.err
+			}
+			c.absorb(i, res.out, res.completions)
+			nextAt[i], hasNext[i] = res.nextAt, res.hasNext
+		}
 	}
 }
 
 // unitsMax is a sentinel beyond any simulated time.
 const unitsMax = units.Time(1<<63 - 1)
 
-// finish collects every live shard's final report.
+// finish sends every live shard its finish command and collects one reply
+// from each: the final report, or a window reply still queued when the
+// coordinator stopped reading after another shard's failure.
 func (r *Runner) finish(shards []*shard, alive func(int) bool) ([]shardRes, error) {
 	finals := make([]shardRes, len(shards))
 	var firstErr error
@@ -413,19 +396,6 @@ func (r *Runner) finish(shards []*shard, alive func(int) bool) ([]shardRes, erro
 		}
 	}
 	return finals, firstErr
-}
-
-// shutdown releases still-live shard goroutines after a failure. A shard
-// that already died (panicked) has queued its error report, which the drain
-// consumes in place of a finish response.
-func (r *Runner) shutdown(shards []*shard, alive func(int) bool) {
-	for i, s := range shards {
-		if !alive(i) {
-			continue
-		}
-		s.cmd <- shardCmd{kind: cmdFinish}
-		<-s.res
-	}
 }
 
 // incompleteErr builds the typed timeout/stall error from final flow state.

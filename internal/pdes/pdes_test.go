@@ -58,12 +58,19 @@ var shapes = []shape{
 // with telemetry and metrics on.
 func runShape(t *testing.T, spec *topo.Spec, shards int, sh shape) *Result {
 	t.Helper()
-	r, err := New(spec, Options{
+	return runOpts(t, spec, Options{
 		Shards:    shards,
 		Seed:      42,
 		Telemetry: &telemetry.Options{Enabled: true},
 		Metrics:   true,
-	})
+	}, sh)
+}
+
+// runOpts runs spec under opts on the given subset shape.
+func runOpts(t *testing.T, spec *topo.Spec, opts Options, sh shape) *Result {
+	t.Helper()
+	shards := opts.Shards
+	r, err := New(spec, opts)
 	if err != nil {
 		t.Fatalf("%s: New(shards=%d): %v", spec.Name, shards, err)
 	}
@@ -114,6 +121,14 @@ func requireSame(t *testing.T, base, res *Result, shards int) {
 // telemetry bundle (connection instruments, engine counters, fabric
 // counters, fleet metrics — the full JSONL and CSV exports), flow results,
 // and fabric counters must be byte-identical to the 1-shard run.
+//
+// It also runs each topology with telemetry off on the subsets New builds.
+// Without the sampler's timer on every connection a shard's queue can run
+// dry between windows, so the window loop rests on the shards' exact
+// next-event reports alone. Flows, fabric counters and Events must match
+// the telemetry-off 1-shard run, and flows and fabric counters the
+// telemetry-on run; Events differ from the latter by the sampler's own
+// events.
 func TestShardedEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(examplesDir, "*.json"))
 	if err != nil || len(files) == 0 {
@@ -124,6 +139,11 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			spec := loadSpec(t, filepath.Base(file))
 			base := runShards(t, spec, 1)
+			plain := func(t *testing.T, shards int) *Result {
+				t.Helper()
+				return runOpts(t, spec, Options{Shards: shards, Seed: 42}, shapes[1])
+			}
+			plainBase := plain(t, 1)
 			maxShards := 4
 			if n := len(spec.Hosts) + len(spec.Switches); n < maxShards {
 				maxShards = n
@@ -139,6 +159,19 @@ func TestShardedEquivalence(t *testing.T) {
 						requireSame(t, base, res, shards)
 					})
 				}
+				t.Run(fmt.Sprintf("shards=%d/telemetry-off", shards), func(t *testing.T) {
+					res := plain(t, shards)
+					if !reflect.DeepEqual(res.Flows, plainBase.Flows) || !reflect.DeepEqual(res.Flows, base.Flows) {
+						t.Errorf("flow results diverged:\n 1 shard, telemetry off: %+v\n 1 shard, telemetry on: %+v\n%d shards, telemetry off: %+v",
+							plainBase.Flows, base.Flows, shards, res.Flows)
+					}
+					if !reflect.DeepEqual(res.Fabric, plainBase.Fabric) || !reflect.DeepEqual(res.Fabric, base.Fabric) {
+						t.Errorf("fabric counters diverged")
+					}
+					if res.Events != plainBase.Events {
+						t.Errorf("events: %d shards executed %d, 1 shard %d", shards, res.Events, plainBase.Events)
+					}
+				})
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
@@ -44,10 +45,12 @@ type crossMsg struct {
 	sack   [tcp.MaxSACKBlocks]tcp.SackBlock
 }
 
-// setPacket copies pk, and its TCP segment if it has one, into m.
+// setPacket copies pk, and its TCP segment if it has one, into m. It sets
+// every field the receiver reads, so m may hold an earlier message.
 func (m *crossMsg) setPacket(pk *packet.Packet) {
 	m.pk = *pk
 	m.pk.Seg = nil
+	m.hasSeg = false
 	switch seg := pk.Seg.(type) {
 	case nil:
 	case *tcp.Segment:
@@ -67,7 +70,6 @@ type cmdKind uint8
 
 const (
 	cmdWindow cmdKind = iota
-	cmdProbe          // report the exact next-event time (no horizon bound)
 	cmdFinish
 )
 
@@ -75,7 +77,6 @@ const (
 type shardCmd struct {
 	kind      cmdKind
 	windowEnd units.Time // exclusive window bound (run events at < windowEnd)
-	horizon   units.Time // bound for the post-window next-event peek
 	inbox     []crossMsg // cross-shard deliveries due in this window, sorted
 }
 
@@ -90,12 +91,10 @@ type shardRes struct {
 
 	// Windows: boundary traffic and progress. out aliases the shard's
 	// per-destination slots; the coordinator copies them out before the next
-	// window command. beyond distinguishes "no events at all" from "none
-	// inside the horizon".
+	// window command. nextAt is the shard's exact next-event time.
 	out         [][]crossMsg
 	nextAt      units.Time
 	hasNext     bool
-	beyond      bool
 	completions int
 
 	// Finish (executed also reports the compile count at setup).
@@ -216,16 +215,12 @@ func (r *Runner) shardBody(s *shard) {
 		switch c.kind {
 		case cmdWindow:
 			st.runWindow(eng, c.windowEnd, c.inbox)
-			next, has := eng.NextEventAtWithin(c.horizon)
+			next, has := eng.NextEventAt()
 			s.res <- shardRes{
 				shard: s.idx, out: st.out,
 				nextAt: next, hasNext: has,
-				beyond:      !has && eng.Pending() > 0,
 				completions: st.newlyDone,
 			}
-		case cmdProbe:
-			next, has := eng.NextEventAt()
-			s.res <- shardRes{shard: s.idx, nextAt: next, hasNext: has}
 		case cmdFinish:
 			var atoms []sim.LiveAtom
 			if st.ledger != nil {
@@ -316,12 +311,15 @@ func (r *Runner) setupShard(s *shard) (*shardState, shardRes) {
 					// twin can stay ledger-silent.
 					st.ledger.NoteCreate()
 				}
-				now := eng.Now()
-				st.out[dstShard] = append(st.out[dstShard], crossMsg{
-					link: li, dir: d, arrival: now + prop, ct: now,
-					srcShard: shardIdx, srcSeq: st.outSeq,
-				})
-				st.out[dstShard][len(st.out[dstShard])-1].setPacket(pk)
+				// Fill the message in place: a slot kept from an earlier
+				// window is overwritten field by field, not copied over.
+				out := st.out[dstShard]
+				out = slices.Grow(out, 1)[:len(out)+1]
+				st.out[dstShard] = out
+				m, now := &out[len(out)-1], eng.Now()
+				m.link, m.dir, m.arrival, m.ct = li, d, now+prop, now
+				m.srcShard, m.srcSeq = shardIdx, st.outSeq
+				m.setPacket(pk)
 				pk.Release()
 				st.outSeq++
 			})

@@ -366,20 +366,6 @@ func (e *Engine) NextEventAt() (units.Time, bool) {
 	return ev.at, true
 }
 
-// NextEventAtWithin reports the earliest live event due at or before limit.
-// Unlike NextEventAt it never reorganizes the queue past the limit — on the
-// timing wheel a bounded peek stops cascading at limit — so a parallel-DES
-// coordinator can poll per-window progress without paying full-span scans.
-// A false return means no event this side of limit; combine with Pending to
-// distinguish "idle beyond the horizon" from "idle, period".
-func (e *Engine) NextEventAtWithin(limit units.Time) (units.Time, bool) {
-	ev := e.peekLive(limit)
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // AdvanceTo moves the clock forward to t without executing anything. It
 // exists for sparse-replica parallel DES: a shard that skips a foreign
 // flow's compile-time handshake still advances its clock by the handshake's

@@ -11,9 +11,9 @@ import (
 
 // The lockstep oracle: a model engine predicts every observable of an
 // Engine — pop order, clock, Pending, Executed, HighWater, each Timer's
-// Pending, and what Stop, Reschedule and Step return — over arbitrary
-// interleavings of Schedule, After, InjectCall, Stop, Reschedule, Step,
-// Run and RunUntil. The model stamps each event's (at, ct, seq) key exactly
+// Pending, and what Stop, Reschedule, Step and NextEventAt return — over
+// arbitrary interleavings of Schedule, After, InjectCall, Stop, Reschedule,
+// Step, Run, RunUntil, NextEventAt and AdvanceTo. The model stamps each event's (at, ct, seq) key exactly
 // as the engine does and pops from a heap of those keys; the driver applies
 // every op to both and diffs the observables after each one.
 
@@ -82,6 +82,21 @@ func (m *model) exec(limit units.Time) bool {
 		m.executed++
 		m.log = append(m.log, fmt.Sprintf("t=%v id=%d", m.now, ev.arg))
 		return true
+	}
+}
+
+// next is Engine.NextEventAt: the earliest live event's time. Dead roots
+// are popped on the way.
+func (m *model) next() (units.Time, bool) {
+	for {
+		ev := m.q.peek(maxTime)
+		if ev == nil {
+			return 0, false
+		}
+		if !ev.dead() {
+			return ev.at, true
+		}
+		m.q.popDue(maxTime)
 	}
 }
 
@@ -175,11 +190,13 @@ func slotEdge(now units.Time, edge int, off int64) units.Time {
 // events cross wheel level boundaries and collide on identical instants;
 // ops 7 and 8 aim at the edges of level-0 slots and of the window, where
 // a slot's first picosecond meets a bounded peek's limit and a level-1
-// slot overlaps the window.
+// slot overlaps the window. Ops 9 and 10 are the peeks a parallel-DES run
+// depends on: every shard reports NextEventAt after each window, and every
+// subset compile skips a quiescent handshake with AdvanceTo.
 func (p *lockstep) apply(op uint8, arg uint32) error {
 	a := int64(arg)
 	m := &p.m
-	switch op % 9 {
+	switch op % 11 {
 	case 0: // schedule a closure event
 		p.schedule(p.eng.Now() + units.Time(a%5000))
 	case 1: // schedule a far-future event (upper wheel levels)
@@ -222,6 +239,26 @@ func (p *lockstep) apply(op uint8, arg uint32) error {
 		d := slotEdge(p.eng.Now(), int(a%int64(len(slotEdges))), a/int64(len(slotEdges))%5)
 		p.eng.RunUntil(d)
 		m.runUntil(d)
+	case 9: // peek at the earliest live event
+		et, eok := p.eng.NextEventAt()
+		if mt, mok := m.next(); et != mt || eok != mok {
+			return fmt.Errorf("NextEventAt diverged: engine %v, %v; model %v, %v", et, eok, mt, mok)
+		}
+	case 10: // advance the clock short of the earliest live event
+		now := p.eng.Now()
+		t := now + units.Time(a%7)*137*units.Millisecond + units.Time(a%911)
+		if next, ok := m.next(); ok {
+			if next == now {
+				break // nothing lies short of it
+			}
+			// Just past now, or just short of the event.
+			off := units.Time(a) % (next - now)
+			if t = now + off; a&1 == 1 {
+				t = next - 1 - off
+			}
+		}
+		p.eng.AdvanceTo(t)
+		m.now = t
 	}
 	return p.check()
 }
@@ -312,6 +349,16 @@ func FuzzSchedEquivalence(f *testing.F) {
 	f.Add(int64(17), []byte{
 		0x04, 0xe8, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
 		0x06, 0x0e, 0x00, 0x00, 0x00,
+	})
+	// Two far events in one level-2 slot, both cancelled, then a live one
+	// in a later level-2 slot: the peek must prune the cancelled slot and
+	// report the live event, and the clock may advance to just short of it
+	// (ops 1, 1, 2, 2, 1, 9, 10).
+	f.Add(int64(19), []byte{
+		0x01, 0x01, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00,
+		0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00,
+		0x01, 0x02, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00,
+		0x0a, 0x01, 0x00, 0x00, 0x00,
 	})
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		p := newLockstep(seed)

@@ -165,8 +165,9 @@ func (c Config) Validate() error {
 // MTU minus IP and TCP base headers. Timestamps further reduce per-segment
 // payload but are not part of the advertised MSS, matching real TCP (an
 // advertised MSS of 8960 with timestamps carries 8948 bytes of data — the
-// paper's numbers).
-func (c Config) MSS() int { return c.MTU - ipv4.HeaderLen - BaseHeaderLen }
+// paper's numbers). The pointer receiver keeps Conn.MSS, called per
+// segment, from copying the whole Config.
+func (c *Config) MSS() int { return c.MTU - ipv4.HeaderLen - BaseHeaderLen }
 
 // WScale returns the window-scale shift needed to advertise RcvBuf, or 0.
 func (c Config) WScale() int {

@@ -15,13 +15,6 @@ type PartitionPlan struct {
 	// CutLinks indexes Spec.Links whose endpoints live on different shards;
 	// their ports become shard boundaries.
 	CutLinks []int
-	// CutOut[i] counts directed boundary crossings leaving shard i: cut-link
-	// endpoints owned by i whose peer lives elsewhere. CutIn[i] counts the
-	// crossings arriving at shard i. Every cut link contributes one to each
-	// side's tally per direction, so CutOut[i] == CutIn[i] == the number of
-	// cut links incident to shard i; the sparse-replica boundary-stub builder
-	// sizes its one-hop stub set and per-pair message slots from them.
-	CutOut, CutIn []int
 	// Lookahead is the barrier-window width: the minimum propagation delay
 	// over ALL links, not just cut links. Any cut link's delay is >= this,
 	// so it is a valid conservative lookahead — and because it does not
@@ -169,18 +162,11 @@ func Partition(s *Spec, shards int) (*PartitionPlan, error) {
 		}
 	}
 
-	plan := &PartitionPlan{
-		Shards: shards, Owner: owner,
-		CutOut: make([]int, shards), CutIn: make([]int, shards),
-	}
+	plan := &PartitionPlan{Shards: shards, Owner: owner}
 	for li := range s.Links {
 		l := &s.Links[li]
-		if oa, ob := owner[l.A], owner[l.B]; oa != ob {
+		if owner[l.A] != owner[l.B] {
 			plan.CutLinks = append(plan.CutLinks, li)
-			plan.CutOut[oa]++
-			plan.CutIn[ob]++
-			plan.CutOut[ob]++
-			plan.CutIn[oa]++
 		}
 		p := l.prop()
 		if plan.Lookahead == 0 || p < plan.Lookahead {

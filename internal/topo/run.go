@@ -131,10 +131,16 @@ func (n *Network) RunFlows(timeout units.Time) ([]FlowResult, error) {
 }
 
 // CollectMetrics folds a run's flow results and the network's switch
-// counters into a fleet-level metrics accumulator: flows in declaration
-// order, then fabric nodes in declaration order, so the result is
-// deterministic for a given run.
+// counters into a fleet-level metrics accumulator (see Metrics).
 func (n *Network) CollectMetrics(results []FlowResult) *telemetry.MetricsAccumulator {
+	return Metrics(results, n.FabricCounters())
+}
+
+// Metrics folds a run's flow results and switch counters into a
+// fleet-level metrics accumulator: flows in declaration order, then fabric
+// nodes in declaration order, so the result is deterministic for a given
+// run whether one engine or sharded engines produced it.
+func Metrics(results []FlowResult, fabric []telemetry.FabricCounters) *telemetry.MetricsAccumulator {
 	m := telemetry.NewMetricsAccumulator()
 	for _, r := range results {
 		m.RecordFlow(telemetry.FlowRecord{
@@ -145,7 +151,7 @@ func (n *Network) CollectMetrics(results []FlowResult) *telemetry.MetricsAccumul
 			Retransmits: r.Retransmits,
 		})
 	}
-	for _, fc := range n.FabricCounters() {
+	for _, fc := range fabric {
 		m.AddFabric(fc)
 	}
 	return m
